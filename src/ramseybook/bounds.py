@@ -33,7 +33,10 @@ def precision() -> int:
     return mp.prec
 
 
-set_precision(int(os.environ.get(PRECISION_ENV, DEFAULT_PRECISION_BITS)))
+try:
+    set_precision(int(os.environ.get(PRECISION_ENV, DEFAULT_PRECISION_BITS)))
+except (ValueError, InvalidInput):
+    set_precision(DEFAULT_PRECISION_BITS)  # cli.main reports the bad value and exits 2
 
 
 # ---------------------------------------------------------------------------
@@ -79,35 +82,6 @@ def lower_fraction(x) -> Fraction:
 
 def upper_fraction(x) -> Fraction:
     return interval_endpoints(x)[1]
-
-
-def certify_ge(lhs, rhs_interval) -> bool:
-    """Decide ``lhs >= rhs`` rigorously for exact lhs and an enclosure of rhs.
-
-    True and False are both certified; an enclosure too wide to decide raises
-    PrecisionExhausted rather than guessing.
-    """
-    lo, hi = interval_endpoints(rhs_interval)
-    lhs = Fraction(lhs)
-    if lhs >= hi:
-        return True
-    if lhs < lo:
-        return False
-    raise PrecisionExhausted(
-        f"cannot decide {float(lhs)} >= [{float(lo)}, {float(hi)}] at {precision()} bits"
-    )
-
-
-def certify_le(lhs, rhs_interval) -> bool:
-    lo, hi = interval_endpoints(rhs_interval)
-    lhs = Fraction(lhs)
-    if lhs <= lo:
-        return True
-    if lhs > hi:
-        return False
-    raise PrecisionExhausted(
-        f"cannot decide {float(lhs)} <= [{float(lo)}, {float(hi)}] at {precision()} bits"
-    )
 
 
 def certify_interval_ge(a, b) -> bool:

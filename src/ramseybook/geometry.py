@@ -9,6 +9,7 @@ codegree tables and only the returned threshold is converted to a Fraction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -18,7 +19,6 @@ from mpmath import iv, mp
 from .bounds import (
     certify_interval_ge,
     iv_cosh,
-    iv_from,
     iv_from_fraction,
     iv_from_int,
     upper_fraction,
@@ -42,18 +42,16 @@ def default_beta(r: int) -> Fraction:
     return Fraction(1, 3 ** (4 * r))
 
 
-def _c_interval(r: int, c_factor):
-    """Enclosure of the decay coefficient; 4 r^(3/2) unless overridden."""
-    if c_factor is None:
-        return 4 * iv.sqrt(iv_from_int(r**3))
-    return iv_from(Fraction(c_factor))
+def _c_interval(r: int):
+    """Enclosure of the decay coefficient C = 4 r^(3/2)."""
+    return 4 * iv.sqrt(iv_from_int(r**3))
 
 
-def witness_bound_upper(lam: Fraction, r: int, beta: Fraction, c_factor=None) -> Fraction:
+def witness_bound_upper(lam: Fraction, r: int, beta: Fraction) -> Fraction:
     """Certified upper bound on beta * e^(-C sqrt(lam + 1))."""
     if lam < -1:
         raise InvalidInput("threshold below -1")
-    expo = -_c_interval(r, c_factor) * iv.sqrt(iv_from_fraction(lam + 1))
+    expo = -_c_interval(r) * iv.sqrt(iv_from_fraction(lam + 1))
     return upper_fraction(iv_from_fraction(beta) * iv.exp(expo))
 
 
@@ -525,7 +523,7 @@ class _PairTables:
         return mask
 
 
-def find_lambda_witness(emb: Embedding, beta=None, c_factor=None) -> WitnessReport:
+def find_lambda_witness(emb: Embedding, beta=None) -> WitnessReport:
     """Largest threshold lam (ties: smallest colour) whose event probability q
     over all |X|^2 ordered pairs satisfies q >= beta e^(-C sqrt(lam+1)).
 
@@ -542,14 +540,14 @@ def find_lambda_witness(emb: Embedding, beta=None, c_factor=None) -> WitnessRepo
         cnt = tables.event_count(colour, d)
         if cnt == 0:
             continue
-        bound = witness_bound_upper(lam, r, beta, c_factor)
+        bound = witness_bound_upper(lam, r, beta)
         q = Fraction(cnt, total)
         if q >= bound:
             return WitnessReport(colour, lam, q, bound, cnt, total)
     raise LemmaViolation("no lambda witness found; this should be impossible")
 
 
-def key_lemma_step(c: EdgeColouring, xset: int, ysets, alphas, beta=None, c_factor=None) -> KeyStepResult:
+def key_lemma_step(c: EdgeColouring, xset: int, ysets, alphas, beta=None) -> KeyStepResult:
     """One full round of the density/boost dichotomy.
 
     Builds the embedding, scans witness candidates in decreasing lam order,
@@ -572,7 +570,7 @@ def key_lemma_step(c: EdgeColouring, xset: int, ysets, alphas, beta=None, c_fact
         cnt = tables.event_count(colour, d)
         if cnt == 0:
             continue
-        bound = witness_bound_upper(lam, r, beta, c_factor)
+        bound = witness_bound_upper(lam, r, beta)
         q = Fraction(cnt, total)
         if q < bound:
             continue
@@ -631,7 +629,7 @@ class KeyStepCheck:
         )
 
 
-def verify_key_step(c, xset, ysets, alphas, res: KeyStepResult, beta=None, c_factor=None) -> KeyStepCheck:
+def verify_key_step(c, xset, ysets, alphas, res: KeyStepResult, beta=None) -> KeyStepCheck:
     """Recompute every key-step postcondition from the colouring alone.
 
     Densities, trimmed sets and codegrees are all rebuilt from scratch; the
@@ -655,7 +653,7 @@ def verify_key_step(c, xset, ysets, alphas, res: KeyStepResult, beta=None, c_fac
         if res.y_primes[i] != want:
             y_sizes_ok = False
 
-    bound = witness_bound_upper(res.lam, r, beta, c_factor)
+    bound = witness_bound_upper(res.lam, r, beta)
     size_bound_ok = Fraction(res.x_prime.bit_count()) >= bound * xsize
     slack_ok = Fraction(res.x_prime.bit_count()) >= res.q * xsize - 1
 
@@ -671,24 +669,41 @@ def verify_key_step(c, xset, ysets, alphas, res: KeyStepResult, beta=None, c_fac
     return KeyStepCheck(y_sizes_ok, size_bound_ok, boost_ok, all_colours_ok, slack_ok)
 
 
-def verify_witness(c, xset, ysets, alphas, rep: WitnessReport, beta=None, c_factor=None) -> None:
+def verify_witness(c, xset, ysets, alphas, rep: WitnessReport, beta=None) -> None:
     """Exhaustively recount the witness event from a fresh embedding.
+
+    The event holds for an ordered pair (a, b) of X, diagonal included, when
+    <s_i(a), s_i(b)> >= v_i in every colour, with v_i = lam for the witness
+    colour and v_i = -1 for the others.  Since <s_i(a), s_i(b)> =
+    (codeg_i(a, b) - p_i^2 |Y_i|) / (alpha_i p_i |Y_i|) and the denominator is
+    positive, that holds exactly when the integer codeg_i(a, b) is at least
+    d_i = ceil(v_i alpha_i p_i |Y_i| + p_i^2 |Y_i|).  So the count needs one
+    exact rational per colour and integer comparisons per pair.  The d_i are
+    derived here from the embedding, not taken from the witness search, so
+    the recount stays independent of the search it checks.
 
     Raises LemmaViolation if the recount disagrees with the report or the
     witness inequality fails against a freshly rounded bound.
     """
     emb = build_embedding(c, xset, ysets, alphas)
     r = emb.r
+    if not 0 <= rep.colour < r:
+        raise LemmaViolation(f"witness colour {rep.colour} out of range [0, {r})")
     beta = default_beta(r) if beta is None else Fraction(beta)
     n = emb.npoints
+    need = []
+    for i in range(r):
+        v = Fraction(rep.lam) if i == rep.colour else -1
+        p, alpha, y = emb.densities[i], emb.alphas[i], emb.y_sizes[i]
+        need.append((math.ceil(v * alpha * p * y + p * p * y), emb.trimmed[i]))
+    need.insert(0, need.pop(rep.colour))  # the witness colour rejects the most pairs
     cnt = 0
     for a in range(n):
-        for b in range(n):
-            vals = [emb.inner_by_index(i, a, b) for i in range(r)]
-            if vals[rep.colour] >= rep.lam and all(
-                v >= -1 for i, v in enumerate(vals) if i != rep.colour
-            ):
-                cnt += 1
+        row = range(n)
+        for d, t in need:
+            ta = t[a]
+            row = [b for b in row if (ta & t[b]).bit_count() >= d]
+        cnt += len(row)
     if cnt != rep.pair_count or rep.total_pairs != n * n:
         raise LemmaViolation(
             f"witness recount mismatch: recounted {cnt}/{n * n}, reported {rep.pair_count}/{rep.total_pairs}"
@@ -696,6 +711,6 @@ def verify_witness(c, xset, ysets, alphas, rep: WitnessReport, beta=None, c_fact
     q = Fraction(cnt, n * n)
     if q != rep.q:
         raise LemmaViolation("witness probability mismatch on recount")
-    bound = witness_bound_upper(rep.lam, r, beta, c_factor)
+    bound = witness_bound_upper(rep.lam, r, beta)
     if q < bound:
         raise LemmaViolation(f"witness inequality fails on recount: q={float(q)} < bound={float(bound)}")

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import ramseybook
 from ramseybook import bounds as bounds_mod
 from ramseybook.cli import main
 from ramseybook.colouring import pentagon_colouring
@@ -180,3 +187,25 @@ class TestUsageErrors:
         code, _, _ = invoke(capsys, "run-book", "-i", str(rcg), "--t", "1",
                             "--trace", str(tmp_path / "t.jsonl"))
         assert code == 2
+
+    @staticmethod
+    def fresh_python(bits, *args):
+        # the variable is read when the package is imported, so only a fresh
+        # interpreter sees it
+        src = str(Path(ramseybook.__file__).parent.parent)
+        env = {**os.environ, "RF_PRECISION_BITS": bits,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("bits", ["abc", "8"])
+    def test_bad_precision_env_is_usage_error(self, bits):
+        proc = self.fresh_python(bits, "-m", "ramseybook.cli", "bounds", "thm51", "--r", "2")
+        assert proc.returncode == 2
+        assert f"bad RF_PRECISION_BITS value {bits!r}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("bits", ["abc", "8"])
+    def test_bad_precision_env_keeps_default_on_import(self, bits):
+        proc = self.fresh_python(bits, "-c", "from ramseybook import bounds; print(bounds.precision())")
+        assert proc.returncode == 0 and proc.stdout.strip() == "128"

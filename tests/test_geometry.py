@@ -1,20 +1,26 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
-from ramseybook.colouring import from_pair_function, mask_of, random_colouring
+from ramseybook.colouring import from_pair_function, iter_vertices, mask_of, random_colouring
 from ramseybook.errors import (
     DegenerateDensity,
     EmptySet,
     InvalidInput,
     InvalidVertex,
+    LemmaViolation,
     TensorTooLarge,
 )
 from ramseybook.geometry import (
     SpecialBranch,
     VectorFamily,
+    WitnessReport,
+    _PairTables,
     build_embedding,
     check_special_bounds,
     cosh_sqrt_series,
@@ -33,6 +39,28 @@ from ramseybook.geometry import (
 
 def triangle():
     return from_pair_function(3, 1, lambda u, v: 0)
+
+
+def fraction_recounter(emb):
+    """Reference recount of a witness event from exact Fraction inner products.
+
+    Returns count(colour, lam): the number of ordered pairs (a, b) of X,
+    diagonal included, with <s_colour(a), s_colour(b)> >= lam and every other
+    coordinate >= -1.  This is the per-pair Fraction recount verify_witness
+    ran before it compared integer codegrees against integer thresholds; the
+    inner products are computed once and shared by every (colour, lam).
+    """
+    n, r = emb.npoints, emb.r
+    inners = [[emb.inner_by_index(i, a, b) for i in range(r)] for a in range(n) for b in range(n)]
+
+    def count(colour, lam):
+        return sum(
+            1
+            for vals in inners
+            if vals[colour] >= lam and all(v >= -1 for i, v in enumerate(vals) if i != colour)
+        )
+
+    return count
 
 
 class TestMinDensity:
@@ -300,6 +328,96 @@ class TestWitness:
                 continue
             rep = find_lambda_witness(emb)
             verify_witness(c, c.vertices, [c.vertices] * r, alphas, rep)
+
+
+@st.composite
+def small_embeddings(draw):
+    """A colouring with n <= 16 and r <= 4, a random X, random Y_i and alpha_i > 0.
+
+    Each Y_i also gets one colour-i neighbour of every x in X where one
+    exists, so that most draws have positive densities.
+    """
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 16))
+    c = random_colouring(n, r, draw(st.integers(0, 2**32)))
+    xset = draw(st.integers(1, 2**n - 1))
+    ysets = []
+    for i in range(r):
+        y = draw(st.integers(0, 2**n - 1))
+        for x in iter_vertices(xset):
+            nb = c.neighbourhood(x, i)
+            if nb and not nb & y:
+                y |= nb & -nb
+        ysets.append(y)
+    alphas = [F(draw(st.integers(1, 12)), draw(st.integers(1, 12))) for _ in range(r)]
+    try:
+        emb = build_embedding(c, xset, ysets, alphas)
+    except (DegenerateDensity, EmptySet):
+        assume(False)
+    return c, xset, ysets, alphas, emb
+
+
+class TestWitnessRecount:
+    """verify_witness's integer-threshold count against the Fraction reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_embeddings())
+    def test_integer_count_matches_fraction_recount(self, drawn):
+        c, xset, ysets, alphas, emb = drawn
+        count = fraction_recounter(emb)
+        total = emb.npoints ** 2
+        eps = F(1, 10**9)
+        for lam, colour, _ in _PairTables(emb).candidates():
+            for v in {lam, lam + eps, max(lam - eps, F(-1))}:
+                cnt = count(colour, v)
+                # beta = 0 makes the bound 0, so only the recount is checked
+                rep = WitnessReport(colour, v, F(cnt, total), F(0), cnt, total)
+                verify_witness(c, xset, ysets, alphas, rep, beta=0)
+                with pytest.raises(LemmaViolation, match="recount mismatch"):
+                    verify_witness(c, xset, ysets, alphas, replace(rep, pair_count=cnt + 1), beta=0)
+
+    def witness(self):
+        c = random_colouring(16, 2, 0)
+        alphas = [F(1)] * 2
+        emb = build_embedding(c, c.vertices, [c.vertices] * 2, alphas)
+        rep = find_lambda_witness(emb)
+        verify_witness(c, c.vertices, [c.vertices] * 2, alphas, rep)
+        return c, alphas, emb, rep
+
+    def rejects(self, rep, match):
+        c, alphas, _, _ = self.witness()
+        with pytest.raises(LemmaViolation, match=match):
+            verify_witness(c, c.vertices, [c.vertices] * 2, alphas, rep)
+
+    def test_witness_is_off_diagonal(self):
+        _, _, emb, rep = self.witness()
+        assert emb.npoints < rep.pair_count < rep.total_pairs
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_rejects_pair_count_off_by_one(self, delta):
+        rep = self.witness()[3]
+        self.rejects(replace(rep, pair_count=rep.pair_count + delta), "recount mismatch")
+
+    def test_rejects_wrong_total_pairs(self):
+        rep = self.witness()[3]
+        self.rejects(replace(rep, total_pairs=rep.total_pairs + 1), "recount mismatch")
+
+    def test_rejects_wrong_q(self):
+        rep = self.witness()[3]
+        self.rejects(replace(rep, q=F(rep.pair_count + 1, rep.total_pairs)), "probability mismatch")
+
+    def test_rejects_lam_moved_to_next_attained_value(self):
+        # this witness is the largest value attained in its colour, so the
+        # next attained value is below it and lets more pairs in
+        _, _, emb, rep = self.witness()
+        lams = [lam for lam, colour, _ in _PairTables(emb).candidates() if colour == rep.colour]
+        moved = replace(rep, lam=lams[lams.index(rep.lam) + 1])
+        assert fraction_recounter(emb)(rep.colour, moved.lam) != rep.pair_count
+        self.rejects(moved, "recount mismatch")
+
+    @pytest.mark.parametrize("colour", [-1, 2])
+    def test_rejects_out_of_range_colour(self, colour):
+        self.rejects(replace(self.witness()[3], colour=colour), "out of range")
 
 
 class TestKeyStep:
