@@ -10,7 +10,6 @@ from .colouring import (
     pentagon_colouring,
     product_colouring,
     random_colouring,
-    serialize_colouring,
     vertex_list,
 )
 from .geometry import (
@@ -21,7 +20,6 @@ from .geometry import (
     build_embedding,
     check_special_bounds,
     find_lambda_witness,
-    inner_product,
     key_lemma_step,
     min_density,
     moment_double_sum,

@@ -17,10 +17,10 @@ from pathlib import Path
 
 from mpmath import iv
 
-from .bounds import iv_from_fraction, iv_from_int, upper_fraction
+from .bounds import iv_from_fraction, upper_fraction
 from .colouring import EdgeColouring
 from .errors import DegenerateDensity, InvalidInput, LemmaViolation, ParseError
-from .geometry import default_beta, key_lemma_step, min_density
+from .geometry import c_interval, default_beta, key_lemma_step, min_density
 
 KIND_COLOUR = "colour"
 KIND_BOOST = "boost"
@@ -56,7 +56,7 @@ def _parse_frac(s: str) -> Fraction:
     try:
         num, den = s.split("/")
         return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError):
+    except (AttributeError, ValueError, ZeroDivisionError):
         raise ParseError(f"bad rational {s!r}") from None
 
 
@@ -138,66 +138,79 @@ def write_trace(trace: Trace, path) -> None:
     Path(path).write_text(trace.to_text(), encoding="ascii")
 
 
+def _header_from_json(d: dict) -> TraceHeader:
+    if d.get("type") != "header":
+        raise ParseError("first line must be a header")
+    return TraceHeader(
+        n=d["n"],
+        r=d["r"],
+        t=d["t"],
+        lambda0=_parse_frac(d["lambda0"]),
+        delta=_parse_frac(d["delta"]),
+        beta=_parse_frac(d["beta"]),
+        p0=_parse_frac(d["p0"]),
+        initial_x_size=d["initial_x_size"],
+        initial_y_sizes=tuple(d["initial_y_sizes"]),
+        initial_densities=tuple(_parse_frac(p) for p in d["initial_densities"]),
+        colouring_sha256=d["colouring_sha256"],
+    )
+
+
+def _record_from_json(d: dict) -> StepRecord:
+    if d.get("type") != "step":
+        raise ParseError("expected a step record")
+    rec = StepRecord(
+        s=d["s"],
+        kind=d["kind"],
+        pivot=d["pivot"],
+        witness_colour=d["witness_colour"],
+        chosen_colour=d["chosen_colour"],
+        lam=_parse_frac(d["lambda"]),
+        x_size=d["x_size"],
+        y_sizes=tuple(d["y_sizes"]),
+        t_sizes=tuple(d["t_sizes"]),
+        densities=None if d["densities"] is None else tuple(_parse_frac(p) for p in d["densities"]),
+    )
+    if rec.kind not in (KIND_COLOUR, KIND_BOOST):
+        raise ParseError(f"unknown step kind {rec.kind!r}")
+    return rec
+
+
+def _parse_line(line: str, lineno: int, build):
+    """Decode one trace line with ``build``; every defect is a ParseError naming the line."""
+    try:
+        d = json.loads(line)
+        if not isinstance(d, dict):
+            raise ParseError("a trace line must be a JSON object")
+        return build(d)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"bad JSON: {e}", line=lineno) from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply", line=lineno) from None
+    except KeyError as e:
+        raise ParseError(f"missing field {e}", line=lineno) from None
+    except TypeError as e:
+        raise ParseError(f"bad field: {e}", line=lineno) from None
+    except ParseError as e:
+        raise ParseError(str(e), line=lineno) from None
+
+
 def parse_trace(text: str) -> Trace:
     lines = [ln for ln in text.split("\n") if ln]
     if not lines:
         raise ParseError("empty trace")
-    try:
-        head = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad JSON in header: {e}", line=1) from None
-    if head.get("type") != "header":
-        raise ParseError("first line must be a header", line=1)
-    try:
-        header = TraceHeader(
-            n=head["n"],
-            r=head["r"],
-            t=head["t"],
-            lambda0=_parse_frac(head["lambda0"]),
-            delta=_parse_frac(head["delta"]),
-            beta=_parse_frac(head["beta"]),
-            p0=_parse_frac(head["p0"]),
-            initial_x_size=head["initial_x_size"],
-            initial_y_sizes=tuple(head["initial_y_sizes"]),
-            initial_densities=tuple(_parse_frac(p) for p in head["initial_densities"]),
-            colouring_sha256=head["colouring_sha256"],
-        )
-    except KeyError as e:
-        raise ParseError(f"header missing field {e}", line=1) from None
-    records = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        try:
-            d = json.loads(ln)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"bad JSON: {e}", line=lineno) from None
-        if d.get("type") != "step":
-            raise ParseError("expected a step record", line=lineno)
-        try:
-            records.append(
-                StepRecord(
-                    s=d["s"],
-                    kind=d["kind"],
-                    pivot=d["pivot"],
-                    witness_colour=d["witness_colour"],
-                    chosen_colour=d["chosen_colour"],
-                    lam=_parse_frac(d["lambda"]),
-                    x_size=d["x_size"],
-                    y_sizes=tuple(d["y_sizes"]),
-                    t_sizes=tuple(d["t_sizes"]),
-                    densities=None
-                    if d["densities"] is None
-                    else tuple(_parse_frac(p) for p in d["densities"]),
-                )
-            )
-        except KeyError as e:
-            raise ParseError(f"step record missing field {e}", line=lineno) from None
-        if records[-1].kind not in (KIND_COLOUR, KIND_BOOST):
-            raise ParseError(f"unknown step kind {records[-1].kind!r}", line=lineno)
-    return Trace(header, tuple(records))
+    header = _parse_line(lines[0], 1, _header_from_json)
+    records = tuple(_parse_line(ln, lineno, _record_from_json) for lineno, ln in enumerate(lines[1:], start=2))
+    return Trace(header, records)
 
 
 def read_trace(path) -> Trace:
-    return parse_trace(Path(path).read_text(encoding="ascii"))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"non-ASCII byte {data[e.start]:#04x}", line=data.count(b"\n", 0, e.start) + 1) from None
+    return parse_trace(text)
 
 
 @dataclass(frozen=True)
@@ -323,6 +336,5 @@ def derive_boost_threshold(mu: Fraction, p: Fraction, r: int) -> tuple[Fraction,
         raise InvalidInput("need mu > 0 and p in (0, 1]")
     delta = p / mu**2
     log_inv_delta = -iv.log(iv_from_fraction(delta))
-    c_iv = 4 * iv.sqrt(iv_from_int(r**3))
-    lam0 = (iv_from_fraction(mu) * log_inv_delta / (8 * c_iv)) ** 2
+    lam0 = (iv_from_fraction(mu) * log_inv_delta / (8 * c_interval(r))) ** 2
     return delta, upper_fraction(lam0)

@@ -241,7 +241,3 @@ def parse_colouring(text: str) -> EdgeColouring:
                 raise ParseError(f"colour {c} out of range [0, {r})", line=lineno)
             tri.append(c)
     return EdgeColouring(n, r, tri)
-
-
-def serialize_colouring(c: EdgeColouring) -> str:
-    return c.serialize()

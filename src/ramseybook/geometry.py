@@ -42,7 +42,7 @@ def default_beta(r: int) -> Fraction:
     return Fraction(1, 3 ** (4 * r))
 
 
-def _c_interval(r: int):
+def c_interval(r: int):
     """Enclosure of the decay coefficient C = 4 r^(3/2)."""
     return 4 * iv.sqrt(iv_from_int(r**3))
 
@@ -51,7 +51,7 @@ def witness_bound_upper(lam: Fraction, r: int, beta: Fraction) -> Fraction:
     """Certified upper bound on beta * e^(-C sqrt(lam + 1))."""
     if lam < -1:
         raise InvalidInput("threshold below -1")
-    expo = -_c_interval(r) * iv.sqrt(iv_from_fraction(lam + 1))
+    expo = -c_interval(r) * iv.sqrt(iv_from_fraction(lam + 1))
     return upper_fraction(iv_from_fraction(beta) * iv.exp(expo))
 
 
@@ -195,11 +195,6 @@ def build_embedding(c: EdgeColouring, xset: int, ysets, alphas) -> Embedding:
     )
 
 
-def inner_product(emb: Embedding, colour: int, x: int, y: int) -> Fraction:
-    """Exact inner product of the implicit vectors at x and y in one colour."""
-    return emb.inner(colour, x, y)
-
-
 # ---------------------------------------------------------------------------
 # the special function f
 # ---------------------------------------------------------------------------
@@ -215,16 +210,16 @@ def _cosh_sqrt_mp(x):
     return mp.cos(mp.sqrt(-x))
 
 
-def special_f(xs) -> "mp.mpf":
-    """f(x_1..x_r) = sum_j x_j prod_{i != j} (2 + cosh sqrt(x_i)), high precision.
+def _mpf(x):
+    return mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mp.mpf(x)
 
-    cosh sqrt(x) means cos sqrt(-x) for x < 0 (one entire function).
-    """
-    vals = [mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mp.mpf(x) for x in xs]
-    factors = [2 + _cosh_sqrt_mp(v) for v in vals]
-    total = mp.mpf(0)
+
+def _f_from_factors(ctx, vals, factors):
+    """sum_j vals[j] prod_{i != j} factors[i] in ctx (mp or iv), multiplying
+    in index order."""
+    total = ctx.mpf(0)
     for j, v in enumerate(vals):
-        prod = mp.mpf(1)
+        prod = ctx.mpf(1)
         for i, f in enumerate(factors):
             if i != j:
                 prod *= f
@@ -232,9 +227,18 @@ def special_f(xs) -> "mp.mpf":
     return total
 
 
+def special_f(xs) -> "mp.mpf":
+    """f(x_1..x_r) = sum_j x_j prod_{i != j} (2 + cosh sqrt(x_i)), high precision.
+
+    cosh sqrt(x) means cos sqrt(-x) for x < 0 (one entire function).
+    """
+    vals = [_mpf(x) for x in xs]
+    return _f_from_factors(mp, vals, [2 + _cosh_sqrt_mp(v) for v in vals])
+
+
 def cosh_sqrt_series(x, terms: int = 40):
     """Truncated Taylor series sum x^n / (2n)! for cross-checking the closed form."""
-    v = mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mp.mpf(x)
+    v = _mpf(x)
     total = mp.mpf(0)
     term = mp.mpf(1)
     for n in range(terms):
@@ -246,16 +250,8 @@ def cosh_sqrt_series(x, terms: int = 40):
 
 def special_f_series(xs, terms: int = 40):
     """f evaluated with series-expanded cosh sqrt factors."""
-    vals = [mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mp.mpf(x) for x in xs]
-    factors = [2 + cosh_sqrt_series(v, terms) for v in vals]
-    total = mp.mpf(0)
-    for j, v in enumerate(vals):
-        prod = mp.mpf(1)
-        for i, f in enumerate(factors):
-            if i != j:
-                prod *= f
-        total += v * prod
-    return total
+    vals = [_mpf(x) for x in xs]
+    return _f_from_factors(mp, vals, [2 + cosh_sqrt_series(v, terms) for v in vals])
 
 
 def _exact(x) -> Fraction:
@@ -284,14 +280,7 @@ def check_special_bounds(xs) -> SpecialBranch:
     r = len(qs)
     if r < 1:
         raise InvalidInput("need at least one coordinate")
-    factors = [2 + _cosh_sqrt_iv(q) for q in qs]
-    f = iv.mpf(0)
-    for j, q in enumerate(qs):
-        prod = iv.mpf(1)
-        for i, fac in enumerate(factors):
-            if i != j:
-                prod *= fac
-        f += iv_from_fraction(q) * prod
+    f = _f_from_factors(iv, [iv_from_fraction(q) for q in qs], [2 + _cosh_sqrt_iv(q) for q in qs])
 
     if all(q >= -3 * r for q in qs):
         bound = iv_from_int(3**r * r) * iv.exp(
@@ -441,11 +430,13 @@ class KeyStepResult:
 
 
 class _PairTables:
-    """Integer codegree tables over X, plus eligibility of unordered pairs.
+    """Integer codegrees of the eligible unordered pairs of X.
 
     A pair is eligible when every coordinate inner product is >= -1, i.e.
     codeg_i >= p_i |Y_i| (p_i - alpha_i) for every colour; only eligible pairs
-    can contribute to any witness event.
+    can contribute to any witness event.  ``codeg[i]`` runs parallel to
+    ``eligible``.  The n diagonal pairs have codegree ``diag[i]``, which is at
+    least every candidate threshold, so they are in every event.
     """
 
     def __init__(self, emb: Embedding):
@@ -460,22 +451,16 @@ class _PairTables:
             p, a, y = emb.densities[i], emb.alphas[i], emb.y_sizes[i]
             thr = p * y * (p - a)
             self.dmin.append(max(0, -(-thr.numerator // thr.denominator)))  # ceil, floored at 0
-        self.codeg = [[[0] * n for _ in range(n)] for _ in range(r)]
+        # each colour drops the partners b > a that fail it, so later colours
+        # only test the pairs every earlier colour kept
         self.eligible: list[tuple[int, int]] = []
-        tr = emb.trimmed
         for a in range(n):
-            for i in range(r):
-                self.codeg[i][a][a] = self.diag[i]
-            for b in range(a + 1, n):
-                ok = True
-                for i in range(r):
-                    d = (tr[i][a] & tr[i][b]).bit_count()
-                    self.codeg[i][a][b] = d
-                    self.codeg[i][b][a] = d
-                    if d < self.dmin[i]:
-                        ok = False
-                if ok:
-                    self.eligible.append((a, b))
+            row = range(a + 1, n)
+            for t, dmin in zip(emb.trimmed, self.dmin):
+                ta = t[a]
+                row = [b for b in row if (ta & t[b]).bit_count() >= dmin]
+            self.eligible.extend((a, b) for b in row)
+        self.codeg = [[(t[a] & t[b]).bit_count() for a, b in self.eligible] for t in emb.trimmed]
 
     def candidates(self):
         """(lam, colour, codegree threshold) triples, lam descending, colour ascending.
@@ -485,9 +470,8 @@ class _PairTables:
         """
         cands = []
         for i in range(self.emb.r):
-            seen = {self.diag[i]}
-            for a, b in self.eligible:
-                seen.add(self.codeg[i][a][b])
+            seen = set(self.codeg[i])
+            seen.add(self.diag[i])
             lams = {self.emb.inner_from_codegree(i, d): d for d in sorted(seen)}
             lams.setdefault(Fraction(-1), self.dmin[i])
             for lam, d in lams.items():
@@ -495,114 +479,92 @@ class _PairTables:
         cands.sort(key=lambda t: (-t[0], t[1]))
         return cands
 
-    def event_count(self, colour: int, d: int) -> int:
-        """Ordered pairs (diagonal included) in the event at codegree threshold d."""
-        cnt = 2 * sum(1 for a, b in self.eligible if self.codeg[colour][a][b] >= d)
-        if self.diag[colour] >= d:
-            cnt += self.n
-        return cnt
-
-    def pivot_counts(self, colour: int, d: int) -> list[int]:
+    def partner_counts(self, colour: int, d: int) -> list[int]:
+        """Per point, the off-diagonal event partners at codegree threshold d."""
         counts = [0] * self.n
-        cd = self.codeg[colour]
-        for a, b in self.eligible:
-            if cd[a][b] >= d:
+        for (a, b), v in zip(self.eligible, self.codeg[colour]):
+            if v >= d:
                 counts[a] += 1
                 counts[b] += 1
         return counts
 
     def x_prime_mask(self, colour: int, d: int, pivot_idx: int) -> int:
         mask = 0
-        cd = self.codeg[colour]
-        for a, b in self.eligible:
-            if cd[a][b] >= d:
+        for (a, b), v in zip(self.eligible, self.codeg[colour]):
+            if v >= d:
                 if a == pivot_idx:
                     mask |= 1 << self.emb.points[b]
                 elif b == pivot_idx:
                     mask |= 1 << self.emb.points[a]
         return mask
 
+    def witnesses(self, beta):
+        """Yield (report, d, partner counts) for every candidate, in scan order,
+        whose event probability q satisfies q >= beta e^(-C sqrt(lam+1)).
+
+        The event holds the n diagonal pairs and each counted partner, so its
+        size is n + sum(counts).  The right side is rounded up before
+        comparing, so acceptance is conservative.
+        """
+        r = self.emb.r
+        beta = default_beta(r) if beta is None else Fraction(beta)
+        total = self.n * self.n
+        for lam, colour, d in self.candidates():
+            counts = self.partner_counts(colour, d)
+            cnt = self.n + sum(counts)
+            bound = witness_bound_upper(lam, r, beta)
+            q = Fraction(cnt, total)
+            if q >= bound:
+                yield WitnessReport(colour, lam, q, bound, cnt, total), d, counts
+
 
 def find_lambda_witness(emb: Embedding, beta=None) -> WitnessReport:
     """Largest threshold lam (ties: smallest colour) whose event probability q
     over all |X|^2 ordered pairs satisfies q >= beta e^(-C sqrt(lam+1)).
 
-    Candidate thresholds are -1 and the attained inner-product values.  The
-    right side is rounded up before comparing, so acceptance is conservative.
+    Candidate thresholds are -1 and the attained inner-product values.
     Failure to find any witness raises LemmaViolation (it is a theorem that
     one exists).
     """
-    r = emb.r
-    beta = default_beta(r) if beta is None else Fraction(beta)
-    tables = _PairTables(emb)
-    total = tables.n * tables.n
-    for lam, colour, d in tables.candidates():
-        cnt = tables.event_count(colour, d)
-        if cnt == 0:
-            continue
-        bound = witness_bound_upper(lam, r, beta)
-        q = Fraction(cnt, total)
-        if q >= bound:
-            return WitnessReport(colour, lam, q, bound, cnt, total)
+    for rep, _d, _counts in _PairTables(emb).witnesses(beta):
+        return rep
     raise LemmaViolation("no lambda witness found; this should be impossible")
 
 
 def key_lemma_step(c: EdgeColouring, xset: int, ysets, alphas, beta=None) -> KeyStepResult:
     """One full round of the density/boost dichotomy.
 
-    Builds the embedding, scans witness candidates in decreasing lam order,
-    and takes the first one that both satisfies the witness inequality and
-    admits a pivot x whose event partner set X'(x) (excluding x itself) is at
-    least beta e^(-C sqrt(lam+1)) |X|.  If no candidate admits such a pivot
-    (possible only when no off-diagonal pair has all coordinates >= -1, e.g.
-    |X| = 1), falls back to the plain witness with the best available pivot.
+    Builds the embedding, scans the lambda witnesses in decreasing lam order,
+    and takes the first one that admits a pivot x whose event partner set
+    X'(x) (excluding x itself) is at least beta e^(-C sqrt(lam+1)) |X|.  If
+    no witness admits such a pivot (possible only when no off-diagonal pair
+    has all coordinates >= -1, e.g. |X| = 1), falls back to the first witness
+    with the best available pivot.
 
     Pivot ties break to the smallest vertex label.
     """
     emb = build_embedding(c, xset, ysets, alphas)
-    r = emb.r
-    beta = default_beta(r) if beta is None else Fraction(beta)
     tables = _PairTables(emb)
-    total = tables.n * tables.n
-
-    fallback = None
-    for lam, colour, d in tables.candidates():
-        cnt = tables.event_count(colour, d)
-        if cnt == 0:
-            continue
-        bound = witness_bound_upper(lam, r, beta)
-        q = Fraction(cnt, total)
-        if q < bound:
-            continue
-        counts = tables.pivot_counts(colour, d)
+    chosen = None
+    for rep, d, counts in tables.witnesses(beta):
         best = max(counts)
-        pivot_idx = counts.index(best)
-        if best >= bound * tables.n:
-            x_prime = tables.x_prime_mask(colour, d, pivot_idx)
-            return KeyStepResult(
-                pivot=emb.points[pivot_idx],
-                colour=colour,
-                x_prime=x_prime,
-                y_primes=tuple(emb.trimmed[i][pivot_idx] for i in range(r)),
-                lam=lam,
-                q=q,
-                bound=bound,
-                met_size_bound=True,
-            )
-        if fallback is None:
-            fallback = (lam, colour, d, q, bound, pivot_idx)
-    if fallback is None:
+        met = best >= rep.bound * tables.n
+        if chosen is None or met:
+            chosen = rep, d, counts.index(best), met
+        if met:
+            break
+    if chosen is None:
         raise LemmaViolation("no lambda witness found; this should be impossible")
-    lam, colour, d, q, bound, pivot_idx = fallback
+    rep, d, pivot_idx, met = chosen
     return KeyStepResult(
         pivot=emb.points[pivot_idx],
-        colour=colour,
-        x_prime=tables.x_prime_mask(colour, d, pivot_idx),
-        y_primes=tuple(emb.trimmed[i][pivot_idx] for i in range(r)),
-        lam=lam,
-        q=q,
-        bound=bound,
-        met_size_bound=False,
+        colour=rep.colour,
+        x_prime=tables.x_prime_mask(rep.colour, d, pivot_idx),
+        y_primes=tuple(t[pivot_idx] for t in emb.trimmed),
+        lam=rep.lam,
+        q=rep.q,
+        bound=rep.bound,
+        met_size_bound=met,
     )
 
 

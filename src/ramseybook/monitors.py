@@ -16,7 +16,7 @@ from mpmath import iv
 
 from .book_engine import KIND_BOOST, KIND_COLOUR, Trace
 from .errors import LemmaViolation
-from .geometry import default_beta
+from .geometry import c_interval, default_beta
 from .bounds import (
     certify_interval_ge,
     interval_endpoints,
@@ -153,7 +153,7 @@ def check_lemma_44(trace: Trace, strict: bool = True) -> MonitorReport:
 def _check_45(trace: Trace, strict: bool, rep: MonitorReport) -> None:
     h = trace.header
     beta = default_beta(h.r)
-    c_iv = 4 * iv.sqrt(iv_from_int(h.r**3))
+    c_iv = c_interval(h.r)
     eps = iv_from_fraction(Fraction(beta, h.r)) * iv.exp(-c_iv * iv.sqrt(iv_from_fraction(h.lambda0 + 1)))
     rt = h.r * h.t
     for s, x_size, _ys, _ts, _dens in _states(trace):

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from .book_engine import EngineParams, run
 from .colouring import EdgeColouring, full_mask, iter_vertices
 from .errors import BudgetExceeded, InvalidColour, InvalidInput
-from .geometry import moment_double_sum  # re-exported for harness use
 
 __all__ = [
     "SearchBudget",
@@ -23,7 +22,6 @@ __all__ = [
     "RamseyResult",
     "validate_book_engine",
     "EngineValidation",
-    "moment_double_sum",
 ]
 
 

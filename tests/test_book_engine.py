@@ -177,6 +177,29 @@ class TestTraceIO:
             parse_trace('{"type":"step"}\n')
         with pytest.raises(ParseError):
             parse_trace('{"type":"header","n":3}\n')
+        c = random_colouring(30, 2, 14)
+        head, step = run_full(c, EngineParams(t=2, lambda0=F(10), delta=F(1, 8))).trace.to_lines()[:2]
+        assert '"lambda0":"10/1"' in head and '"initial_y_sizes":[' in head and '"lambda":"' in step
+        malformed = [
+            ("[1,2]", 1),                                                     # header is not an object
+            (head + "\n[]", 2),                                              # step is not an object
+            (head.replace('"lambda0":"10/1"', '"lambda0":10'), 1),           # rational as a number
+            (head.replace('"initial_y_sizes":[', '"initial_y_sizes":5,"_":['), 1),
+            (head + "\n" + step.replace('"lambda":"', '"lambda":[],"_":"'), 2),
+            (head + "\n" + step.replace('"densities":[', '"densities":7,"_":['), 2),
+            (head + "\n" + "[" * 100_000, 2),                                # too deep for the decoder
+        ]
+        for text, line in malformed:
+            with pytest.raises(ParseError) as info:
+                parse_trace(text + "\n")
+            assert info.value.line == line, text
+
+    def test_non_ascii_file_is_parse_error(self, tmp_path):
+        p = tmp_path / "t.jsonl"
+        p.write_bytes(b'{"type":"header"}\n{"type":"step","kind":"\xff"}\n')
+        with pytest.raises(ParseError) as info:
+            read_trace(p)
+        assert info.value.line == 2
 
     def test_header_carries_hash(self, c5):
         out = run_full(c5, EngineParams(t=1, lambda0=F(100), delta=F(1, 8)))

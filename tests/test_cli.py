@@ -87,6 +87,29 @@ class TestRunAndVerify:
         assert code == 1
         assert "4." in err  # names a violated lemma
 
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda h: f"[{h}]",
+            lambda h: h.replace('"lambda0":"5/1"', '"lambda0":5'),
+            lambda h: h.replace('"initial_y_sizes":[30,30]', '"initial_y_sizes":5'),
+            lambda h: h.replace('"type"', '"\u00e9"'),
+        ],
+        ids=["array", "numeric-rational", "numeric-sizes", "non-ascii"],
+    )
+    def test_verify_malformed_trace_is_usage_error(self, tmp_path, capsys, spoil):
+        rcg = tmp_path / "c.rcg"
+        trace = tmp_path / "t.jsonl"
+        invoke(capsys, "generate", "--n", "30", "--r", "2", "--seed", "4", "-o", str(rcg))
+        invoke(capsys, "run-book", "-i", str(rcg), "--t", "2", "--lambda0", "5", "--delta", "1/8",
+               "--trace", str(trace))
+        head, rest = trace.read_text().split("\n", 1)
+        assert spoil(head) != head
+        trace.write_bytes((spoil(head) + "\n" + rest).encode())
+        code, out, err = invoke(capsys, "verify-trace", "--trace", str(trace))
+        assert code == 2
+        assert out == "" and "line 1" in err
+
     def test_determinism_across_invocations(self, tmp_path, capsys):
         rcg = tmp_path / "c.rcg"
         invoke(capsys, "generate", "--n", "35", "--r", "2", "--seed", "6", "-o", str(rcg))

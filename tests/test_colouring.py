@@ -12,7 +12,6 @@ from ramseybook.colouring import (
     parse_colouring,
     product_colouring,
     random_colouring,
-    serialize_colouring,
     vertex_list,
 )
 from ramseybook.errors import (
@@ -183,7 +182,7 @@ class TestProductColouring:
 
 class TestSerialization:
     def test_c5_header(self, c5):
-        assert serialize_colouring(c5).startswith("5 2\n0 1 1 0\n")
+        assert c5.serialize().startswith("5 2\n0 1 1 0\n")
 
     def test_parse_single_edge(self):
         c = parse_colouring("2 1\n0\n")
@@ -212,7 +211,7 @@ class TestSerialization:
     @settings(max_examples=60, deadline=None)
     def test_roundtrip(self, n, r, seed):
         c = random_colouring(n, r, seed)
-        assert parse_colouring(serialize_colouring(c)) == c
+        assert parse_colouring(c.serialize()) == c
 
 
 class TestValidation:

@@ -24,8 +24,8 @@ from ramseybook.geometry import (
     build_embedding,
     check_special_bounds,
     cosh_sqrt_series,
+    default_beta,
     find_lambda_witness,
-    inner_product,
     key_lemma_step,
     min_density,
     moment_double_sum,
@@ -34,6 +34,7 @@ from ramseybook.geometry import (
     special_f_series,
     verify_key_step,
     verify_witness,
+    witness_bound_upper,
 )
 
 
@@ -98,7 +99,7 @@ class TestEmbedding:
 
     def test_pentagon_inner_product(self, c5):
         emb = build_embedding(c5, c5.vertices, [c5.vertices] * 2, [F(1, 10)] * 2)
-        assert inner_product(emb, 0, 0, 1) == -4
+        assert emb.inner(0, 0, 1) == -4
 
     def test_self_inner_product(self, c5):
         emb = build_embedding(c5, c5.vertices, [c5.vertices] * 2, [F(1, 10)] * 2)
@@ -418,6 +419,66 @@ class TestWitnessRecount:
     @pytest.mark.parametrize("colour", [-1, 2])
     def test_rejects_out_of_range_colour(self, colour):
         self.rejects(replace(self.witness()[3], colour=colour), "out of range")
+
+
+class TestWitnessChoice:
+    """The witness and pivot that find_lambda_witness and key_lemma_step pick,
+    against a scan written from their specification."""
+
+    @staticmethod
+    def reference(emb, beta):
+        """(first witness, step) from a plain scan, or None where no candidate
+        is a witness.
+
+        Candidates are -1 and every Fraction inner product >= -1 attained by
+        an ordered pair of X, per colour, in (-lam, colour) order.  A witness
+        has q >= bound; the step takes the first witness whose best pivot has
+        at least bound |X| partners, else the first witness.
+        """
+        n, r = emb.npoints, emb.r
+        count = fraction_recounter(emb)
+        inner = [[[emb.inner_by_index(i, a, b) for b in range(n)] for a in range(n)] for i in range(r)]
+        cands = {(F(-1), i) for i in range(r)}
+        cands |= {(v, i) for i in range(r) for row in inner[i] for v in row if v >= -1}
+        first = None
+        for lam, colour in sorted(cands, key=lambda t: (-t[0], t[1])):
+            cnt = count(colour, lam)
+            q, bound = F(cnt, n * n), witness_bound_upper(lam, r, beta)
+            if q < bound:
+                continue
+
+            def in_event(a, b):
+                return inner[colour][a][b] >= lam and all(inner[i][a][b] >= -1 for i in range(r) if i != colour)
+
+            partners = [[b for b in range(n) if b != a and in_event(a, b)] for a in range(n)]
+            best = max(len(ps) for ps in partners)
+            pivot = min(x for x, ps in zip(emb.points, partners) if len(ps) == best)
+            x_prime = mask_of(emb.points[b] for b in partners[emb.points.index(pivot)])
+            step = (lam, colour, q, cnt, pivot, x_prime, best >= bound * n)
+            first = first or step
+            if step[-1]:
+                return first[:4], step
+        return first and (first[:4], first)
+
+    @settings(max_examples=120, deadline=None)
+    @given(small_embeddings())
+    def test_matches_reference_scan(self, drawn):
+        c, xset, ysets, alphas, emb = drawn
+        # at beta <= 1 the top candidate is always a witness here (q >= 1/16 >
+        # e^-4 >= bound), so beta = 64 is needed to reach the no-witness case
+        for beta in (default_beta(emb.r), F(1, 4), F(1), F(64)):
+            want = self.reference(emb, beta)
+            if want is None:
+                with pytest.raises(LemmaViolation):
+                    find_lambda_witness(emb, beta)
+                with pytest.raises(LemmaViolation):
+                    key_lemma_step(c, xset, ysets, alphas, beta)
+                continue
+            rep = find_lambda_witness(emb, beta)
+            res = key_lemma_step(c, xset, ysets, alphas, beta)
+            assert (rep.lam, rep.colour, rep.q, rep.pair_count) == want[0]
+            assert (res.lam, res.colour, res.q, res.q * emb.npoints**2,
+                    res.pivot, res.x_prime, res.met_size_bound) == want[1]
 
 
 class TestKeyStep:
