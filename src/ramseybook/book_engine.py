@@ -11,14 +11,16 @@ is byte-identical across runs and platforms.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cache, partial
 from pathlib import Path
+from typing import ClassVar, get_args, get_origin, get_type_hints
 
 from mpmath import iv
 
 from .bounds import iv_from_fraction, upper_fraction
-from .colouring import EdgeColouring
+from .colouring import EdgeColouring, read_ascii
 from .errors import DegenerateDensity, InvalidInput, LemmaViolation, ParseError
 from .geometry import c_interval, default_beta, key_lemma_step, min_density
 
@@ -48,49 +50,40 @@ class EngineParams:
             raise InvalidInput("delta must lie in (0, 1/4]")
 
 
-def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+def _expect(tp, v):
+    if type(v) is not tp:
+        raise ParseError(f"expected {tp.__name__}, got {type(v).__name__}")
+    return v
 
 
-def _parse_frac(s: str) -> Fraction:
+def _parse_frac(s) -> Fraction:
     try:
-        num, den = s.split("/")
+        num, den = _expect(str, s).split("/")
         return Fraction(int(num), int(den))
-    except (AttributeError, ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad rational {s!r}") from None
 
 
 @dataclass(frozen=True)
 class StepRecord:
+    tag: ClassVar[str] = "step"  # the line's "type"
+
     s: int
     kind: str                      # "colour" | "boost"
     pivot: int
     witness_colour: int
     chosen_colour: int | None      # colour steps only
-    lam: Fraction
+    lam: Fraction = field(metadata={"key": "lambda"})
     x_size: int
     y_sizes: tuple[int, ...]
     t_sizes: tuple[int, ...]
     densities: tuple[Fraction, ...] | None  # None once X is empty
 
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "step",
-            "s": self.s,
-            "kind": self.kind,
-            "pivot": self.pivot,
-            "witness_colour": self.witness_colour,
-            "chosen_colour": self.chosen_colour,
-            "lambda": _frac_str(self.lam),
-            "x_size": self.x_size,
-            "y_sizes": list(self.y_sizes),
-            "t_sizes": list(self.t_sizes),
-            "densities": None if self.densities is None else [_frac_str(p) for p in self.densities],
-        }
-
 
 @dataclass(frozen=True)
 class TraceHeader:
+    tag: ClassVar[str] = "header"  # the line's "type"
+
     n: int
     r: int
     t: int
@@ -103,21 +96,43 @@ class TraceHeader:
     initial_densities: tuple[Fraction, ...]
     colouring_sha256: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "header",
-            "n": self.n,
-            "r": self.r,
-            "t": self.t,
-            "lambda0": _frac_str(self.lambda0),
-            "delta": _frac_str(self.delta),
-            "beta": _frac_str(self.beta),
-            "p0": _frac_str(self.p0),
-            "initial_x_size": self.initial_x_size,
-            "initial_y_sizes": list(self.initial_y_sizes),
-            "initial_densities": [_frac_str(p) for p in self.initial_densities],
-            "colouring_sha256": self.colouring_sha256,
-        }
+
+def _field_codec(tp) -> tuple:
+    """(encode, decode) between a value of annotation ``tp`` and its JSON form; the
+    annotations are int, str, Fraction ("num/den"), tuple[X, ...] (a list) and X | None."""
+    if tp is Fraction:
+        return (lambda q: f"{q.numerator}/{q.denominator}"), _parse_frac
+    if tp is int or tp is str:
+        return (lambda v: v), partial(_expect, tp)
+    enc, dec = _field_codec(get_args(tp)[0])
+    if get_origin(tp) is tuple:
+        return (lambda v: [enc(x) for x in v]), (lambda v: tuple(map(dec, _expect(list, v))))
+    return (lambda v: None if v is None else enc(v)), (lambda v: None if v is None else dec(v))
+
+
+@cache
+def _codec(cls) -> list[tuple]:
+    """(JSON key, attribute, encode, decode) for each field of a trace line class, in order."""
+    hints = get_type_hints(cls)
+    return [(f.metadata.get("key", f.name), f.name, *_field_codec(hints[f.name])) for f in fields(cls)]
+
+
+def _encode(obj) -> str:
+    d = {"type": obj.tag}
+    d.update((key, enc(getattr(obj, name))) for key, name, enc, _ in _codec(type(obj)))
+    return json.dumps(d, separators=(",", ":"))
+
+
+def _decode(cls, d: dict):
+    if d.get("type") != cls.tag:
+        raise ParseError(f"expected a {cls.tag} line")
+    values = {}
+    for key, name, _, dec in _codec(cls):
+        try:
+            values[name] = dec(d[key])
+        except ParseError as e:
+            raise ParseError(f"field {key!r}: {e}") from None
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -126,9 +141,7 @@ class Trace:
     records: tuple[StepRecord, ...]
 
     def to_lines(self) -> list[str]:
-        lines = [json.dumps(self.header.to_json_dict(), separators=(",", ":"))]
-        lines.extend(json.dumps(r.to_json_dict(), separators=(",", ":")) for r in self.records)
-        return lines
+        return [_encode(self.header), *map(_encode, self.records)]
 
     def to_text(self) -> str:
         return "\n".join(self.to_lines()) + "\n"
@@ -138,44 +151,6 @@ def write_trace(trace: Trace, path) -> None:
     Path(path).write_text(trace.to_text(), encoding="ascii")
 
 
-def _header_from_json(d: dict) -> TraceHeader:
-    if d.get("type") != "header":
-        raise ParseError("first line must be a header")
-    return TraceHeader(
-        n=d["n"],
-        r=d["r"],
-        t=d["t"],
-        lambda0=_parse_frac(d["lambda0"]),
-        delta=_parse_frac(d["delta"]),
-        beta=_parse_frac(d["beta"]),
-        p0=_parse_frac(d["p0"]),
-        initial_x_size=d["initial_x_size"],
-        initial_y_sizes=tuple(d["initial_y_sizes"]),
-        initial_densities=tuple(_parse_frac(p) for p in d["initial_densities"]),
-        colouring_sha256=d["colouring_sha256"],
-    )
-
-
-def _record_from_json(d: dict) -> StepRecord:
-    if d.get("type") != "step":
-        raise ParseError("expected a step record")
-    rec = StepRecord(
-        s=d["s"],
-        kind=d["kind"],
-        pivot=d["pivot"],
-        witness_colour=d["witness_colour"],
-        chosen_colour=d["chosen_colour"],
-        lam=_parse_frac(d["lambda"]),
-        x_size=d["x_size"],
-        y_sizes=tuple(d["y_sizes"]),
-        t_sizes=tuple(d["t_sizes"]),
-        densities=None if d["densities"] is None else tuple(_parse_frac(p) for p in d["densities"]),
-    )
-    if rec.kind not in (KIND_COLOUR, KIND_BOOST):
-        raise ParseError(f"unknown step kind {rec.kind!r}")
-    return rec
-
-
 def _parse_line(line: str, lineno: int, build):
     """Decode one trace line with ``build``; every defect is a ParseError naming the line."""
     try:
@@ -183,34 +158,59 @@ def _parse_line(line: str, lineno: int, build):
         if not isinstance(d, dict):
             raise ParseError("a trace line must be a JSON object")
         return build(d)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad JSON: {e}", line=lineno) from None
     except RecursionError:
         raise ParseError("JSON nested too deeply", line=lineno) from None
     except KeyError as e:
         raise ParseError(f"missing field {e}", line=lineno) from None
-    except TypeError as e:
-        raise ParseError(f"bad field: {e}", line=lineno) from None
     except ParseError as e:
         raise ParseError(str(e), line=lineno) from None
+    except ValueError as e:  # bad JSON, or an integer beyond the decoder's digit limit
+        raise ParseError(f"bad JSON: {e}", line=lineno) from None
+
+
+def _read_header(d: dict) -> TraceHeader:
+    h = _decode(TraceHeader, d)
+    try:
+        EngineParams(h.t, h.lambda0, h.delta)
+    except InvalidInput as e:
+        raise ParseError(str(e)) from None
+    if h.r < 1:
+        raise ParseError("r must be >= 1")
+    if len(h.initial_y_sizes) != h.r or len(h.initial_densities) != h.r:
+        raise ParseError(f"every per-colour list must have r = {h.r} entries")
+    return h
+
+
+def _read_record(h: TraceHeader, s: int, d: dict) -> StepRecord:
+    """Decode step ``s``, rejecting what the engine cannot write under header ``h``."""
+    rec = _decode(StepRecord, d)
+    if rec.s != s:
+        raise ParseError(f"expected step s = {s}, got {rec.s}")
+    if rec.kind not in (KIND_COLOUR, KIND_BOOST):
+        raise ParseError(f"unknown step kind {rec.kind!r}")
+    if any(not 0 <= c < h.r for c in (rec.witness_colour, rec.chosen_colour) if c is not None):
+        raise ParseError(f"colour out of range [0, {h.r})")
+    if rec.lam < -1:
+        raise ParseError("lambda must be >= -1")
+    if any(v is not None and len(v) != h.r for v in (rec.y_sizes, rec.t_sizes, rec.densities)):
+        raise ParseError(f"every per-colour list must have r = {h.r} entries")
+    return rec
 
 
 def parse_trace(text: str) -> Trace:
+    """Parse a JSON-lines trace, rejecting any line the engine could not have written."""
     lines = [ln for ln in text.split("\n") if ln]
     if not lines:
         raise ParseError("empty trace")
-    header = _parse_line(lines[0], 1, _header_from_json)
-    records = tuple(_parse_line(ln, lineno, _record_from_json) for lineno, ln in enumerate(lines[1:], start=2))
-    return Trace(header, records)
+    h = _parse_line(lines[0], 1, _read_header)
+    records = tuple(
+        _parse_line(ln, lineno, partial(_read_record, h, lineno - 2)) for lineno, ln in enumerate(lines[1:], start=2)
+    )
+    return Trace(h, records)
 
 
 def read_trace(path) -> Trace:
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as e:
-        raise ParseError(f"non-ASCII byte {data[e.start]:#04x}", line=data.count(b"\n", 0, e.start) + 1) from None
-    return parse_trace(text)
+    return parse_trace(read_ascii(path))
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,9 @@ def _note(msg: str) -> None:
 
 
 def _load_colouring(path: str) -> colouring.EdgeColouring:
-    with open(path, "r", encoding="ascii") as fh:
-        return colouring.parse_colouring(fh.read())
+    text = colouring.read_ascii(path)
+    # universal newlines, as a text-mode read gives
+    return colouring.parse_colouring(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from pathlib import Path
 
 from .errors import (
     InvalidBook,
@@ -206,6 +207,15 @@ def product_colouring(c1: EdgeColouring, c2: EdgeColouring) -> EdgeColouring:
         return c1.r + c2.colour(b, b2)
 
     return from_pair_function(n1 * n2, c1.r + c2.r, col)
+
+
+def read_ascii(path) -> str:
+    """The text of an ASCII file; a non-ASCII byte is a ParseError naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"non-ASCII byte {data[e.start]:#04x}", line=data.count(b"\n", 0, e.start) + 1) from None
 
 
 def parse_colouring(text: str) -> EdgeColouring:

@@ -9,14 +9,14 @@ report themselves as skipped instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from mpmath import iv
 
 from .book_engine import KIND_BOOST, KIND_COLOUR, Trace
 from .errors import LemmaViolation
-from .geometry import c_interval, default_beta
+from .geometry import c_interval
 from .bounds import (
     certify_interval_ge,
     interval_endpoints,
@@ -35,31 +35,21 @@ class MonitorReport:
     violations: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "ok": self.ok,
-            "skipped": self.skipped,
-            "reason": self.reason,
-            "checked": self.checked,
-            "violations": self.violations,
-        }
+        return asdict(self)
 
 
 def _states(trace: Trace):
-    """Yield (s, x_size, y_sizes, t_sizes, densities) for s = 0..len(records)."""
+    """Yield (s, x_size, y_sizes, t_sizes, densities, boost) for s = 0..len(records),
+    where boost is the boost record that led to state s, if any."""
     h = trace.header
-    yield 0, h.initial_x_size, h.initial_y_sizes, (0,) * h.r, h.initial_densities
+    yield 0, h.initial_x_size, h.initial_y_sizes, (0,) * h.r, h.initial_densities, None
     for rec in trace.records:
-        yield rec.s + 1, rec.x_size, rec.y_sizes, rec.t_sizes, rec.densities
+        boost = rec if rec.kind == KIND_BOOST else None
+        yield rec.s + 1, rec.x_size, rec.y_sizes, rec.t_sizes, rec.densities, boost
 
 
-def _boost_lams(trace: Trace, colour: int | None, upto: int) -> list[Fraction]:
-    """lambda values of the boost steps before state `upto` (all colours if None)."""
-    out = []
-    for rec in trace.records[:upto]:
-        if rec.kind == KIND_BOOST and (colour is None or rec.witness_colour == colour):
-            out.append(rec.lam)
-    return out
+def _boosts(trace: Trace) -> list:
+    return [rec for rec in trace.records if rec.kind == KIND_BOOST]
 
 
 def _violation(lemma: str, s: int, colour, lhs, rhs, strict: bool, report: MonitorReport):
@@ -74,18 +64,17 @@ def check_lemma_41(trace: Trace, strict: bool = True) -> MonitorReport:
     """p_i(s) - p_0 + delta >= delta (1 - 1/t)^t prod_{boosts j in colour i} (1 + lam(j)/t)."""
     h = trace.header
     rep = MonitorReport("4.1", True)
-    base = h.delta * (1 - Fraction(1, h.t)) ** h.t
-    for s, _x, _ys, _ts, dens in _states(trace):
+    rhs = [h.delta * (1 - Fraction(1, h.t)) ** h.t] * h.r
+    for s, _x, _ys, _ts, dens, boost in _states(trace):
+        if boost is not None:
+            rhs[boost.witness_colour] *= 1 + boost.lam / h.t
         if dens is None:
             continue
         for i in range(h.r):
-            rhs = base
-            for lam in _boost_lams(trace, i, s):
-                rhs *= 1 + lam / h.t
             lhs = dens[i] - h.p0 + h.delta
             rep.checked += 1
-            if lhs < rhs:
-                _violation("Lemma 4.1", s, i, lhs, rhs, strict, rep)
+            if lhs < rhs[i]:
+                _violation("Lemma 4.1", s, i, lhs, rhs[i], strict, rep)
     return rep
 
 
@@ -99,7 +88,7 @@ def check_lemma_42(trace: Trace, strict: bool = True) -> MonitorReport:
         return rep
     p_floor = h.p0 - Fraction(3, 4) * h.delta
     a_floor = h.delta / (4 * h.t)
-    for s, _x, _ys, _ts, dens in _states(trace):
+    for s, _x, _ys, _ts, dens, _boost in _states(trace):
         if dens is None:
             continue
         for i in range(h.r):
@@ -121,13 +110,13 @@ def check_lemma_43(trace: Trace, strict: bool = True) -> MonitorReport:
         rep.reason = "requires t >= lambda0 > 0 and delta <= 1/4"
         return rep
     bound = 4 * (-iv.log(iv_from_fraction(h.delta))) * h.t / iv_from_fraction(h.lambda0)
-    nstates = len(trace.records) + 1
+    colours = [rec.witness_colour for rec in _boosts(trace)]
     for i in range(h.r):
-        count = len(_boost_lams(trace, i, nstates - 1))
+        count = colours.count(i)
         rep.checked += 1
         if not certify_interval_ge(bound, iv_from_int(count)):
             lo, _hi = interval_endpoints(bound)
-            _violation("Lemma 4.3", nstates - 1, i, count, float(lo), strict, rep)
+            _violation("Lemma 4.3", len(trace.records), i, count, float(lo), strict, rep)
     return rep
 
 
@@ -140,59 +129,53 @@ def check_lemma_44(trace: Trace, strict: bool = True) -> MonitorReport:
         rep.skipped = True
         rep.reason = "requires t >= 2 and p0 > 3 delta/4"
         return rep
-    for s, _x, ys, _ts, _dens in _states(trace):
+    boosts = [0] * h.r
+    for s, _x, ys, _ts, _dens, boost in _states(trace):
+        if boost is not None:
+            boosts[boost.witness_colour] += 1
         for i in range(h.r):
-            boosts = len(_boost_lams(trace, i, s))
-            rhs = base ** (h.t + boosts) * h.initial_y_sizes[i]
+            rhs = base ** (h.t + boosts[i]) * h.initial_y_sizes[i]
             rep.checked += 1
             if ys[i] < rhs:
                 _violation("Lemma 4.4", s, i, ys[i], rhs, strict, rep)
     return rep
 
 
-def _check_45(trace: Trace, strict: bool, rep: MonitorReport) -> None:
-    h = trace.header
-    beta = default_beta(h.r)
-    c_iv = c_interval(h.r)
-    eps = iv_from_fraction(Fraction(beta, h.r)) * iv.exp(-c_iv * iv.sqrt(iv_from_fraction(h.lambda0 + 1)))
-    rt = h.r * h.t
-    for s, x_size, _ys, _ts, _dens in _states(trace):
-        lams = _boost_lams(trace, None, s)
-        decay = iv.exp(-c_iv * sum((iv.sqrt(iv_from_fraction(lam + 1)) for lam in lams), iv.mpf(0)))
-        rhs = eps ** (rt + len(lams)) * decay * h.initial_x_size - rt
-        rep.checked += 1
-        if not certify_interval_ge(iv_from_int(x_size), rhs):
-            _lo, hi = interval_endpoints(rhs)
-            _violation("Lemma 4.5", s, None, x_size, float(hi), strict, rep)
-
-
-def _check_46(trace: Trace, strict: bool, rep: MonitorReport) -> None:
-    h = trace.header
-    bound = (
-        7 * h.r * (-iv.log(iv_from_fraction(h.delta))) * h.t / iv.sqrt(iv_from_fraction(h.lambda0))
-    )
-    nstates = len(trace.records) + 1
-    lams = _boost_lams(trace, None, nstates - 1)
-    total = sum((iv.sqrt(iv_from_fraction(lam)) for lam in lams), iv.mpf(0))
-    rep.checked += 1
-    if not certify_interval_ge(bound, total):
-        lo, _hi = interval_endpoints(bound)
-        _lo2, hi2 = interval_endpoints(total)
-        _violation("Lemma 4.6", nstates - 1, None, float(hi2), float(lo), strict, rep)
-
-
 def check_lemma_45_46(trace: Trace, strict: bool = True) -> list[MonitorReport]:
     """The reservoir-size lower bound (4.5, unconditional) and the boost
-    lambda-sum bound (4.6, needs t >= lambda0/delta > 0 and delta <= 1/4)."""
+    lambda-sum bound (4.6, needs t >= lambda0/delta > 0, delta <= 1/4 and
+    lambda > lambda0 at every boost)."""
     h = trace.header
     rep45 = MonitorReport("4.5", True)
-    _check_45(trace, strict, rep45)
+    c_iv = c_interval(h.r)
+    eps = iv_from_fraction(h.beta / h.r) * iv.exp(-c_iv * iv.sqrt(iv_from_fraction(h.lambda0 + 1)))
+    rt = h.r * h.t
+    boosts = 0
+    root_sum = iv.mpf(0)
+    for s, x_size, _ys, _ts, _dens, boost in _states(trace):
+        if boost is not None:
+            boosts += 1
+            root_sum += iv.sqrt(iv_from_fraction(boost.lam + 1))
+        rhs = eps ** (rt + boosts) * iv.exp(-c_iv * root_sum) * h.initial_x_size - rt
+        rep45.checked += 1
+        if not certify_interval_ge(iv_from_int(x_size), rhs):
+            _lo, hi = interval_endpoints(rhs)
+            _violation("Lemma 4.5", s, None, x_size, float(hi), strict, rep45)
     rep46 = MonitorReport("4.6", True)
     if h.lambda0 <= 0 or h.delta > Fraction(1, 4) or h.t < h.lambda0 / h.delta:
         rep46.skipped = True
         rep46.reason = "requires t >= lambda0/delta > 0 and delta <= 1/4"
+    elif any(rec.lam <= h.lambda0 for rec in _boosts(trace)):
+        rep46.skipped = True
+        rep46.reason = "requires lambda > lambda0 at every boost step"
     else:
-        _check_46(trace, strict, rep46)
+        bound = 7 * h.r * (-iv.log(iv_from_fraction(h.delta))) * h.t / iv.sqrt(iv_from_fraction(h.lambda0))
+        total = sum((iv.sqrt(iv_from_fraction(rec.lam)) for rec in _boosts(trace)), iv.mpf(0))
+        rep46.checked += 1
+        if not certify_interval_ge(bound, total):
+            lo, _hi = interval_endpoints(bound)
+            _lo2, hi2 = interval_endpoints(total)
+            _violation("Lemma 4.6", len(trace.records), None, float(hi2), float(lo), strict, rep46)
     return [rep45, rep46]
 
 
@@ -207,9 +190,7 @@ def validate_trace_structure(trace: Trace, strict: bool = True) -> MonitorReport
     h = trace.header
     rep = MonitorReport("structure", True)
     states = list(_states(trace))
-    for idx, rec in enumerate(trace.records):
-        s, x_size, y_sizes, t_sizes, dens = states[idx]
-        s2, x2, y2, t2, _ = states[idx + 1]
+    for rec, (_, x_size, y_sizes, t_sizes, dens, _), (_, x2, y2, t2, _, _) in zip(trace.records, states, states[1:]):
         rep.checked += 1
 
         def bad(msg):
@@ -225,10 +206,11 @@ def validate_trace_structure(trace: Trace, strict: bool = True) -> MonitorReport
             bad("boost step with lambda <= lambda0")
         if x2 >= x_size:
             bad("X did not strictly shrink")
-        changed = [i for i in range(h.r) if y2[i] != y_sizes[i]]
         target = rec.chosen_colour if rec.kind == KIND_COLOUR else rec.witness_colour
-        if rec.kind == KIND_COLOUR and rec.chosen_colour is None:
+        if target is None:
             bad("colour step without a chosen colour")
+            continue  # the remaining checks need the stepped colour
+        changed = [i for i in range(h.r) if y2[i] != y_sizes[i]]
         if changed and changed != [target]:
             bad(f"Y sets {changed} changed; only {target} may change")
         if dens is not None and y2[target] != dens[target] * y_sizes[target]:

@@ -189,6 +189,42 @@ class TestTraceIO:
             (head + "\n" + step.replace('"densities":[', '"densities":7,"_":['), 2),
             (head + "\n" + "[" * 100_000, 2),                                # too deep for the decoder
         ]
+
+        def spoil_head(old, new):
+            assert old in head
+            return head.replace(old, new, 1) + "\n" + step, 1
+
+        def spoil_step(old, new):
+            assert old in step
+            return head + "\n" + step.replace(old, new, 1), 2
+
+        malformed += [
+            # wrongly typed fields
+            spoil_head('"initial_x_size":30', '"initial_x_size":"30"'),
+            spoil_head('"n":30', '"n":true'),
+            spoil_head('"t":2', '"t":1.5'),
+            spoil_head('"colouring_sha256":"', '"colouring_sha256":7,"_":"'),
+            spoil_head('"n":30', '"n":' + "9" * 5000),                    # beyond the decoder's digit limit
+            spoil_step('"y_sizes":[9,30]', '"y_sizes":"ab"'),
+            spoil_step('"y_sizes":[9,30]', '"y_sizes":[9,true]'),
+            spoil_step('"chosen_colour":0', '"chosen_colour":"0"'),
+            # well typed, but not a trace the engine can write
+            spoil_head('"r":2', '"r":3'),
+            spoil_head('"r":2', '"r":0'),
+            spoil_head('"t":2', '"t":0'),
+            spoil_head('"delta":"1/8"', '"delta":"0/1"'),
+            spoil_head('"lambda0":"10/1"', '"lambda0":"-2/1"'),
+            spoil_head('"initial_densities":["3/10","1/3"]', '"initial_densities":["3/10"]'),
+            spoil_step('"y_sizes":[9,30]', '"y_sizes":[9]'),
+            spoil_step('"t_sizes":[1,0]', '"t_sizes":[1,0,0]'),
+            spoil_step('"densities":["7/9","1/3"]', '"densities":[]'),
+            spoil_step('"chosen_colour":0', '"chosen_colour":7'),
+            spoil_step('"witness_colour":0', '"witness_colour":7'),
+            spoil_step('"witness_colour":0', '"witness_colour":-1'),
+            spoil_step('"lambda":"344/45"', '"lambda":"-3/1"'),
+            spoil_step('"kind":"colour"', '"kind":"other"'),                # rejected before typing, too
+            spoil_step('"s":0', '"s":1'),                                 # steps count from 0
+        ]
         for text, line in malformed:
             with pytest.raises(ParseError) as info:
                 parse_trace(text + "\n")
@@ -325,3 +361,23 @@ class TestMonitorsNegative:
         recs[target] = replace(recs[target], kind="colour", chosen_colour=0)
         with pytest.raises(LemmaViolation):
             validate_trace_structure(Trace(trace.header, tuple(recs)), strict=True)
+
+    def test_structure_reports_colour_step_without_colour(self):
+        trace = _engine_trace()
+        assert trace.records[0].kind == "colour"
+        bad = Trace(trace.header, (replace(trace.records[0], chosen_colour=None),) + trace.records[1:])
+        structure = run_all_monitors(bad, strict=False)[0]
+        assert structure.lemma == "structure" and not structure.ok
+        assert structure.violations == [{"s": 0, "problem": "colour step without a chosen colour"}]
+        with pytest.raises(LemmaViolation):
+            validate_trace_structure(bad, strict=True)
+
+    @pytest.mark.parametrize("lam", [F(-1), F(-1, 2), F(0), F(1)])
+    def test_lemma46_skipped_when_a_boost_is_not_above_lambda0(self, lam):
+        trace = _engine_trace(n=30, seed=8, t=4, lam0=F(1), delta=F(1, 4))
+        assert trace.records[0].kind == "boost"
+        bad = Trace(trace.header, (replace(trace.records[0], lam=lam),) + trace.records[1:])
+        reports = {rep.lemma: rep for rep in run_all_monitors(bad, strict=False)}
+        assert reports["4.6"].skipped and reports["4.6"].ok and reports["4.6"].checked == 0
+        assert "lambda > lambda0" in reports["4.6"].reason
+        assert reports["structure"].violations == [{"s": 0, "problem": "boost step with lambda <= lambda0"}]

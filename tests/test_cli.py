@@ -88,27 +88,76 @@ class TestRunAndVerify:
         assert "4." in err  # names a violated lemma
 
     @pytest.mark.parametrize(
-        "spoil",
+        "line, spoil",
         [
-            lambda h: f"[{h}]",
-            lambda h: h.replace('"lambda0":"5/1"', '"lambda0":5'),
-            lambda h: h.replace('"initial_y_sizes":[30,30]', '"initial_y_sizes":5'),
-            lambda h: h.replace('"type"', '"\u00e9"'),
+            (1, lambda h: f"[{h}]"),
+            (1, lambda h: h.replace('"lambda0":"5/1"', '"lambda0":5')),
+            (1, lambda h: h.replace('"initial_y_sizes":[30,30]', '"initial_y_sizes":5')),
+            (1, lambda h: h.replace('"type"', '"\u00e9"')),
+            (1, lambda h: h.replace('"initial_x_size":30', '"initial_x_size":"30"')),
+            (1, lambda h: h.replace('"n":30', '"n":true')),
+            (1, lambda h: h.replace('"t":2', '"t":1.5')),
+            (1, lambda h: h.replace('"colouring_sha256":"', '"colouring_sha256":7,"_":"')),
+            (2, lambda s: s.replace('"y_sizes":[8,30]', '"y_sizes":"ab"')),
+            (2, lambda s: s.replace('"y_sizes":[8,30]', '"y_sizes":[8]')),
+            (3, lambda s: s.replace('"chosen_colour":0', '"chosen_colour":7')),
+            (3, lambda s: s.replace('"witness_colour":1', '"witness_colour":7')),
+            (1, lambda h: h.replace('"r":2', '"r":3')),
+            (1, lambda h: h.replace('"t":2', '"t":0')),
+            (1, lambda h: h.replace('"delta":"1/8"', '"delta":"0/1"')),
+            (1, lambda h: h.replace('"lambda0":"5/1"', '"lambda0":"-2/1"')),
         ],
-        ids=["array", "numeric-rational", "numeric-sizes", "non-ascii"],
+        ids=["array", "numeric-rational", "numeric-sizes", "non-ascii", "string-int", "bool-int",
+             "float-int", "numeric-hash", "string-sizes", "short-sizes", "chosen-colour-range",
+             "witness-colour-range", "wrong-r", "zero-t", "zero-delta", "negative-lambda0"],
     )
-    def test_verify_malformed_trace_is_usage_error(self, tmp_path, capsys, spoil):
+    def test_verify_malformed_trace_is_usage_error(self, tmp_path, capsys, line, spoil):
         rcg = tmp_path / "c.rcg"
         trace = tmp_path / "t.jsonl"
         invoke(capsys, "generate", "--n", "30", "--r", "2", "--seed", "4", "-o", str(rcg))
         invoke(capsys, "run-book", "-i", str(rcg), "--t", "2", "--lambda0", "5", "--delta", "1/8",
                "--trace", str(trace))
-        head, rest = trace.read_text().split("\n", 1)
-        assert spoil(head) != head
-        trace.write_bytes((spoil(head) + "\n" + rest).encode())
+        lines = trace.read_text().split("\n")
+        spoilt = spoil(lines[line - 1])
+        assert spoilt != lines[line - 1]
+        lines[line - 1] = spoilt
+        trace.write_bytes("\n".join(lines).encode())
         code, out, err = invoke(capsys, "verify-trace", "--trace", str(trace))
         assert code == 2
-        assert out == "" and "line 1" in err
+        assert out == "" and f"line {line}" in err
+
+    @pytest.mark.parametrize(
+        "seed, params, line, old, new",
+        [
+            # a colour step that names no chosen colour
+            ("4", ["--t", "2", "--lambda0", "5", "--delta", "1/8"], 3, '"chosen_colour":0', '"chosen_colour":null'),
+            # a boost with -1 <= lambda < 0 under lambda0 > 0: 4.6's hypothesis fails
+            ("8", ["--t", "4", "--lambda0", "1", "--delta", "1/4"], 2, '"lambda":"424/45"', '"lambda":"-1/2"'),
+        ],
+        ids=["colour-step-without-colour", "negative-boost-lambda"],
+    )
+    def test_verify_reports_violation_as_json(self, tmp_path, capsys, seed, params, line, old, new):
+        rcg = tmp_path / "c.rcg"
+        trace = tmp_path / "t.jsonl"
+        invoke(capsys, "generate", "--n", "30", "--r", "2", "--seed", seed, "-o", str(rcg))
+        invoke(capsys, "run-book", "-i", str(rcg), *params, "--trace", str(trace))
+        lines = trace.read_text().split("\n")
+        assert old in lines[line - 1]
+        lines[line - 1] = lines[line - 1].replace(old, new)
+        trace.write_text("\n".join(lines))
+        code, out, err = invoke(capsys, "verify-trace", "--trace", str(trace))
+        assert code == 1
+        payload = json.loads(out)
+        assert [rep["lemma"] for rep in payload["monitors"] if not rep["ok"]] == ["structure"]
+        assert "Traceback" not in err
+
+    def test_run_book_non_ascii_colouring_is_usage_error(self, tmp_path, capsys):
+        rcg = tmp_path / "c.rcg"
+        rcg.write_bytes(b"3 2\n0 1\n\xff\n")
+        code, out, err = invoke(capsys, "run-book", "-i", str(rcg), "--t", "2", "--lambda0", "5",
+                                "--delta", "1/8", "--trace", str(tmp_path / "t.jsonl"))
+        assert code == 2
+        assert out == "" and "line 3" in err
 
     def test_determinism_across_invocations(self, tmp_path, capsys):
         rcg = tmp_path / "c.rcg"
