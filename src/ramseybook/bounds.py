@@ -76,10 +76,6 @@ def interval_endpoints(x) -> tuple[Fraction, Fraction]:
     return _raw_to_fraction(a), _raw_to_fraction(b)
 
 
-def lower_fraction(x) -> Fraction:
-    return interval_endpoints(x)[0]
-
-
 def upper_fraction(x) -> Fraction:
     return interval_endpoints(x)[1]
 

@@ -333,7 +333,7 @@ def main(argv=None) -> int:
     except LemmaViolation as e:
         _note(f"verification failure: {e}")
         return EXIT_VERIFY
-    except (InvalidInput, ParseError, FileNotFoundError, BudgetExceeded) as e:
+    except (InvalidInput, ParseError, OSError, BudgetExceeded) as e:
         _note(f"error: {e}")
         return EXIT_USAGE
     except RamseyBookError as e:

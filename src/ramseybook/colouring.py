@@ -74,20 +74,29 @@ class EdgeColouring:
         expected = n * (n - 1) // 2
         if len(tri) != expected:
             raise InvalidInput(f"expected {expected} edge colours for n={n}, got {len(tri)}")
-        if any(c >= r for c in tri):
+        if tri and max(tri) >= r:
             raise InvalidColour(f"edge colour out of range [0, {r})")
         self.n = n
         self.r = r
         self._tri = tri
-        neigh = [[0] * n for _ in range(r)]
+        # the symmetric n x n colour matrix, 0xff on the diagonal: row u of the
+        # upper triangle goes in as row u right of the diagonal and, by one
+        # extended slice, as column u below it
+        full = bytearray(b"\xff") * (n * n)
         idx = 0
         for u in range(n - 1):
-            for v in range(u + 1, n):
-                c = tri[idx]
-                idx += 1
-                neigh[c][u] |= 1 << v
-                neigh[c][v] |= 1 << u
-        self._neigh = neigh
+            row = tri[idx : idx + n - 1 - u]
+            idx += n - 1 - u
+            full[u * n + u + 1 : (u + 1) * n] = row
+            full[(u + 1) * n + u :: n] = row
+        # reversed, and translated by a table that maps byte i to "1" and
+        # every other byte to "0", the matrix holds N_i(v) in binary at row
+        # n - 1 - v
+        full.reverse()
+        self._neigh = []
+        for i in range(r):
+            bits = full.translate(b"0" * i + b"1" + b"0" * (255 - i))
+            self._neigh.append([int(bits[k : k + n], 2) for k in range((n - 1) * n, -1, -n)])
 
     @property
     def vertices(self) -> int:
@@ -141,12 +150,13 @@ class EdgeColouring:
         return True
 
     def serialize(self) -> str:
+        names = [str(c) for c in range(self.r)]
         lines = [f"{self.n} {self.r}"]
         idx = 0
         for u in range(self.n - 1):
             row = self._tri[idx : idx + self.n - 1 - u]
             idx += self.n - 1 - u
-            lines.append(" ".join(str(c) for c in row))
+            lines.append(" ".join(map(names.__getitem__, row)))
         return "\n".join(lines) + "\n"
 
     def sha256(self) -> str:
@@ -242,12 +252,22 @@ def parse_colouring(text: str) -> EdgeColouring:
         fields = lines[u + 1].split(" ") if lines[u + 1] else []
         if len(fields) != n - 1 - u:
             raise ParseError(f"row {u} must have {n - 1 - u} entries, got {len(fields)}", line=lineno)
-        for f in fields:
-            try:
-                c = int(f)
-            except ValueError:
-                raise ParseError(f"bad colour value {f!r}", line=lineno) from None
-            if not 0 <= c < r:
-                raise ParseError(f"colour {c} out of range [0, {r})", line=lineno)
-            tri.append(c)
+        try:
+            row = bytes(map(int, fields))
+        except ValueError:  # a non-integer field, or one outside [0, 256)
+            row = None
+        if row is None or max(row) >= r:
+            raise ParseError(_bad_field(fields, r), line=lineno)
+        tri += row
     return EdgeColouring(n, r, tri)
+
+
+def _bad_field(fields, r: int) -> str:
+    """The message for the first field of a row that is not a colour in [0, r)."""
+    for f in fields:
+        try:
+            c = int(f)
+        except ValueError:
+            return f"bad colour value {f!r}"
+        if not 0 <= c < r:
+            return f"colour {c} out of range [0, {r})"

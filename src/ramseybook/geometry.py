@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, compress
 
 from mpmath import iv, mp
 
@@ -23,7 +24,7 @@ from .bounds import (
     iv_from_int,
     upper_fraction,
 )
-from .colouring import EdgeColouring, iter_vertices, vertex_list
+from .colouring import EdgeColouring, iter_vertices, mask_of, vertex_list
 from .errors import (
     DegenerateDensity,
     EmptySet,
@@ -72,12 +73,16 @@ def min_density(c: EdgeColouring, xset: int, yset: int, colour: int) -> Fraction
 
 
 def _lowest_bits(mask: int, count: int) -> int:
-    out = 0
-    for _ in range(count):
-        b = mask & -mask
-        out |= b
-        mask ^= b
-    return out
+    """The ``count`` lowest set bits of ``mask`` (all of them if it has fewer)."""
+    # binary search for the shortest prefix of bits holding ``count`` of them
+    lo, hi = 0, mask.bit_length()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mask & ((1 << mid) - 1)).bit_count() >= count:
+            hi = mid
+        else:
+            lo = mid + 1
+    return mask & ((1 << lo) - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,13 +435,16 @@ class KeyStepResult:
 
 
 class _PairTables:
-    """Integer codegrees of the eligible unordered pairs of X.
+    """Integer codegrees of the unordered pairs of X, one row per point.
 
-    A pair is eligible when every coordinate inner product is >= -1, i.e.
+    ``rows[i][a][j]`` is the colour-i codegree of the pair (a, a + 1 + j).  A
+    pair is eligible when every coordinate inner product is >= -1, i.e.
     codeg_i >= p_i |Y_i| (p_i - alpha_i) for every colour; only eligible pairs
-    can contribute to any witness event.  ``codeg[i]`` runs parallel to
-    ``eligible``.  The n diagonal pairs have codegree ``diag[i]``, which is at
-    least every candidate threshold, so they are in every event.
+    can contribute to any witness event, so an ineligible pair reads -1 in
+    every colour.  ``row_max[i][a]`` is the largest entry of ``rows[i][a]``,
+    so scans skip the rows that cannot reach a threshold.  The n diagonal
+    pairs have codegree ``diag[i]``, which is at least every candidate
+    threshold, so they are in every event.
     """
 
     def __init__(self, emb: Embedding):
@@ -451,52 +459,58 @@ class _PairTables:
             p, a, y = emb.densities[i], emb.alphas[i], emb.y_sizes[i]
             thr = p * y * (p - a)
             self.dmin.append(max(0, -(-thr.numerator // thr.denominator)))  # ceil, floored at 0
-        # each colour drops the partners b > a that fail it, so later colours
-        # only test the pairs every earlier colour kept
-        self.eligible: list[tuple[int, int]] = []
+        self.rows = [[] for _ in range(r)]
         for a in range(n):
-            row = range(a + 1, n)
-            for t, dmin in zip(emb.trimmed, self.dmin):
-                ta = t[a]
-                row = [b for b in row if (ta & t[b]).bit_count() >= dmin]
-            self.eligible.extend((a, b) for b in row)
-        self.codeg = [[(t[a] & t[b]).bit_count() for a, b in self.eligible] for t in emb.trimmed]
+            row = [list(map(int.bit_count, map(t[a].__and__, t[a + 1 :]))) for t in emb.trimmed]
+            bad = set()
+            for codeg, dmin in zip(row, self.dmin):
+                if codeg and min(codeg) < dmin:
+                    bad.update(compress(range(len(codeg)), map(dmin.__gt__, codeg)))
+            for j in bad:
+                for codeg in row:
+                    codeg[j] = -1
+            for rows_i, codeg in zip(self.rows, row):
+                rows_i.append(codeg)
+        self.row_max = [[max(codeg, default=-1) for codeg in rows_i] for rows_i in self.rows]
 
     def candidates(self):
         """(lam, colour, codegree threshold) triples, lam descending, colour ascending.
 
-        Per colour: every codegree attained by an eligible pair (diagonal
-        included), plus the lam = -1 fallback.
+        Per colour: every codegree attained by an eligible pair, diagonal
+        included.  No lower threshold is needed: the lowest attained one
+        already has every eligible pair in its event, and a smaller bound.
         """
         cands = []
-        for i in range(self.emb.r):
-            seen = set(self.codeg[i])
+        for i, rows_i in enumerate(self.rows):
+            seen = set().union(*rows_i)
+            seen.discard(-1)
             seen.add(self.diag[i])
-            lams = {self.emb.inner_from_codegree(i, d): d for d in sorted(seen)}
-            lams.setdefault(Fraction(-1), self.dmin[i])
-            for lam, d in lams.items():
-                cands.append((lam, i, d))
+            cands.extend((self.emb.inner_from_codegree(i, d), i, d) for d in seen)
         cands.sort(key=lambda t: (-t[0], t[1]))
         return cands
+
+    def _partners_after(self, colour: int, d: int, a: int):
+        """The partners b > a of point a at codegree threshold d."""
+        return compress(range(a + 1, self.n), map(d.__le__, self.rows[colour][a]))
 
     def partner_counts(self, colour: int, d: int) -> list[int]:
         """Per point, the off-diagonal event partners at codegree threshold d."""
         counts = [0] * self.n
-        for (a, b), v in zip(self.eligible, self.codeg[colour]):
-            if v >= d:
-                counts[a] += 1
-                counts[b] += 1
+        for a, top in enumerate(self.row_max[colour]):
+            if top >= d:
+                after = list(self._partners_after(colour, d, a))
+                counts[a] += len(after)
+                for b in after:
+                    counts[b] += 1
         return counts
 
     def x_prime_mask(self, colour: int, d: int, pivot_idx: int) -> int:
-        mask = 0
-        for (a, b), v in zip(self.eligible, self.codeg[colour]):
-            if v >= d:
-                if a == pivot_idx:
-                    mask |= 1 << self.emb.points[b]
-                elif b == pivot_idx:
-                    mask |= 1 << self.emb.points[a]
-        return mask
+        rows, row_max = self.rows[colour], self.row_max[colour]
+        before = [
+            a for a in range(pivot_idx) if row_max[a] >= d and rows[a][pivot_idx - a - 1] >= d
+        ]
+        points = self.emb.points
+        return mask_of(points[b] for b in chain(before, self._partners_after(colour, d, pivot_idx)))
 
     def witnesses(self, beta):
         """Yield (report, d, partner counts) for every candidate, in scan order,
@@ -522,7 +536,8 @@ def find_lambda_witness(emb: Embedding, beta=None) -> WitnessReport:
     """Largest threshold lam (ties: smallest colour) whose event probability q
     over all |X|^2 ordered pairs satisfies q >= beta e^(-C sqrt(lam+1)).
 
-    Candidate thresholds are -1 and the attained inner-product values.
+    Candidate thresholds are the inner-product values attained by the
+    diagonal and by the pairs whose every coordinate is >= -1.
     Failure to find any witness raises LemmaViolation (it is a theorem that
     one exists).
     """

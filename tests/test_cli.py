@@ -159,6 +159,17 @@ class TestRunAndVerify:
         assert code == 2
         assert out == "" and "line 3" in err
 
+    @pytest.mark.parametrize("command", ["verify-trace", "run-book"])
+    def test_directory_input_is_usage_error(self, tmp_path, capsys, command):
+        if command == "verify-trace":
+            argv = ["verify-trace", "--trace", str(tmp_path)]
+        else:
+            argv = ["run-book", "-i", str(tmp_path), "--t", "2", "--lambda0", "5",
+                    "--delta", "1/8", "--trace", str(tmp_path / "t.jsonl")]
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == "" and "Traceback" not in err and str(tmp_path) in err
+
     def test_determinism_across_invocations(self, tmp_path, capsys):
         rcg = tmp_path / "c.rcg"
         invoke(capsys, "generate", "--n", "35", "--r", "2", "--seed", "6", "-o", str(rcg))

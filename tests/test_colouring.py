@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramseybook.colouring import (
+    MAX_COLOURS,
     EdgeColouring,
     from_pair_function,
     full_mask,
@@ -22,6 +23,35 @@ from ramseybook.errors import (
     InvalidVertex,
     ParseError,
 )
+
+
+def reference_neighbourhoods(n, r, tri):
+    """N_i(v) for every colour and vertex, built with two ``|=`` per edge (the
+    loop EdgeColouring's bulk build replaced)."""
+    neigh = [[0] * n for _ in range(r)]
+    idx = 0
+    for u in range(n - 1):
+        for v in range(u + 1, n):
+            c = tri[idx]
+            idx += 1
+            neigh[c][u] |= 1 << v
+            neigh[c][v] |= 1 << u
+    return neigh
+
+
+def reference_row(fields, r):
+    """The colours of one parsed row, or the message of its first bad field
+    (the per-field loop parse_colouring's bulk parse replaced)."""
+    row = []
+    for f in fields:
+        try:
+            c = int(f)
+        except ValueError:
+            return f"bad colour value {f!r}"
+        if not 0 <= c < r:
+            return f"colour {c} out of range [0, {r})"
+        row.append(c)
+    return row
 
 
 class TestColour:
@@ -76,6 +106,17 @@ class TestNeighbourhood:
                 total += nb.bit_count()
             assert union == c.vertices & ~(1 << v)
             assert total == c.n - 1
+
+
+    @given(st.integers(1, 40), st.integers(1, MAX_COLOURS), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_edge_build(self, n, r, rnd):
+        # r >= 11 has two-digit colours, which the serialized text must keep
+        tri = bytes(rnd.randrange(r) for _ in range(n * (n - 1) // 2))
+        c = EdgeColouring(n, r, tri)
+        want = reference_neighbourhoods(n, r, tri)
+        assert [[c.neighbourhood(v, i) for v in range(n)] for i in range(r)] == want
+        assert parse_colouring(c.serialize()) == c
 
 
 class TestMonoPredicates:
@@ -212,6 +253,55 @@ class TestSerialization:
     def test_roundtrip(self, n, r, seed):
         c = random_colouring(n, r, seed)
         assert parse_colouring(c.serialize()) == c
+
+
+    def test_roundtrip_at_colour_cap(self):
+        c = random_colouring(30, MAX_COLOURS, 5)
+        assert max(c.colour(u, v) for u, v in itertools.combinations(range(30), 2)) == MAX_COLOURS - 1
+        text = c.serialize()
+        assert parse_colouring(text) == c
+        assert parse_colouring(text).serialize() == text
+
+    @pytest.mark.parametrize(
+        "rows, line, message",
+        [
+            ("1 x\n0\n", 2, "bad colour value 'x'"),
+            ("1 \n0\n", 2, "bad colour value ''"),
+            ("1 -1\n0\n", 2, "colour -1 out of range [0, 2)"),
+            ("1 300\n0\n", 2, "colour 300 out of range [0, 2)"),
+            ("5 x\n0\n", 2, "colour 5 out of range [0, 2)"),
+            ("x 5\n0\n", 2, "bad colour value 'x'"),
+            ("1 0\nx\n", 3, "bad colour value 'x'"),
+            ("1 0\n300\n", 3, "colour 300 out of range [0, 2)"),
+        ],
+    )
+    def test_parse_names_first_bad_field(self, rows, line, message):
+        with pytest.raises(ParseError) as ei:
+            parse_colouring("3 2\n" + rows)
+        assert ei.value.line == line
+        assert str(ei.value) == f"line {line}: {message}"
+
+    @given(st.integers(1, 12), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_parse_rows_match_per_field_loop(self, r, data):
+        # n = 4: rows of 3, 2 and 1 fields, mostly colours, some of them bad
+        token = st.one_of(
+            st.integers(0, 70).map(str),
+            st.sampled_from(["-1", "255", "256", "300", "+1", "01", "1_0", "x", "", "0x1"]),
+        )
+        rows = [data.draw(st.lists(token, min_size=k, max_size=k)) for k in (3, 2, 1)]
+        text = "4 %d\n" % r + "".join(" ".join(fields) + "\n" for fields in rows)
+        want = []
+        for u, fields in enumerate(rows):
+            # an empty line is a row with no fields at all
+            got = "row 2 must have 1 entries, got 0" if fields == [""] else reference_row(fields, r)
+            if isinstance(got, str):
+                with pytest.raises(ParseError) as ei:
+                    parse_colouring(text)
+                assert (ei.value.line, str(ei.value)) == (u + 2, f"line {u + 2}: {got}")
+                return
+            want += got
+        assert parse_colouring(text) == EdgeColouring(4, r, bytes(want))
 
 
 class TestValidation:

@@ -20,6 +20,7 @@ from ramseybook.geometry import (
     SpecialBranch,
     VectorFamily,
     WitnessReport,
+    _lowest_bits,
     _PairTables,
     build_embedding,
     check_special_bounds,
@@ -62,6 +63,26 @@ def fraction_recounter(emb):
         )
 
     return count
+
+
+def attained_lams(emb):
+    """(lam, colour) for lam = -1 and every Fraction inner product >= -1
+    attained by an ordered pair of X (diagonal included), per colour."""
+    n, r = emb.npoints, emb.r
+    lams = {(F(-1), i) for i in range(r)}
+    lams |= {(v, i) for i in range(r) for a in range(n) for b in range(n)
+             if (v := emb.inner_by_index(i, a, b)) >= -1}
+    return lams
+
+
+def reference_lowest_bits(mask, count):
+    """The one-bit-per-iteration loop _lowest_bits replaced."""
+    out = 0
+    for _ in range(count):
+        b = mask & -mask
+        out |= b
+        mask ^= b
+    return out
 
 
 class TestMinDensity:
@@ -368,7 +389,7 @@ class TestWitnessRecount:
         count = fraction_recounter(emb)
         total = emb.npoints ** 2
         eps = F(1, 10**9)
-        for lam, colour, _ in _PairTables(emb).candidates():
+        for lam, colour in attained_lams(emb):
             for v in {lam, lam + eps, max(lam - eps, F(-1))}:
                 cnt = count(colour, v)
                 # beta = 0 makes the bound 0, so only the recount is checked
@@ -421,6 +442,58 @@ class TestWitnessRecount:
         self.rejects(replace(self.witness()[3], colour=colour), "out of range")
 
 
+class TestBulkBuilders:
+    """The bulk-operation builders against the per-bit and per-pair loops they
+    replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**200), st.data())
+    def test_lowest_bits_matches_one_bit_loop(self, mask, data):
+        pop = mask.bit_count()
+        count = data.draw(st.one_of(st.just(0), st.just(pop), st.integers(0, pop + 5)))
+        assert _lowest_bits(mask, count) == reference_lowest_bits(mask, count)
+
+    @staticmethod
+    def check_tables(emb):
+        """Compare _PairTables with a plain per-pair popcount; returns the
+        number of ineligible pairs."""
+        n, r = emb.npoints, emb.r
+        t = emb.trimmed
+        tables = _PairTables(emb)
+        codeg = {(i, a, b): (t[i][a] & t[i][b]).bit_count()
+                 for i in range(r) for a in range(n) for b in range(n)}
+        eligible = {(a, b) for a in range(n) for b in range(n)
+                    if all(emb.inner_by_index(i, a, b) >= -1 for i in range(r))}
+        for i in range(r):
+            for a in range(n):
+                want = [codeg[i, a, b] if (a, b) in eligible else -1 for b in range(a + 1, n)]
+                assert tables.rows[i][a] == want
+                assert tables.row_max[i][a] == max(want, default=-1)
+        attained = {(i, codeg[i, a, b]) for i in range(r) for a, b in eligible}
+        want = sorted(((emb.inner_from_codegree(i, d), i, d) for i, d in attained),
+                      key=lambda c: (-c[0], c[1]))
+        assert tables.candidates() == want
+        for _lam, i, d in want:
+            partners = [[b for b in range(n) if b != a and (a, b) in eligible and codeg[i, a, b] >= d]
+                        for a in range(n)]
+            assert tables.partner_counts(i, d) == [len(ps) for ps in partners]
+            for a in range(n):
+                assert tables.x_prime_mask(i, d, a) == mask_of(emb.points[b] for b in partners[a])
+        return n * (n - 1) - len(eligible - {(a, a) for a in range(n)})
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_embeddings())
+    def test_pair_tables_match_per_pair_popcount(self, drawn):
+        self.check_tables(drawn[4])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pair_tables_with_ineligible_pairs(self, seed):
+        # small alphas make dmin > 0, so some pairs fail a colour
+        c = random_colouring(30, 3, seed)
+        emb = build_embedding(c, c.vertices, [c.vertices] * 3, [F(1, 40)] * 3)
+        assert 0 < self.check_tables(emb) < 30 * 29
+
+
 class TestWitnessChoice:
     """The witness and pivot that find_lambda_witness and key_lemma_step pick,
     against a scan written from their specification."""
@@ -438,10 +511,8 @@ class TestWitnessChoice:
         n, r = emb.npoints, emb.r
         count = fraction_recounter(emb)
         inner = [[[emb.inner_by_index(i, a, b) for b in range(n)] for a in range(n)] for i in range(r)]
-        cands = {(F(-1), i) for i in range(r)}
-        cands |= {(v, i) for i in range(r) for row in inner[i] for v in row if v >= -1}
         first = None
-        for lam, colour in sorted(cands, key=lambda t: (-t[0], t[1])):
+        for lam, colour in sorted(attained_lams(emb), key=lambda t: (-t[0], t[1])):
             cnt = count(colour, lam)
             q, bound = F(cnt, n * n), witness_bound_upper(lam, r, beta)
             if q < bound:

@@ -1,6 +1,10 @@
 from fractions import Fraction as F
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramseybook.book_engine import EngineParams
 from ramseybook.colouring import (
@@ -107,6 +111,52 @@ class TestBestBook:
             inter &= c.neighbourhood(u, res.colour)
         assert res.pages_mask == inter
         assert c.is_mono_book(res.spine, res.pages_mask, res.colour)
+
+
+class TestAgainstNetworkx:
+    """max_mono_clique and best_book against networkx's clique enumeration on
+    colour graphs built from ``colour(u, v)``, not from the neighbourhood
+    bitmasks the oracles search."""
+
+    @staticmethod
+    def colour_graph(nx, c, colour):
+        g = nx.Graph()
+        g.add_nodes_from(range(c.n))
+        g.add_edges_from((u, v) for u, v in itertools.combinations(range(c.n), 2) if c.colour(u, v) == colour)
+        return g
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 3), st.integers(0, 2**32))
+    def test_max_mono_clique(self, n, r, seed):
+        nx = pytest.importorskip("networkx")
+        c = random_colouring(n, r, seed)
+        for colour in range(r):
+            g = self.colour_graph(nx, c, colour)
+            size, witness = max_mono_clique(c, colour)
+            assert size == max(len(q) for q in nx.find_cliques(g))
+            assert witness.bit_count() == size
+            assert all(g.has_edge(u, v) for u, v in itertools.combinations(vertex_list(witness), 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32))
+    def test_best_book(self, n, r, t, seed):
+        nx = pytest.importorskip("networkx")
+        c = random_colouring(n, r, seed)
+        want = None  # (pages, colour, spine), most pages, then smallest colour and spine
+        for colour in range(r):
+            g = self.colour_graph(nx, c, colour)
+            spines = sorted(tuple(sorted(q)) for q in nx.enumerate_all_cliques(g) if len(q) == t)
+            for spine in spines:
+                pages = set(range(n)).difference(spine)
+                for u in spine:
+                    pages &= set(g[u])
+                if want is None or len(pages) > want[0]:
+                    want = (len(pages), colour, spine, pages)
+        res = best_book(c, t)
+        if want is None:
+            assert res is None
+        else:
+            assert (res.pages, res.colour, tuple(vertex_list(res.spine)), set(vertex_list(res.pages_mask))) == want
 
 
 class TestRamseyExhaustive:
