@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import iv, mp
+from mpmath.libmp import to_str
 
-from .errors import InvalidInput, PrecisionExhausted
+from .errors import InvalidInput, NonFiniteEndpoint, PrecisionExhausted
 
 PRECISION_ENV = "RF_PRECISION_BITS"
 DEFAULT_PRECISION_BITS = 128
@@ -65,13 +66,19 @@ def iv_from(x):
 
 
 def _raw_to_fraction(raw) -> Fraction:
-    sign, man, exp, bc = raw
-    f = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -f if sign else f
+    sign, man, exp, _bc = raw
+    if not man and exp:  # mpmath tags +inf, -inf and nan with a zero mantissa
+        raise NonFiniteEndpoint(f"interval endpoint {to_str(raw, 5)} is not finite")
+    man, exp = -int(man) if sign else int(man), int(exp)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def interval_endpoints(x) -> tuple[Fraction, Fraction]:
-    """Exact rational endpoints of an interval value."""
+    """Exact rational endpoints of an interval value.
+
+    Raises NonFiniteEndpoint (a PrecisionExhausted) when either endpoint is
+    infinite or NaN, so no caller ever orders or reports such an endpoint.
+    """
     a, b = x._mpi_
     return _raw_to_fraction(a), _raw_to_fraction(b)
 
@@ -81,7 +88,11 @@ def upper_fraction(x) -> Fraction:
 
 
 def certify_interval_ge(a, b) -> bool:
-    """Decide ``a >= b`` rigorously for two interval values."""
+    """Decide ``a >= b`` rigorously for two interval values.
+
+    An infinite or NaN endpoint on either side leaves the comparison
+    undecided (NonFiniteEndpoint), never decided from a stand-in value.
+    """
     a_lo, a_hi = interval_endpoints(a)
     b_lo, b_hi = interval_endpoints(b)
     if a_lo >= b_hi:

@@ -25,6 +25,7 @@ from .errors import (
 )
 
 MAX_COLOURS = 64
+_ONE_DIGIT = bytes(range(10))
 
 
 def full_mask(n: int) -> int:
@@ -229,7 +230,11 @@ def read_ascii(path) -> str:
 
 
 def parse_colouring(text: str) -> EdgeColouring:
-    """Parse the ``.rcg`` text format.  Raises ParseError with the offending line."""
+    """Parse the ``.rcg`` text format.  Raises ParseError with the offending line.
+
+    Every number must be written as ``str`` writes it (no sign, leading zero,
+    underscore or stray whitespace), so each colouring has exactly one text.
+    """
     if not text.endswith("\n"):
         raise ParseError("missing trailing newline")
     lines = text.split("\n")[:-1]
@@ -244,26 +249,40 @@ def parse_colouring(text: str) -> EdgeColouring:
         raise ParseError("header must contain two integers", line=1) from None
     if n < 1 or not 1 <= r <= MAX_COLOURS:
         raise ParseError(f"invalid header values n={n} r={r}", line=1)
+    if lines[0] != f"{n} {r}":
+        raise ParseError(f"header {lines[0]!r} is not written as {f'{n} {r}'!r}", line=1)
     if len(lines) != n:
         raise ParseError(f"expected {n - 1} rows after the header, got {len(lines) - 1}", line=len(lines))
     tri = bytearray()
     for u in range(n - 1):
         lineno = u + 2
-        fields = lines[u + 1].split(" ") if lines[u + 1] else []
-        if len(fields) != n - 1 - u:
-            raise ParseError(f"row {u} must have {n - 1 - u} entries, got {len(fields)}", line=lineno)
+        line = lines[u + 1]
+        fields = line.split(" ") if line else []
+        k = n - 1 - u
+        if len(fields) != k:
+            raise ParseError(f"row {u} must have {k} entries, got {len(fields)}", line=lineno)
         try:
             row = bytes(map(int, fields))
         except ValueError:  # a non-integer field, or one outside [0, 256)
             row = None
-        if row is None or max(row) >= r:
+        if row is None or max(row) >= r or len(line) != _canonical_length(row, r) or not line.isascii():
             raise ParseError(_bad_field(fields, r), line=lineno)
         tri += row
     return EdgeColouring(n, r, tri)
 
 
+def _canonical_length(row: bytes, r: int) -> int:
+    """Length of a row's canonical text: a digit per colour, one more per
+    two-digit colour, and a space between neighbours.  Every other ASCII
+    spelling that int() reads (sign, leading zero, underscore, whitespace) is
+    longer."""
+    wide = len(row.translate(None, _ONE_DIGIT)) if r > 10 else 0
+    return 2 * len(row) - 1 + wide
+
+
 def _bad_field(fields, r: int) -> str:
-    """The message for the first field of a row that is not a colour in [0, r)."""
+    """The message for the first field of a row that is not a colour in [0, r),
+    or else for the first one not written canonically."""
     for f in fields:
         try:
             c = int(f)
@@ -271,3 +290,6 @@ def _bad_field(fields, r: int) -> str:
             return f"bad colour value {f!r}"
         if not 0 <= c < r:
             return f"colour {c} out of range [0, {r})"
+    for f in fields:
+        if f != str(int(f)):
+            return f"colour value {f!r} is not written as {str(int(f))!r}"

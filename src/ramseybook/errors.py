@@ -74,3 +74,8 @@ class ScaleError(InvalidInput):
 
 class PrecisionExhausted(RamseyBookError):
     """An interval comparison could not be decided at the working precision."""
+
+
+class NonFiniteEndpoint(PrecisionExhausted):
+    """An interval endpoint is infinite or NaN, so it has no rational value and
+    no comparison may be decided from it."""

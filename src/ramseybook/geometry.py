@@ -9,10 +9,12 @@ codegree tables and only the returned threshold is converted to a Fraction.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from itertools import chain, compress
 
 from mpmath import iv, mp
@@ -44,12 +46,22 @@ def default_beta(r: int) -> Fraction:
 
 
 def c_interval(r: int):
-    """Enclosure of the decay coefficient C = 4 r^(3/2)."""
+    """Enclosure of the decay coefficient C = 4 r^(3/2) at the working precision."""
+    return _c_enclosure(r, iv.prec)
+
+
+@cache
+def _c_enclosure(r: int, prec: int):
     return 4 * iv.sqrt(iv_from_int(r**3))
 
 
 def witness_bound_upper(lam: Fraction, r: int, beta: Fraction) -> Fraction:
-    """Certified upper bound on beta * e^(-C sqrt(lam + 1))."""
+    """Certified upper bound on beta * e^(-C sqrt(lam + 1)).
+
+    For lam >= -1 and beta > 0 the value never exceeds 2 beta (the exponent
+    is <= 0, and the rounding adds a few ulps at most), so a rational
+    comparison against 2 beta decides most uses without calling this.
+    """
     if lam < -1:
         raise InvalidInput("threshold below -1")
     expo = -c_interval(r) * iv.sqrt(iv_from_fraction(lam + 1))
@@ -479,15 +491,19 @@ class _PairTables:
         Per colour: every codegree attained by an eligible pair, diagonal
         included.  No lower threshold is needed: the lowest attained one
         already has every eligible pair in its event, and a smaller bound.
+        The triples come lazily, so a scan that stops early converts only the
+        codegrees it reached into Fractions.
         """
-        cands = []
-        for i, rows_i in enumerate(self.rows):
-            seen = set().union(*rows_i)
-            seen.discard(-1)
-            seen.add(self.diag[i])
-            cands.extend((self.emb.inner_from_codegree(i, d), i, d) for d in seen)
-        cands.sort(key=lambda t: (-t[0], t[1]))
-        return cands
+        per_colour = [self._colour_candidates(i) for i in range(self.emb.r)]
+        return heapq.merge(*per_colour, key=lambda t: (-t[0], t[1]))
+
+    def _colour_candidates(self, colour: int):
+        """The candidates of one colour, codegree (hence lam) descending."""
+        seen = set().union(*self.rows[colour])
+        seen.discard(-1)
+        seen.add(self.diag[colour])
+        for d in sorted(seen, reverse=True):
+            yield self.emb.inner_from_codegree(colour, d), colour, d
 
     def _partners_after(self, colour: int, d: int, a: int):
         """The partners b > a of point a at codegree threshold d."""
@@ -513,23 +529,53 @@ class _PairTables:
         return mask_of(points[b] for b in chain(before, self._partners_after(colour, d, pivot_idx)))
 
     def witnesses(self, beta):
-        """Yield (report, d, partner counts) for every candidate, in scan order,
-        whose event probability q satisfies q >= beta e^(-C sqrt(lam+1)).
+        """Yield a _Witness for every candidate, in scan order, whose event
+        probability q satisfies q >= beta e^(-C sqrt(lam+1)).
 
         The event holds the n diagonal pairs and each counted partner, so its
-        size is n + sum(counts).  The right side is rounded up before
-        comparing, so acceptance is conservative.
+        size is n + sum(counts).  The right side is at most the exact cap
+        2 beta, so q >= cap accepts at once; otherwise q is compared with the
+        right side rounded up, so acceptance is conservative either way.
         """
         r = self.emb.r
         beta = default_beta(r) if beta is None else Fraction(beta)
+        cap = 2 * beta
         total = self.n * self.n
         for lam, colour, d in self.candidates():
             counts = self.partner_counts(colour, d)
-            cnt = self.n + sum(counts)
-            bound = witness_bound_upper(lam, r, beta)
-            q = Fraction(cnt, total)
-            if q >= bound:
-                yield WitnessReport(colour, lam, q, bound, cnt, total), d, counts
+            w = _Witness(lam, colour, d, counts, Fraction(self.n + sum(counts), total), r, beta, cap)
+            if w.q >= cap or w.q >= w.bound():
+                yield w
+
+
+@dataclass(slots=True)
+class _Witness:
+    """A candidate the scan accepted, with the partner counts of its event.
+
+    ``bound()`` evaluates witness_bound_upper on its first call only; ``cap``
+    = 2 beta is an exact rational that is never below that bound when
+    beta > 0 (when beta <= 0, every test the cap decides passes either way).
+    """
+
+    lam: Fraction
+    colour: int
+    d: int                   # the codegree threshold of lam in this colour
+    counts: list[int]        # per point, its off-diagonal event partners
+    q: Fraction
+    r: int
+    beta: Fraction
+    cap: Fraction
+    cached_bound: Fraction | None = None
+
+    def bound(self) -> Fraction:
+        if self.cached_bound is None:
+            # looked up at call time, so a wrapper installed on the module sees the call
+            self.cached_bound = witness_bound_upper(self.lam, self.r, self.beta)
+        return self.cached_bound
+
+    def report(self) -> WitnessReport:
+        n = len(self.counts)
+        return WitnessReport(self.colour, self.lam, self.q, self.bound(), n + sum(self.counts), n * n)
 
 
 def find_lambda_witness(emb: Embedding, beta=None) -> WitnessReport:
@@ -541,8 +587,8 @@ def find_lambda_witness(emb: Embedding, beta=None) -> WitnessReport:
     Failure to find any witness raises LemmaViolation (it is a theorem that
     one exists).
     """
-    for rep, _d, _counts in _PairTables(emb).witnesses(beta):
-        return rep
+    for w in _PairTables(emb).witnesses(beta):
+        return w.report()
     raise LemmaViolation("no lambda witness found; this should be impossible")
 
 
@@ -556,29 +602,32 @@ def key_lemma_step(c: EdgeColouring, xset: int, ysets, alphas, beta=None) -> Key
     has all coordinates >= -1, e.g. |X| = 1), falls back to the first witness
     with the best available pivot.
 
-    Pivot ties break to the smallest vertex label.
+    Pivot ties break to the smallest vertex label.  The size bound is decided
+    against the exact cap 2 beta |X| first (met at or above it, missed with
+    no partner at all), and against the interval bound only in between.
     """
     emb = build_embedding(c, xset, ysets, alphas)
     tables = _PairTables(emb)
+    n = tables.n
     chosen = None
-    for rep, d, counts in tables.witnesses(beta):
-        best = max(counts)
-        met = best >= rep.bound * tables.n
+    for w in tables.witnesses(beta):
+        best = max(w.counts)
+        met = best >= w.cap * n or (best > 0 and best >= w.bound() * n)
         if chosen is None or met:
-            chosen = rep, d, counts.index(best), met
+            chosen = w, w.counts.index(best), met
         if met:
             break
     if chosen is None:
         raise LemmaViolation("no lambda witness found; this should be impossible")
-    rep, d, pivot_idx, met = chosen
+    w, pivot_idx, met = chosen
     return KeyStepResult(
         pivot=emb.points[pivot_idx],
-        colour=rep.colour,
-        x_prime=tables.x_prime_mask(rep.colour, d, pivot_idx),
+        colour=w.colour,
+        x_prime=tables.x_prime_mask(w.colour, w.d, pivot_idx),
         y_primes=tuple(t[pivot_idx] for t in emb.trimmed),
-        lam=rep.lam,
-        q=rep.q,
-        bound=rep.bound,
+        lam=w.lam,
+        q=w.q,
+        bound=w.bound(),
         met_size_bound=met,
     )
 

@@ -152,11 +152,13 @@ def check_lemma_45_46(trace: Trace, strict: bool = True) -> list[MonitorReport]:
     rt = h.r * h.t
     boosts = 0
     root_sum = iv.mpf(0)
+    rhs = None
     for s, x_size, _ys, _ts, _dens, boost in _states(trace):
         if boost is not None:
             boosts += 1
             root_sum += iv.sqrt(iv_from_fraction(boost.lam + 1))
-        rhs = eps ** (rt + boosts) * iv.exp(-c_iv * root_sum) * h.initial_x_size - rt
+        if rhs is None or boost is not None:  # the right side moves only at a boost
+            rhs = eps ** (rt + boosts) * iv.exp(-c_iv * root_sum) * h.initial_x_size - rt
         rep45.checked += 1
         if not certify_interval_ge(iv_from_int(x_size), rhs):
             _lo, hi = interval_endpoints(rhs)

@@ -1,7 +1,9 @@
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from mpmath import iv
 
 from ramseybook.book_engine import (
     EngineParams,
@@ -12,9 +14,12 @@ from ramseybook.book_engine import (
     run,
     write_trace,
 )
+from ramseybook.bounds import certify_interval_ge, interval_endpoints, iv_from_fraction, iv_from_int
 from ramseybook.colouring import iter_vertices, mask_of, random_colouring
 from ramseybook.errors import InvalidInput, LemmaViolation, ParseError
+from ramseybook.geometry import c_interval
 from ramseybook.monitors import (
+    MonitorReport,
     check_lemma_41,
     check_lemma_42,
     check_lemma_43,
@@ -381,3 +386,62 @@ class TestMonitorsNegative:
         assert reports["4.6"].skipped and reports["4.6"].ok and reports["4.6"].checked == 0
         assert "lambda > lambda0" in reports["4.6"].reason
         assert reports["structure"].violations == [{"s": 0, "problem": "boost step with lambda <= lambda0"}]
+
+
+def reference_lemma_45(trace) -> dict:
+    """Lemma 4.5's report from the loop that rebuilt the right side at every
+    state; check_lemma_45_46 rebuilds it only at the states after a boost."""
+    h = trace.header
+    rep = MonitorReport("4.5", True)
+    c_iv = c_interval(h.r)
+    eps = iv_from_fraction(h.beta / h.r) * iv.exp(-c_iv * iv.sqrt(iv_from_fraction(h.lambda0 + 1)))
+    rt = h.r * h.t
+    boosts = 0
+    root_sum = iv.mpf(0)
+    states = [(0, h.initial_x_size, None)] + [(rec.s + 1, rec.x_size, rec) for rec in trace.records]
+    for s, x_size, rec in states:
+        if rec is not None and rec.kind == "boost":
+            boosts += 1
+            root_sum += iv.sqrt(iv_from_fraction(rec.lam + 1))
+        rhs = eps ** (rt + boosts) * iv.exp(-c_iv * root_sum) * h.initial_x_size - rt
+        rep.checked += 1
+        if not certify_interval_ge(iv_from_int(x_size), rhs):
+            _lo, hi = interval_endpoints(rhs)
+            rep.ok = False
+            rep.violations.append({"s": s, "colour": None, "lhs": str(x_size), "rhs": str(float(hi))})
+    return rep.to_json()
+
+
+class TestLemma45Reference:
+    @pytest.mark.parametrize("kw", [
+        {}, {"seed": 2}, {"t": 1}, {"r": 3, "seed": 3},
+        {"n": 30, "seed": 8, "t": 4, "lam0": F(1), "delta": F(1, 4)},
+        {"n": 30, "seed": 4, "t": 2, "lam0": F(0), "delta": F(1, 4)},
+    ])
+    def test_engine_traces(self, kw):
+        trace = _engine_trace(**kw)
+        assert check_lemma_45_46(trace, strict=False)[0].to_json() == reference_lemma_45(trace)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fabricated_boost_storms(self, seed):
+        # runs of boosts and colour steps with drawn lambdas; a large beta and
+        # reservoir lift the right side, so that some states violate the
+        # bound and some do not
+        rng = random.Random(seed)
+        base = _engine_trace(n=30, seed=8, t=4, lam0=F(1), delta=F(1, 4))
+        h = replace(base.header, beta=rng.choice([base.header.beta, F(10**8), F(10**12)]),
+                    initial_x_size=rng.choice([30, 10**6, 10**40]))
+        recs = []
+        for s in range(rng.randint(1, 40)):
+            boost = rng.random() < 0.6
+            recs.append(StepRecord(
+                s=s, kind="boost" if boost else "colour", pivot=0, witness_colour=rng.randrange(h.r),
+                chosen_colour=None if boost else 0,
+                lam=F(rng.randint(-4, 400), 4) if boost else F(rng.randint(-4, 4), 4),
+                x_size=rng.choice([0, 1, 5, 10**3, 10**30]), y_sizes=(5,) * h.r,
+                t_sizes=(0,) * h.r, densities=None,
+            ))
+        trace = Trace(h, tuple(recs))
+        got = check_lemma_45_46(trace, strict=False)[0].to_json()
+        assert got == reference_lemma_45(trace)
+        assert got["checked"] == len(recs) + 1

@@ -3,11 +3,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import iv
 
 from ramseybook.bounds import (
     LogScalar,
     appendix_check,
     book_target_bounds,
+    certify_interval_ge,
     es_upper,
     es_upper_crude,
     interval_endpoints,
@@ -16,7 +20,7 @@ from ramseybook.bounds import (
     thm51_chain,
     thm_book_hypotheses,
 )
-from ramseybook.errors import InvalidInput
+from ramseybook.errors import InvalidInput, NonFiniteEndpoint, PrecisionExhausted
 
 
 def _encloses_log_of(scalar: LogScalar, exact: F) -> bool:
@@ -216,3 +220,42 @@ class TestBookTargets:
         t = k // 2**43
         rep = book_target_bounds(2, k, t)
         assert rep.target_meets_es_at_headline
+
+
+class TestEndpoints:
+    @staticmethod
+    def reference(raw) -> F:
+        """The power-of-two product the shift-based conversion replaced."""
+        sign, man, exp, _bc = raw
+        f = F(int(man)) * F(2) ** int(exp)
+        return -f if sign else f
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.fractions(max_denominator=10**40),
+        st.integers(-(2**300), 2**300),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ))
+    def test_match_power_of_two_product(self, x):
+        enc = iv.mpf(x) if not isinstance(x, F) else iv_from_fraction(x)
+        lo_raw, hi_raw = enc._mpi_
+        assert interval_endpoints(enc) == (self.reference(lo_raw), self.reference(hi_raw))
+
+    @pytest.mark.parametrize("make", [
+        lambda: 1 / iv.mpf([-1, 1]),          # [-inf, +inf]
+        lambda: iv.log(iv.mpf([0, 1])),       # [-inf, 0]
+        lambda: iv.mpf([1, "inf"]),
+        lambda: iv.mpf("nan"),
+    ])
+    def test_non_finite_endpoint_raises(self, make):
+        with pytest.raises(NonFiniteEndpoint):
+            interval_endpoints(make())
+
+    def test_non_finite_endpoint_is_undecided(self):
+        # both were once decided by reading the infinite endpoint as 0
+        with pytest.raises(PrecisionExhausted):
+            certify_interval_ge(iv.mpf(0), 1 / iv.mpf([-1, 1]))
+        with pytest.raises(PrecisionExhausted):
+            certify_interval_ge(iv.mpf(-5), iv.log(iv.mpf([0, 1])))
+        with pytest.raises(PrecisionExhausted):
+            certify_interval_ge(iv.mpf("nan"), iv.mpf(0))

@@ -42,6 +42,16 @@ class TestGenerate:
         assert payload["n"] == 16 and payload["r"] == 4
 
 
+class TestColouringInput:
+    def test_non_canonical_colouring_exits_2(self, tmp_path, capsys):
+        rcg = tmp_path / "c.rcg"
+        rcg.write_bytes(b"3 11\n1_0 +1\n01\n")
+        code, out, err = invoke(capsys, "run-book", "-i", str(rcg), "--t", "2",
+                                "--lambda0", "10", "--delta", "1/16", "--trace", str(tmp_path / "t.jsonl"))
+        assert code == 2
+        assert out == "" and "line 2" in err
+
+
 class TestRunAndVerify:
     def test_run_book_then_verify(self, tmp_path, capsys):
         rcg = tmp_path / "c.rcg"

@@ -41,7 +41,9 @@ def reference_neighbourhoods(n, r, tri):
 
 def reference_row(fields, r):
     """The colours of one parsed row, or the message of its first bad field
-    (the per-field loop parse_colouring's bulk parse replaced)."""
+    (the per-field loop parse_colouring's bulk parse replaced).  Only when
+    every field is a colour in [0, r) does a field spelled otherwise than
+    str() spells it (sign, leading zero, underscore, whitespace) count as bad."""
     row = []
     for f in fields:
         try:
@@ -51,6 +53,9 @@ def reference_row(fields, r):
         if not 0 <= c < r:
             return f"colour {c} out of range [0, {r})"
         row.append(c)
+    for f, c in zip(fields, row):
+        if f != str(c):
+            return f"colour value {f!r} is not written as {str(c)!r}"
     return row
 
 
@@ -302,6 +307,42 @@ class TestSerialization:
                 return
             want += got
         assert parse_colouring(text) == EdgeColouring(4, r, bytes(want))
+
+    def test_non_canonical_fields_rejected(self):
+        # int() reads each of these fields, so the text used to parse to the
+        # colouring of "3 11\n10 1\n1\n" and share its SHA-256
+        with pytest.raises(ParseError) as ei:
+            parse_colouring("3 11\n1_0 +1\n01\n")
+        assert (ei.value.line, str(ei.value)) == (2, "line 2: colour value '1_0' is not written as '10'")
+        assert parse_colouring("3 11\n10 1\n1\n").serialize() == "3 11\n10 1\n1\n"
+
+    @pytest.mark.parametrize("field", ["+1", "01", "-0", "1_0", "\t1", "1\t", "1\r", "\u0661", "\uff11", "010"])
+    @pytest.mark.parametrize("r", [2, 11, MAX_COLOURS])
+    def test_each_spelling_rejected_where_it_stands(self, field, r):
+        value = int(field)
+        # a value out of range keeps its old message, however it is spelled
+        want = (f"colour {value} out of range [0, {r})" if value >= r
+                else f"colour value {field!r} is not written as {str(value)!r}")
+        for rows, line in ((f"{field} 0\n0\n", 2), (f"0 {field}\n0\n", 2), (f"0 0\n{field}\n", 3)):
+            with pytest.raises(ParseError) as ei:
+                parse_colouring(f"3 {r}\n" + rows)
+            assert str(ei.value) == f"line {line}: {want}"
+
+    @pytest.mark.parametrize("header", ["03 2", "3 +2", "3 02", "+3 2", "3 2\t", "3_0 2", "\u0663 2"])
+    def test_non_canonical_header_rejected(self, header):
+        with pytest.raises(ParseError) as ei:
+            parse_colouring(header + "\n0 1\n1\n")
+        assert ei.value.line == 1
+        assert "is not written as '" in str(ei.value)
+
+    def test_canonical_check_keeps_old_messages(self):
+        # out of range is reported as before, also next to a non-canonical field
+        with pytest.raises(ParseError) as ei:
+            parse_colouring("3 2\n+1 5\n0\n")
+        assert str(ei.value) == "line 2: colour 5 out of range [0, 2)"
+        with pytest.raises(ParseError) as ei:
+            parse_colouring("0 02\n")
+        assert str(ei.value) == "line 1: invalid header values n=0 r=2"
 
 
 class TestValidation:

@@ -7,6 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from ramseybook import geometry
+from ramseybook.bounds import interval_endpoints, precision, set_precision
 from ramseybook.colouring import from_pair_function, iter_vertices, mask_of, random_colouring
 from ramseybook.errors import (
     DegenerateDensity,
@@ -17,12 +19,14 @@ from ramseybook.errors import (
     TensorTooLarge,
 )
 from ramseybook.geometry import (
+    Embedding,
     SpecialBranch,
     VectorFamily,
     WitnessReport,
     _lowest_bits,
     _PairTables,
     build_embedding,
+    c_interval,
     check_special_bounds,
     cosh_sqrt_series,
     default_beta,
@@ -472,7 +476,7 @@ class TestBulkBuilders:
         attained = {(i, codeg[i, a, b]) for i in range(r) for a, b in eligible}
         want = sorted(((emb.inner_from_codegree(i, d), i, d) for i, d in attained),
                       key=lambda c: (-c[0], c[1]))
-        assert tables.candidates() == want
+        assert list(tables.candidates()) == want
         for _lam, i, d in want:
             partners = [[b for b in range(n) if b != a and (a, b) in eligible and codeg[i, a, b] >= d]
                         for a in range(n)]
@@ -632,3 +636,130 @@ class TestKeyStep:
                 assert chk.all_ok
                 done += 1
         assert done >= 25  # the full postconditions hold on nearly all seeds
+
+
+class TestWitnessCap:
+    """The exact cap 2 beta that decides most witness and size-bound tests
+    before the interval bound is evaluated."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lam=st.just(F(-1)) | st.fractions(min_value=-1, max_value=10**4, max_denominator=10**6),
+        r=st.integers(1, 6),
+        beta=st.sampled_from(["default", F(1, 4), F(1), F(64)])
+        | st.fractions(min_value=F(1, 10**30), max_value=10**6, max_denominator=10**30),
+        bits=st.sampled_from([16, 24, 53, 128]),
+    )
+    def test_bound_never_exceeds_cap(self, lam, r, beta, bits):
+        beta = default_beta(r) if beta == "default" else beta
+        old = precision()
+        try:
+            set_precision(bits)
+            assert witness_bound_upper(lam, r, beta) <= 2 * beta
+        finally:
+            set_precision(old)
+
+    def test_beta_itself_is_no_cap(self):
+        # at 16 bits the rounding lifts the lam = -1 bound above beta
+        old = precision()
+        try:
+            set_precision(16)
+            beta = default_beta(2)
+            assert beta < witness_bound_upper(F(-1), 2, beta) <= 2 * beta
+        finally:
+            set_precision(old)
+
+    @staticmethod
+    def minus_one_embedding(seed):
+        """An embedding of a 12-vertex colouring (r = 2) where colour 0's
+        smallest positive codegree below p_0 |N'| sits at inner product
+        exactly -1, with that candidate's event probability."""
+        c = random_colouring(12, 2, seed)
+        full = c.vertices
+        emb = build_embedding(c, full, [full] * 2, [F(1)] * 2)
+        t, m, p = emb.trimmed[0], emb.trimmed_sizes()[0], emb.densities[0]
+        codegs = sorted({(t[a] & t[b]).bit_count() for a in range(12) for b in range(a + 1, 12)})
+        d0 = next(d for d in codegs if 0 < d < m * p)
+        # codeg >= p m (p - alpha) is inner product >= -1, so this alpha puts d0 at -1
+        emb = build_embedding(c, full, [full] * 2, [p - F(d0, m), F(4)])
+        tables = _PairTables(emb)
+        assert (F(-1), 0, d0) in list(tables.candidates())
+        return emb, F(12 + sum(tables.partner_counts(0, d0)), 144)
+
+    @pytest.mark.parametrize("seed", [1, 5, 7, 9])
+    def test_witnesses_are_the_candidates_over_the_bound(self, seed):
+        # at 16 bits the lam = -1 bound rounds above beta, so with beta = q of
+        # the lam = -1 candidate, that candidate is no witness (seeds 1, 5, 7);
+        # a cap of beta itself would accept it
+        emb, q_minus_one = self.minus_one_embedding(seed)
+        tables = _PairTables(emb)
+        n = emb.npoints
+        old = precision()
+        try:
+            for bits in (16, 128):
+                set_precision(bits)
+                for beta in (q_minus_one, default_beta(2), F(1, 4), F(1), F(64)):
+                    want = [(lam, i) for lam, i, d in tables.candidates()
+                            if F(n + sum(tables.partner_counts(i, d)), n * n) >= witness_bound_upper(lam, 2, beta)]
+                    assert [(w.lam, w.colour) for w in tables.witnesses(beta)] == want
+                    if bits == 16 and beta == q_minus_one and seed in (1, 5, 7):
+                        assert (F(-1), 0) not in want
+        finally:
+            set_precision(old)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_key_step_evaluates_the_bound_once(self, seed, monkeypatch):
+        # at default beta and n <= 60, q >= 1/n and every non-empty partner
+        # set already clear the cap, so only the returned witness needs the bound
+        calls = []
+        real = geometry.witness_bound_upper
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(geometry, "witness_bound_upper", counting)
+        rng = random.Random(seed)
+        n, r = rng.randint(2, 60), rng.choice([2, 3])
+        c = random_colouring(n, r, seed)
+        alphas = [F(rng.randint(1, 8), rng.randint(1, 40)) for _ in range(r)]
+        res = key_lemma_step(c, c.vertices, [c.vertices] * r, alphas)
+        assert calls == [(res.lam, r, default_beta(r))]
+        assert res.bound == real(res.lam, r, default_beta(r))
+
+    def test_find_witness_evaluates_the_bound_once(self, monkeypatch):
+        calls = []
+        real = geometry.witness_bound_upper
+        monkeypatch.setattr(geometry, "witness_bound_upper", lambda *a: calls.append(a) or real(*a))
+        c = random_colouring(40, 2, 3)
+        rep = find_lambda_witness(build_embedding(c, c.vertices, [c.vertices] * 2, [F(1, 4)] * 2))
+        assert calls == [(rep.lam, 2, default_beta(2))]
+
+    def test_candidates_are_converted_when_pulled(self, monkeypatch):
+        c = random_colouring(40, 3, 7)
+        emb = build_embedding(c, c.vertices, [c.vertices] * 3, [F(1, 4)] * 3)
+        pulled = []
+        real = Embedding.inner_from_codegree
+        monkeypatch.setattr(Embedding, "inner_from_codegree",
+                            lambda self, i, d: pulled.append((i, d)) or real(self, i, d))
+        cands = _PairTables(emb).candidates()
+        assert pulled == []
+        first = next(cands)
+        # one head per colour, to order the colours against each other
+        assert len(pulled) == 3 and (first[1], first[2]) in pulled
+        rest = list(cands)
+        assert len(pulled) == 1 + len(rest)
+
+    def test_c_interval_follows_precision(self):
+        old = precision()
+        try:
+            widths = {}
+            for bits in (24, 128):
+                set_precision(bits)
+                lo, hi = interval_endpoints(c_interval(3))
+                assert lo * lo <= 16 * 27 <= hi * hi  # encloses C = 4 * 3^(3/2)
+                widths[bits] = hi - lo
+                assert c_interval(3) is c_interval(3)  # built once per precision
+        finally:
+            set_precision(old)
+        assert widths[24] > widths[128] > 0
