@@ -56,12 +56,21 @@ def _expect(tp, v):
     return v
 
 
+def _format_frac(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}"
+
+
 def _parse_frac(s) -> Fraction:
+    """Read a rational as the engine writes it, reduced and with a positive
+    denominator; any other spelling is rejected, so each trace has one text."""
     try:
         num, den = _expect(str, s).split("/")
-        return Fraction(int(num), int(den))
+        q = Fraction(int(num), int(den))
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad rational {s!r}") from None
+    if _format_frac(q) != s:
+        raise ParseError(f"non-canonical rational {s!r}; the engine writes {_format_frac(q)!r}")
+    return q
 
 
 @dataclass(frozen=True)
@@ -101,7 +110,7 @@ def _field_codec(tp) -> tuple:
     """(encode, decode) between a value of annotation ``tp`` and its JSON form; the
     annotations are int, str, Fraction ("num/den"), tuple[X, ...] (a list) and X | None."""
     if tp is Fraction:
-        return (lambda q: f"{q.numerator}/{q.denominator}"), _parse_frac
+        return _format_frac, _parse_frac
     if tp is int or tp is str:
         return (lambda v: v), partial(_expect, tp)
     enc, dec = _field_codec(get_args(tp)[0])

@@ -116,7 +116,7 @@ def _cmd_run_book(args) -> int:
 
 def _cmd_verify_trace(args) -> int:
     trace = book_engine.read_trace(args.trace)
-    reports = monitors.run_all_monitors(trace, strict=False)
+    reports = monitors.run_all_monitors(trace)
     payload = {"trace": args.trace, "monitors": [r.to_json() for r in reports]}
     failing = [r.lemma for r in reports if not r.ok]
     payload["ok"] = not failing

@@ -55,13 +55,9 @@ class DegenerateDensity(RamseyBookError):
 class LemmaViolation(RamseyBookError):
     """A monitored inequality that is a theorem failed: implementation bug."""
 
-    def __init__(self, message: str, context: dict | None = None):
-        super().__init__(message)
-        self.context = context or {}
-
 
 class TensorTooLarge(InvalidInput):
-    """Requested dense tensor exceeds the configured size caps."""
+    """Requested dense tensor exceeds the tensor size caps."""
 
 
 class BudgetExceeded(RamseyBookError):

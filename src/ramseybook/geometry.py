@@ -253,22 +253,22 @@ def special_f(xs) -> "mp.mpf":
     return _f_from_factors(mp, vals, [2 + _cosh_sqrt_mp(v) for v in vals])
 
 
-def cosh_sqrt_series(x, terms: int = 40):
-    """Truncated Taylor series sum x^n / (2n)! for cross-checking the closed form."""
+def cosh_sqrt_series(x):
+    """Truncated Taylor series sum_{n < 40} x^n / (2n)! for cross-checking the closed form."""
     v = _mpf(x)
     total = mp.mpf(0)
     term = mp.mpf(1)
-    for n in range(terms):
+    for n in range(40):
         if n > 0:
             term = term * v / ((2 * n - 1) * (2 * n))
         total += term
     return total
 
 
-def special_f_series(xs, terms: int = 40):
+def special_f_series(xs):
     """f evaluated with series-expanded cosh sqrt factors."""
     vals = [_mpf(x) for x in xs]
-    return _f_from_factors(mp, vals, [2 + cosh_sqrt_series(v, terms) for v in vals])
+    return _f_from_factors(mp, vals, [2 + cosh_sqrt_series(v) for v in vals])
 
 
 def _exact(x) -> Fraction:
@@ -383,7 +383,7 @@ def moment_double_sum(family, ells) -> Fraction:
     return total / (n * n)
 
 
-def moment_tensor(family, ells, order_cap: int = TENSOR_ORDER_CAP, dim_cap: int = TENSOR_DIM_CAP) -> Fraction:
+def moment_tensor(family, ells) -> Fraction:
     """<E[Z], E[Z]> via an explicit dense tensor-power average; equals the double sum.
 
     Z is the order-(sum ells) tensor product of the point's vectors, one
@@ -394,14 +394,14 @@ def moment_tensor(family, ells, order_cap: int = TENSOR_ORDER_CAP, dim_cap: int 
         family = family.as_family()
     ells = _check_exponents(family, ells)
     order = sum(ells)
-    if order > order_cap:
-        raise TensorTooLarge(f"tensor order {order} exceeds cap {order_cap}")
+    if order > TENSOR_ORDER_CAP:
+        raise TensorTooLarge(f"tensor order {order} exceeds cap {TENSOR_ORDER_CAP}")
     a_seq = [i for i, e in enumerate(ells) for _ in range(e)]
     dims = [family.dim(i) for i in a_seq]
     size = 1
     for i, d in zip(a_seq, dims):
-        if d > dim_cap:
-            raise TensorTooLarge(f"colour {i} has dimension {d} > cap {dim_cap}")
+        if d > TENSOR_DIM_CAP:
+            raise TensorTooLarge(f"colour {i} has dimension {d} > cap {TENSOR_DIM_CAP}")
         size *= d
     total = [Fraction(0)] * size
     for a in range(family.npoints):

@@ -2,9 +2,9 @@
 
 Every monitor re-derives its inequality from the recorded exact rationals
 (or, where a side is irrational, from a directed interval enclosure rounded
-against the inequality), checks it at every state of the trace, and raises
-LemmaViolation on the first failure.  Monitors whose stated hypotheses fail
-report themselves as skipped instead of guessing.
+against the inequality), checks it at every state of the trace, and reports
+every failure.  Monitors whose stated hypotheses fail report themselves as
+skipped instead of guessing.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from fractions import Fraction
 from mpmath import iv
 
 from .book_engine import KIND_BOOST, KIND_COLOUR, Trace
-from .errors import LemmaViolation
 from .geometry import c_interval
 from .bounds import (
     certify_interval_ge,
@@ -52,15 +51,12 @@ def _boosts(trace: Trace) -> list:
     return [rec for rec in trace.records if rec.kind == KIND_BOOST]
 
 
-def _violation(lemma: str, s: int, colour, lhs, rhs, strict: bool, report: MonitorReport):
-    entry = {"s": s, "colour": colour, "lhs": str(lhs), "rhs": str(rhs)}
-    if strict:
-        raise LemmaViolation(f"{lemma} fails at s={s}, i={colour}: {lhs} < {rhs}", context=entry)
+def _violation(s: int, colour, lhs, rhs, report: MonitorReport):
     report.ok = False
-    report.violations.append(entry)
+    report.violations.append({"s": s, "colour": colour, "lhs": str(lhs), "rhs": str(rhs)})
 
 
-def check_lemma_41(trace: Trace, strict: bool = True) -> MonitorReport:
+def check_lemma_41(trace: Trace) -> MonitorReport:
     """p_i(s) - p_0 + delta >= delta (1 - 1/t)^t prod_{boosts j in colour i} (1 + lam(j)/t)."""
     h = trace.header
     rep = MonitorReport("4.1", True)
@@ -74,11 +70,11 @@ def check_lemma_41(trace: Trace, strict: bool = True) -> MonitorReport:
             lhs = dens[i] - h.p0 + h.delta
             rep.checked += 1
             if lhs < rhs[i]:
-                _violation("Lemma 4.1", s, i, lhs, rhs[i], strict, rep)
+                _violation(s, i, lhs, rhs[i], rep)
     return rep
 
 
-def check_lemma_42(trace: Trace, strict: bool = True) -> MonitorReport:
+def check_lemma_42(trace: Trace) -> MonitorReport:
     """p_i(s) >= p_0 - 3 delta/4 and alpha_i(s) >= delta/4t; needs t >= 2."""
     h = trace.header
     rep = MonitorReport("4.2", True)
@@ -94,14 +90,14 @@ def check_lemma_42(trace: Trace, strict: bool = True) -> MonitorReport:
         for i in range(h.r):
             rep.checked += 1
             if dens[i] < p_floor:
-                _violation("Lemma 4.2 (density)", s, i, dens[i], p_floor, strict, rep)
+                _violation(s, i, dens[i], p_floor, rep)
             alpha = (dens[i] - h.p0 + h.delta) / h.t
             if alpha < a_floor:
-                _violation("Lemma 4.2 (alpha)", s, i, alpha, a_floor, strict, rep)
+                _violation(s, i, alpha, a_floor, rep)
     return rep
 
 
-def check_lemma_43(trace: Trace, strict: bool = True) -> MonitorReport:
+def check_lemma_43(trace: Trace) -> MonitorReport:
     """|B_i(s)| <= (4 log(1/delta)/lambda_0) t; needs t >= lambda_0 > 0, delta <= 1/4."""
     h = trace.header
     rep = MonitorReport("4.3", True)
@@ -116,11 +112,11 @@ def check_lemma_43(trace: Trace, strict: bool = True) -> MonitorReport:
         rep.checked += 1
         if not certify_interval_ge(bound, iv_from_int(count)):
             lo, _hi = interval_endpoints(bound)
-            _violation("Lemma 4.3", len(trace.records), i, count, float(lo), strict, rep)
+            _violation(len(trace.records), i, count, float(lo), rep)
     return rep
 
 
-def check_lemma_44(trace: Trace, strict: bool = True) -> MonitorReport:
+def check_lemma_44(trace: Trace) -> MonitorReport:
     """|Y_i(s)| >= (p_0 - 3 delta/4)^(t + |B_i(s)|) |Y_i(0)|; needs t >= 2, p_0 > 3 delta/4."""
     h = trace.header
     rep = MonitorReport("4.4", True)
@@ -137,11 +133,11 @@ def check_lemma_44(trace: Trace, strict: bool = True) -> MonitorReport:
             rhs = base ** (h.t + boosts[i]) * h.initial_y_sizes[i]
             rep.checked += 1
             if ys[i] < rhs:
-                _violation("Lemma 4.4", s, i, ys[i], rhs, strict, rep)
+                _violation(s, i, ys[i], rhs, rep)
     return rep
 
 
-def check_lemma_45_46(trace: Trace, strict: bool = True) -> list[MonitorReport]:
+def check_lemma_45_46(trace: Trace) -> list[MonitorReport]:
     """The reservoir-size lower bound (4.5, unconditional) and the boost
     lambda-sum bound (4.6, needs t >= lambda0/delta > 0, delta <= 1/4 and
     lambda > lambda0 at every boost)."""
@@ -162,7 +158,7 @@ def check_lemma_45_46(trace: Trace, strict: bool = True) -> list[MonitorReport]:
         rep45.checked += 1
         if not certify_interval_ge(iv_from_int(x_size), rhs):
             _lo, hi = interval_endpoints(rhs)
-            _violation("Lemma 4.5", s, None, x_size, float(hi), strict, rep45)
+            _violation(s, None, x_size, float(hi), rep45)
     rep46 = MonitorReport("4.6", True)
     if h.lambda0 <= 0 or h.delta > Fraction(1, 4) or h.t < h.lambda0 / h.delta:
         rep46.skipped = True
@@ -177,11 +173,11 @@ def check_lemma_45_46(trace: Trace, strict: bool = True) -> list[MonitorReport]:
         if not certify_interval_ge(bound, total):
             lo, _hi = interval_endpoints(bound)
             _lo2, hi2 = interval_endpoints(total)
-            _violation("Lemma 4.6", len(trace.records), None, float(hi2), float(lo), strict, rep46)
+            _violation(len(trace.records), None, float(hi2), float(lo), rep46)
     return [rep45, rep46]
 
 
-def validate_trace_structure(trace: Trace, strict: bool = True) -> MonitorReport:
+def validate_trace_structure(trace: Trace) -> MonitorReport:
     """Structural soundness of a trace, independent of the colouring.
 
     Checks the colour/boost dichotomy against lambda_0, that exactly one Y
@@ -192,15 +188,13 @@ def validate_trace_structure(trace: Trace, strict: bool = True) -> MonitorReport
     h = trace.header
     rep = MonitorReport("structure", True)
     states = list(_states(trace))
+
+    def bad(msg):
+        rep.ok = False
+        rep.violations.append({"s": rec.s, "problem": msg})
+
     for rec, (_, x_size, y_sizes, t_sizes, dens, _), (_, x2, y2, t2, _, _) in zip(trace.records, states, states[1:]):
         rep.checked += 1
-
-        def bad(msg):
-            entry = {"s": rec.s, "problem": msg}
-            if strict:
-                raise LemmaViolation(f"trace structure: {msg} at s={rec.s}", context=entry)
-            rep.ok = False
-            rep.violations.append(entry)
 
         if rec.kind == KIND_COLOUR and rec.lam > h.lambda0:
             bad("colour step with lambda > lambda0")
@@ -230,13 +224,12 @@ def validate_trace_structure(trace: Trace, strict: bool = True) -> MonitorReport
     return rep
 
 
-def run_all_monitors(trace: Trace, strict: bool = False) -> list[MonitorReport]:
-    reports = [
-        validate_trace_structure(trace, strict),
-        check_lemma_41(trace, strict),
-        check_lemma_42(trace, strict),
-        check_lemma_43(trace, strict),
-        check_lemma_44(trace, strict),
+def run_all_monitors(trace: Trace) -> list[MonitorReport]:
+    return [
+        validate_trace_structure(trace),
+        check_lemma_41(trace),
+        check_lemma_42(trace),
+        check_lemma_43(trace),
+        check_lemma_44(trace),
+        *check_lemma_45_46(trace),
     ]
-    reports.extend(check_lemma_45_46(trace, strict))
-    return reports

@@ -28,11 +28,10 @@ __all__ = [
 @dataclass(frozen=True)
 class SearchBudget:
     n_cap: int = 256
-    k_cap: int = 512
     node_limit: int = 10_000_000
 
     def __post_init__(self):
-        if self.n_cap < 1 or self.k_cap < 1 or self.node_limit < 1:
+        if self.n_cap < 1 or self.node_limit < 1:
             raise InvalidInput("budget fields must be positive")
 
 
@@ -95,7 +94,7 @@ def max_mono_clique(c: EdgeColouring, colour: int, budget: SearchBudget | None =
             return
         order = bound_order(pmask)
         for v, cls in reversed(order):
-            if rsize + cls <= best["size"] or best["size"] >= budget.k_cap:
+            if rsize + cls <= best["size"]:
                 return
             bit = 1 << v
             expand(rsize + 1, rmask | bit, pmask & adj[v])
@@ -291,10 +290,9 @@ class EngineValidation:
         return self.engine_pages / self.oracle_pages
 
 
-def validate_book_engine(c: EdgeColouring, params: EngineParams,
-                         budget: SearchBudget | None = None) -> EngineValidation:
+def validate_book_engine(c: EdgeColouring, params: EngineParams) -> EngineValidation:
     """Run the engine on X = Y_i = V and compare any found book to the oracle optimum."""
-    budget = budget or SearchBudget(n_cap=14)
+    budget = SearchBudget(n_cap=14)
     if c.n > budget.n_cap:
         raise BudgetExceeded(f"n={c.n} exceeds n_cap={budget.n_cap}")
     outcome = run(c, c.vertices, [c.vertices] * c.r, params)

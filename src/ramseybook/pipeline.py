@@ -6,14 +6,14 @@ for a clique inside the pages with the brute-force oracle.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import iv
 
 from .book_engine import EngineParams, run
 from .bounds import LogScalar, certify_interval_ge, iv_from_fraction
-from .colouring import EdgeColouring, iter_vertices, vertex_list
+from .colouring import EdgeColouring, iter_vertices, mask_of, vertex_list
 from .errors import (
     DegenerateDensity,
     InvalidInput,
@@ -23,6 +23,7 @@ from .errors import (
 from .oracle import SearchBudget, max_mono_clique
 
 DESK_CLIQUE_CAP = 6
+PAGE_CLIQUE_BUDGET = SearchBudget(n_cap=512)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +176,6 @@ class DriverConfig:
     escape_sum: int | None = None       # default: escape once sum |S_i| >= k
     partition: bool = False             # split W into X, Y_1..Y_r instead of sharing it
     partition_seed: int = 0
-    budget: SearchBudget = field(default_factory=lambda: SearchBudget(n_cap=512))
 
 
 @dataclass(frozen=True)
@@ -224,9 +224,7 @@ def desk_ramsey_driver(c: EdgeColouring, k: int, config: DriverConfig | None = N
 
     for i in range(c.r):
         if reg.s_sizes[i] >= k:
-            spine = 0
-            for v in list(iter_vertices(reg.s_sets[i]))[:k]:
-                spine |= 1 << v
+            spine = mask_of(vertex_list(reg.s_sets[i])[:k])
             if not c.is_mono_clique(spine, i):
                 raise LemmaViolation("regularisation spine is not a clique")
             report["branch"] = "spine_clique"
@@ -258,11 +256,7 @@ def desk_ramsey_driver(c: EdgeColouring, k: int, config: DriverConfig | None = N
     report["branch"] = "book"
     try:
         outcome = run(c, xset, ysets, params)
-    except InvalidInput as e:
-        report["branch"] = "degenerate"
-        report["detail"] = str(e)
-        return BookPhaseReport(report)
-    except DegenerateDensity as e:
+    except (InvalidInput, DegenerateDensity) as e:
         report["branch"] = "degenerate"
         report["detail"] = str(e)
         return BookPhaseReport(report)
@@ -286,13 +280,10 @@ def desk_ramsey_driver(c: EdgeColouring, k: int, config: DriverConfig | None = N
         }
     )
     need = k - config.t
-    size, witness = max_mono_clique(c, colour, config.budget, within=pages)
+    size, witness = max_mono_clique(c, colour, PAGE_CLIQUE_BUDGET, within=pages)
     report["book_phase"]["page_clique"] = size
     if size >= need:
-        sub = 0
-        for v in list(iter_vertices(witness))[:need]:
-            sub |= 1 << v
-        clique = spine | sub
+        clique = spine | mask_of(vertex_list(witness)[:need])
         if not c.is_mono_clique(clique, colour):
             raise LemmaViolation("assembled clique failed verification")
         report["branch"] = "book_clique"

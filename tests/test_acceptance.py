@@ -189,7 +189,7 @@ class TestAcceptance:
                 except DegenerateDensity as e:
                     trace = e.trace  # partial traces are monitored too
                 runs += 1
-                for rep in run_all_monitors(trace, strict=False):
+                for rep in run_all_monitors(trace):
                     if not rep.ok:
                         violations += 1
         elapsed = time.time() - start

@@ -16,7 +16,7 @@ from ramseybook.book_engine import (
 )
 from ramseybook.bounds import certify_interval_ge, interval_endpoints, iv_from_fraction, iv_from_int
 from ramseybook.colouring import iter_vertices, mask_of, random_colouring
-from ramseybook.errors import InvalidInput, LemmaViolation, ParseError
+from ramseybook.errors import InvalidInput, ParseError
 from ramseybook.geometry import c_interval
 from ramseybook.monitors import (
     MonitorReport,
@@ -70,7 +70,7 @@ class TestRun:
         if out.found:
             assert c.is_mono_book(out.spine, out.pages, out.book_colour)
             assert out.spine.bit_count() == 3
-        for rep in run_all_monitors(out.trace, strict=True):
+        for rep in run_all_monitors(out.trace):
             assert rep.ok
 
     def test_preconditions(self, c5):
@@ -97,7 +97,7 @@ class TestRun:
     def test_exactly_one_y_changes_per_round(self):
         c = random_colouring(50, 2, 31)
         out = run_full(c, EngineParams(t=2, lambda0=F(10), delta=F(1, 8)))
-        rep = validate_trace_structure(out.trace, strict=True)
+        rep = validate_trace_structure(out.trace)
         assert rep.ok and rep.checked == len(out.trace.records)
 
     def test_state_soundness_recomputed(self):
@@ -229,6 +229,12 @@ class TestTraceIO:
             spoil_step('"lambda":"344/45"', '"lambda":"-3/1"'),
             spoil_step('"kind":"colour"', '"kind":"other"'),                # rejected before typing, too
             spoil_step('"s":0', '"s":1'),                                 # steps count from 0
+            # rationals spelt other than as the engine writes them
+            spoil_head('"delta":"1/8"', '"delta":"+01/0_8"'),
+            spoil_head('"delta":"1/8"', '"delta":"2/16"'),
+            spoil_head('"delta":"1/8"', '"delta":" 1/8"'),
+            spoil_head('"delta":"1/8"', '"delta":"1/-8"'),
+            spoil_step('"lambda":"344/45"', '"lambda":"-0/1"'),
         ]
         for text, line in malformed:
             with pytest.raises(ParseError) as info:
@@ -256,12 +262,12 @@ class TestMonitorsPositive:
     def test_all_pass_on_engine_traces(self):
         for seed in range(6):
             trace = _engine_trace(seed=seed)
-            for rep in run_all_monitors(trace, strict=True):
+            for rep in run_all_monitors(trace):
                 assert rep.ok
 
     def test_lemma41_initial_state(self):
         trace = _engine_trace()
-        rep = check_lemma_41(trace, strict=True)
+        rep = check_lemma_41(trace)
         assert rep.ok and rep.checked > 0
 
     def test_lemma42_skipped_for_t1(self):
@@ -272,9 +278,9 @@ class TestMonitorsPositive:
     def test_lemma43_46_active_when_hypotheses_hold(self):
         # t >= lambda0 and t >= lambda0/delta need a small threshold
         trace = _engine_trace(n=30, seed=8, t=4, lam0=F(1), delta=F(1, 4))
-        rep43 = check_lemma_43(trace, strict=True)
+        rep43 = check_lemma_43(trace)
         assert not rep43.skipped and rep43.ok
-        rep45, rep46 = check_lemma_45_46(trace, strict=True)
+        rep45, rep46 = check_lemma_45_46(trace)
         assert rep45.ok
         assert not rep46.skipped and rep46.ok
 
@@ -297,9 +303,12 @@ class TestMonitorsNegative:
             trace = Trace(trace.header, trace.records[:-1])
             rec = trace.records[-1]
         bad = _tamper(trace, densities=tuple(F(0) for _ in rec.densities))
-        with pytest.raises(LemmaViolation):
-            check_lemma_41(bad, strict=True)
-        assert not check_lemma_41(bad, strict=False).ok
+        rep = check_lemma_41(bad)
+        s, h = len(bad.records), bad.header
+        assert not rep.ok
+        assert [(v["s"], v["colour"], v["lhs"]) for v in rep.violations] == [
+            (s, i, str(h.delta - h.p0)) for i in range(h.r)
+        ]
 
     def test_lemma42_catches_fabricated_density(self):
         trace = _engine_trace(t=2)
@@ -307,8 +316,13 @@ class TestMonitorsNegative:
         if rec.densities is None:
             trace = Trace(trace.header, trace.records[:-1])
         bad = _tamper(trace, densities=tuple(F(0) for _ in range(trace.header.r)))
-        with pytest.raises(LemmaViolation):
-            check_lemma_42(bad, strict=True)
+        s = len(bad.records)
+        assert check_lemma_42(bad).violations == [
+            {"s": s, "colour": 0, "lhs": "0", "rhs": "21/160"},    # density
+            {"s": s, "colour": 0, "lhs": "-1/20", "rhs": "1/64"},  # alpha
+            {"s": s, "colour": 1, "lhs": "0", "rhs": "21/160"},
+            {"s": s, "colour": 1, "lhs": "-1/20", "rhs": "1/64"},
+        ]
 
     def test_lemma43_catches_fabricated_boost_storm(self):
         trace = _engine_trace(n=30, seed=8, t=4, lam0=F(1), delta=F(1, 4))
@@ -319,14 +333,17 @@ class TestMonitorsNegative:
         )
         flood = tuple(replace(boost, s=i) for i in range(100))
         bad = Trace(trace.header, flood)
-        with pytest.raises(LemmaViolation):
-            check_lemma_43(bad, strict=True)
+        rep = check_lemma_43(bad)
+        assert [(v["s"], v["colour"], v["lhs"]) for v in rep.violations] == [(100, 0, "100")]
 
     def test_lemma44_catches_shrunken_pages(self):
         trace = _engine_trace(t=2)
         bad = _tamper(trace, y_sizes=(0,) * trace.header.r)
-        with pytest.raises(LemmaViolation):
-            check_lemma_44(bad, strict=True)
+        s = len(bad.records)
+        assert check_lemma_44(bad).violations == [
+            {"s": s, "colour": 0, "lhs": "0", "rhs": "441/640"},
+            {"s": s, "colour": 1, "lhs": "0", "rhs": "441/640"},
+        ]
 
     def test_lemma45_catches_vanishing_reservoir(self):
         trace = _engine_trace(t=2, lam0=F(1), delta=F(1, 4))
@@ -339,8 +356,9 @@ class TestMonitorsNegative:
             t_sizes=(1, 0), densities=None,
         )
         bad = Trace(big_header, (rec,))
-        rep45, _ = check_lemma_45_46(bad, strict=False)
+        rep45, _ = check_lemma_45_46(bad)
         assert not rep45.ok
+        assert [(v["s"], v["colour"], v["lhs"]) for v in rep45.violations] == [(1, None, "0")]
 
     def test_lemma46_catches_huge_lambdas(self):
         trace = _engine_trace(n=30, seed=8, t=4, lam0=F(1), delta=F(1, 4))
@@ -350,8 +368,9 @@ class TestMonitorsNegative:
             t_sizes=(0,) * trace.header.r, densities=None,
         )
         bad = Trace(trace.header, tuple(replace(boost, s=i) for i in range(8)))
-        _, rep46 = check_lemma_45_46(bad, strict=False)
+        _, rep46 = check_lemma_45_46(bad)
         assert not rep46.skipped and not rep46.ok
+        assert [(v["s"], v["colour"]) for v in rep46.violations] == [(8, None)]
 
     def test_structure_catches_wrong_kind(self):
         trace = _engine_trace(lam0=F(1))
@@ -364,25 +383,40 @@ class TestMonitorsNegative:
             pytest.skip("trace had no boost step")
         recs = list(trace.records)
         recs[target] = replace(recs[target], kind="colour", chosen_colour=0)
-        with pytest.raises(LemmaViolation):
-            validate_trace_structure(Trace(trace.header, tuple(recs)), strict=True)
+        assert validate_trace_structure(Trace(trace.header, tuple(recs))).violations == [
+            {"s": target, "problem": "colour step with lambda > lambda0"},
+            {"s": target, "problem": "spine growth mismatch on colour step"},
+        ]
 
     def test_structure_reports_colour_step_without_colour(self):
         trace = _engine_trace()
         assert trace.records[0].kind == "colour"
         bad = Trace(trace.header, (replace(trace.records[0], chosen_colour=None),) + trace.records[1:])
-        structure = run_all_monitors(bad, strict=False)[0]
+        structure = run_all_monitors(bad)[0]
         assert structure.lemma == "structure" and not structure.ok
         assert structure.violations == [{"s": 0, "problem": "colour step without a chosen colour"}]
-        with pytest.raises(LemmaViolation):
-            validate_trace_structure(bad, strict=True)
+        assert validate_trace_structure(bad).violations == structure.violations
+
+    def test_run_all_reports_every_monitor_and_every_violation(self):
+        # a colour step without a colour breaks the structure check, and the
+        # zeroed final densities break Lemma 4.1; neither hides the other
+        trace = _engine_trace()
+        assert trace.records[0].kind == "colour" and trace.records[-1].densities is not None
+        bad = _tamper(trace, densities=(F(0),) * trace.header.r)
+        bad = Trace(bad.header, (replace(bad.records[0], chosen_colour=None),) + bad.records[1:])
+        reports = run_all_monitors(bad)
+        assert [rep.lemma for rep in reports] == ["structure", "4.1", "4.2", "4.3", "4.4", "4.5", "4.6"]
+        structure, lemma41 = reports[0], reports[1]
+        assert {"s": 0, "problem": "colour step without a chosen colour"} in structure.violations
+        s = len(bad.records)
+        assert [(v["s"], v["colour"]) for v in lemma41.violations] == [(s, 0), (s, 1)]
 
     @pytest.mark.parametrize("lam", [F(-1), F(-1, 2), F(0), F(1)])
     def test_lemma46_skipped_when_a_boost_is_not_above_lambda0(self, lam):
         trace = _engine_trace(n=30, seed=8, t=4, lam0=F(1), delta=F(1, 4))
         assert trace.records[0].kind == "boost"
         bad = Trace(trace.header, (replace(trace.records[0], lam=lam),) + trace.records[1:])
-        reports = {rep.lemma: rep for rep in run_all_monitors(bad, strict=False)}
+        reports = {rep.lemma: rep for rep in run_all_monitors(bad)}
         assert reports["4.6"].skipped and reports["4.6"].ok and reports["4.6"].checked == 0
         assert "lambda > lambda0" in reports["4.6"].reason
         assert reports["structure"].violations == [{"s": 0, "problem": "boost step with lambda <= lambda0"}]
@@ -420,7 +454,7 @@ class TestLemma45Reference:
     ])
     def test_engine_traces(self, kw):
         trace = _engine_trace(**kw)
-        assert check_lemma_45_46(trace, strict=False)[0].to_json() == reference_lemma_45(trace)
+        assert check_lemma_45_46(trace)[0].to_json() == reference_lemma_45(trace)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_fabricated_boost_storms(self, seed):
@@ -442,6 +476,6 @@ class TestLemma45Reference:
                 t_sizes=(0,) * h.r, densities=None,
             ))
         trace = Trace(h, tuple(recs))
-        got = check_lemma_45_46(trace, strict=False)[0].to_json()
+        got = check_lemma_45_46(trace)[0].to_json()
         assert got == reference_lemma_45(trace)
         assert got["checked"] == len(recs) + 1

@@ -116,10 +116,12 @@ class TestRunAndVerify:
             (1, lambda h: h.replace('"t":2', '"t":0')),
             (1, lambda h: h.replace('"delta":"1/8"', '"delta":"0/1"')),
             (1, lambda h: h.replace('"lambda0":"5/1"', '"lambda0":"-2/1"')),
+            (1, lambda h: h.replace('"delta":"1/8"', '"delta":"2/16"')),
         ],
         ids=["array", "numeric-rational", "numeric-sizes", "non-ascii", "string-int", "bool-int",
              "float-int", "numeric-hash", "string-sizes", "short-sizes", "chosen-colour-range",
-             "witness-colour-range", "wrong-r", "zero-t", "zero-delta", "negative-lambda0"],
+             "witness-colour-range", "wrong-r", "zero-t", "zero-delta", "negative-lambda0",
+             "unreduced-rational"],
     )
     def test_verify_malformed_trace_is_usage_error(self, tmp_path, capsys, line, spoil):
         rcg = tmp_path / "c.rcg"

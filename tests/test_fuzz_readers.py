@@ -86,7 +86,7 @@ class TestTraceFuzz:
             return
         assert parse_trace(trace.to_text()) == trace
         try:
-            run_all_monitors(trace, strict=False)
+            run_all_monitors(trace)
         except RamseyBookError:
             pass
 
