@@ -52,19 +52,6 @@ def iv_from_fraction(q: Fraction):
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
-def iv_from(x):
-    """Interval enclosure of an int, Fraction, or float (floats are exact binary)."""
-    if isinstance(x, bool):
-        raise InvalidInput("boolean is not a number here")
-    if isinstance(x, int):
-        return iv_from_int(x)
-    if isinstance(x, Fraction):
-        return iv_from_fraction(x)
-    if isinstance(x, float):
-        return iv.mpf(x)
-    return iv.mpf(x)  # already an interval or mpf
-
-
 def _raw_to_fraction(raw) -> Fraction:
     sign, man, exp, _bc = raw
     if not man and exp:  # mpmath tags +inf, -inf and nan with a zero mantissa
@@ -149,14 +136,8 @@ class LogScalar:
 
     @classmethod
     def exp(cls, exponent) -> "LogScalar":
-        """e**exponent for an exact rational (or interval) exponent."""
-        return cls(1, iv_from(exponent))
-
-    @classmethod
-    def from_log(cls, sign: int, log) -> "LogScalar":
-        if sign == 0:
-            return cls.zero()
-        return cls(sign, iv_from(log))
+        """e**exponent for an exact rational exponent."""
+        return cls(1, iv_from_fraction(Fraction(exponent)))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -186,7 +167,7 @@ class LogScalar:
             sign = -1 if exponent % 2 else 1
         else:
             sign = 1
-        return LogScalar(sign, self.log * iv_from(Fraction(exponent)))
+        return LogScalar(sign, self.log * iv_from_fraction(Fraction(exponent)))
 
     def __add__(self, other: "LogScalar") -> "LogScalar":
         if self.sign == 0:
@@ -401,7 +382,7 @@ def thm_book_hypotheses(p, mu, t: int, m: int, r: int, size_x, size_ys) -> ThmBo
     y_need_log = (
         iv_from_fraction(Fraction(2**13 * r**3) / mu**2) - iv.log(iv_from_fraction(p))
     ) * t + iv.log(iv_from_int(m))
-    y_need = LogScalar.from_log(1, y_need_log)
+    y_need = LogScalar(1, y_need_log)
     for i, sy in enumerate(size_ys):
         links.append(
             _log_link(f"Y{i}", "|Y_i| >= (e^(2^13 r^3/mu^2)/p)^t m", LogScalar.from_int(sy), y_need)
@@ -480,8 +461,8 @@ def thm51_chain(r: int, k: int | None = None) -> Thm51Report:
     # (ii) the |X| chain: r^(rk/4) >= (2^61 r^7)^(2^-10 r k) >= (mu^2/p)^(mu r t)
     e1 = r * k // 4
     e2 = r * k // 2**10
-    lhs_a = LogScalar.from_log(1, e1 * iv.log(iv_from_int(r)))
-    rhs_a = LogScalar.from_log(1, e2 * iv.log(iv_from_int(2**61 * r**7)))
+    lhs_a = LogScalar(1, e1 * iv.log(iv_from_int(r)))
+    rhs_a = LogScalar(1, e2 * iv.log(iv_from_int(2**61 * r**7)))
     links.append(_log_link("ii-a", "r^(rk/4) >= (2^61 r^7)^(2^-10 rk)", lhs_a, rhs_a))
     exponents_match = mu * r * t == e2
     base_ok = Fraction(2**61 * r**7) >= Fraction(mu) ** 2 / p
@@ -592,8 +573,8 @@ def book_target_bounds(r: int, k: int, t: int) -> BookTargetReport:
     if not 0 <= t <= k:
         raise InvalidInput("need 0 <= t <= k")
     ln_r = iv.log(iv_from_int(r))
-    page_coeff = LogScalar.from_log(1, iv_from_fraction(Fraction(-t * t, 8 * k)) - t * ln_r)
-    es_bound = LogScalar.from_log(1, iv_from_fraction(Fraction(-t * t, 6 * k)) + (r * k - t) * ln_r)
+    page_coeff = LogScalar(1, iv_from_fraction(Fraction(-t * t, 8 * k)) - t * ln_r)
+    es_bound = LogScalar(1, iv_from_fraction(Fraction(-t * t, 6 * k)) + (r * k - t) * ln_r)
     n_threshold = es_bound / page_coeff
     meets = _delta51(r) <= Fraction(t * t, 24 * k * k) if t > 0 else False
     return BookTargetReport(r, k, t, page_coeff, es_bound, n_threshold, meets)

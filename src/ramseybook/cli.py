@@ -84,6 +84,8 @@ def _cmd_run_book(args) -> int:
     if args.mu is not None or args.p is not None:
         if args.mu is None or args.p is None:
             raise InvalidInput("--mu and --p must be given together")
+        if args.lambda0 is not None or args.delta is not None:
+            raise InvalidInput("give either --lambda0/--delta or --mu/--p, not both")
         delta, lambda0 = book_engine.derive_boost_threshold(args.mu, args.p, c.r)
     else:
         if args.lambda0 is None or args.delta is None:
@@ -174,7 +176,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    budget = oracle.SearchBudget(node_limit=args.node_limit) if args.node_limit else None
+    budget = None if args.node_limit is None else oracle.SearchBudget(node_limit=args.node_limit)
     if args.which == "ramsey":
         res = oracle.ramsey_exhaustive(args.r, args.ks, args.n, budget)
         payload = {"result": res.result, "nodes": res.nodes}

@@ -118,7 +118,7 @@ class EdgeColouring:
         return self._tri[pair_index(self.n, u, v)]
 
     def neighbourhood(self, v: int, i: int) -> int:
-        """Bitmask of N_i(v).  The r neighbourhoods of v partition V \\ {v}."""
+        """Bitmask of N_i(v).  The r neighbourhoods of v are disjoint and cover V \\ {v}."""
         self._check_vertex(v)
         if not 0 <= i < self.r:
             raise InvalidColour(f"colour {i} out of range [0, {self.r})")

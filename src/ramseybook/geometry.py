@@ -105,7 +105,6 @@ class Embedding:
     inner products are (codeg - p_i^2 |Y_i|) / (alpha_i p_i |Y_i|), exact.
     """
 
-    colouring: EdgeColouring
     points: tuple[int, ...]
     y_masks: tuple[int, ...]
     y_sizes: tuple[int, ...]
@@ -201,7 +200,6 @@ def build_embedding(c: EdgeColouring, xset: int, ysets, alphas) -> Embedding:
         densities.append(Fraction(m, ysize))
         trimmed.append(tuple(mm if mm.bit_count() == m else _lowest_bits(mm, m) for mm in masks))
     return Embedding(
-        colouring=c,
         points=points,
         y_masks=ysets,
         y_sizes=tuple(y_sizes),

@@ -5,7 +5,6 @@ for a clique inside the pages with the brute-force oracle.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -171,11 +170,7 @@ def lemma53_check(r: int, k: int, eps, ss) -> Lemma53Report:
 class DriverConfig:
     eps: Fraction = Fraction(1, 20)
     t: int = 1
-    lambda0: Fraction = Fraction(10)
-    delta: Fraction = Fraction(1, 16)
     escape_sum: int | None = None       # default: escape once sum |S_i| >= k
-    partition: bool = False             # split W into X, Y_1..Y_r instead of sharing it
-    partition_seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -196,9 +191,10 @@ class BookPhaseReport:
 
 def desk_ramsey_driver(c: EdgeColouring, k: int, config: DriverConfig | None = None):
     """Regularise, run the book engine on the regular core, then hunt a
-    K_{k-t} inside the returned pages.  Returns CliqueFound with a verified
-    monochromatic K_k, or a BookPhaseReport describing where the pipeline
-    stopped.
+    K_{k-t} inside the returned pages.  The engine runs at lambda0 = 10,
+    delta = 1/16 on X = Y_i = W, the core that regularisation leaves.
+    Returns CliqueFound with a verified monochromatic K_k, or a
+    BookPhaseReport describing where the pipeline stopped.
     """
     config = config or DriverConfig()
     if k < 1:
@@ -235,27 +231,13 @@ def desk_ramsey_driver(c: EdgeColouring, k: int, config: DriverConfig | None = N
         report["branch"] = "escape"
         eps2k = config.eps * config.eps * k
         if reg.total_spine >= eps2k:
-            l53 = lemma53_check(c.r, k, config.eps, reg.s_sizes) if c.r >= 2 and k >= 2 else None
-            report["escape_bound"] = None if l53 is None else l53.to_json()
+            report["escape_bound"] = lemma53_check(c.r, k, config.eps, reg.s_sizes).to_json()
         return BookPhaseReport(report)
 
-    if config.partition:
-        rng = random.Random(config.partition_seed)
-        parts = [0] * (c.r + 1)
-        for v in iter_vertices(reg.w):
-            parts[rng.randrange(c.r + 1)] |= 1 << v
-        xset, ysets = parts[0], parts[1:]
-        if xset == 0 or any(y == 0 for y in ysets):
-            report["branch"] = "degenerate"
-            report["detail"] = "random partition produced an empty part"
-            return BookPhaseReport(report)
-    else:
-        xset, ysets = reg.w, [reg.w] * c.r
-
-    params = EngineParams(t=config.t, lambda0=config.lambda0, delta=config.delta)
+    params = EngineParams(t=config.t, lambda0=Fraction(10), delta=Fraction(1, 16))
     report["branch"] = "book"
     try:
-        outcome = run(c, xset, ysets, params)
+        outcome = run(c, reg.w, [reg.w] * c.r, params)
     except (InvalidInput, DegenerateDensity) as e:
         report["branch"] = "degenerate"
         report["detail"] = str(e)

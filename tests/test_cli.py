@@ -283,6 +283,23 @@ class TestUsageErrors:
                             "--trace", str(tmp_path / "t.jsonl"))
         assert code == 2
 
+    def test_run_book_threshold_modes_exclusive(self, tmp_path, capsys):
+        rcg = tmp_path / "c.rcg"
+        trace = tmp_path / "t.jsonl"
+        invoke(capsys, "generate", "--n", "10", "--r", "2", "--seed", "1", "-o", str(rcg))
+        code, _, err = invoke(capsys, "run-book", "-i", str(rcg), "--t", "1",
+                              "--lambda0", "10", "--delta", "1/16", "--mu", "4", "--p", "1/4",
+                              "--trace", str(trace))
+        assert code == 2
+        assert "not both" in err
+        assert not trace.exists()
+
+    def test_oracle_zero_node_limit(self, capsys):
+        code, _, err = invoke(capsys, "oracle", "ramsey", "--r", "2", "--ks", "3,3", "--n", "6",
+                              "--node-limit", "0")
+        assert code == 2
+        assert "budget fields must be positive" in err
+
     @staticmethod
     def fresh_python(bits, *args):
         # the variable is read when the package is imported, so only a fresh

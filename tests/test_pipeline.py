@@ -122,9 +122,7 @@ class TestDriver:
         assert isinstance(out, CliqueFound)
 
     def test_pentagon_k3_no_clique(self, c5):
-        out = desk_ramsey_driver(
-            c5, 3, DriverConfig(t=1, eps=F(1, 20), lambda0=F(100), delta=F(1, 8))
-        )
+        out = desk_ramsey_driver(c5, 3, DriverConfig(t=1, eps=F(1, 20)))
         assert isinstance(out, BookPhaseReport)
         assert out.branch in ("book", "escape")
         # correct: the pentagon genuinely has no monochromatic triangle
@@ -134,9 +132,7 @@ class TestDriver:
 
     def test_random_n80_k4(self):
         c = random_colouring(80, 2, 3)
-        out = desk_ramsey_driver(
-            c, 4, DriverConfig(t=1, eps=F(1, 20), lambda0=F(10), delta=F(1, 16))
-        )
+        out = desk_ramsey_driver(c, 4, DriverConfig(t=1, eps=F(1, 20)))
         if isinstance(out, CliqueFound):
             assert out.vertices.bit_count() == 4
             assert c.is_mono_clique(out.vertices, out.colour)
@@ -149,9 +145,7 @@ class TestDriver:
         cliques = 0
         for seed in range(12):
             c = random_colouring(60 + seed, 2, 500 + seed)
-            out = desk_ramsey_driver(
-                c, 4, DriverConfig(t=1, eps=F(1, 20), lambda0=F(10), delta=F(1, 16))
-            )
+            out = desk_ramsey_driver(c, 4, DriverConfig(t=1, eps=F(1, 20)))
             if isinstance(out, CliqueFound):
                 cliques += 1
                 assert c.is_mono_clique(out.vertices, out.colour)
@@ -184,12 +178,23 @@ class TestDriver:
         with pytest.raises(InvalidInput):
             desk_ramsey_driver(c5, 3, DriverConfig(t=3))
 
-    def test_partition_mode(self):
-        c = random_colouring(90, 2, 77)
+    def test_escape_bound_reported(self):
+        # peeling leaves spines of sizes 2 and 3, so sum |S_i| = 5 >= k and the
+        # driver escapes through Lemma 5.3 before running the engine
+        out = desk_ramsey_driver(random_colouring(12, 2, 0), 4)
+        assert isinstance(out, BookPhaseReport)
+        assert out.branch == "escape"
+        assert out.report["regularisation"]["s_sizes"] == [2, 3]
+        assert out.report["escape_bound"]["pass"] is True
+        assert out.report["escape_bound"]["reduced_pass"] is True
+
+    def test_degenerate_branch(self):
+        # with the escape disabled the engine runs on the two-vertex core W,
+        # where some vertex has no neighbour of one colour inside W
         out = desk_ramsey_driver(
-            c,
-            4,
-            DriverConfig(t=1, eps=F(1, 20), lambda0=F(10), delta=F(1, 16), partition=True, partition_seed=5),
+            random_colouring(12, 2, 0), 4, DriverConfig(t=1, eps=F(1, 20), escape_sum=10**6)
         )
-        if isinstance(out, CliqueFound):
-            assert c.is_mono_clique(out.vertices, out.colour)
+        assert isinstance(out, BookPhaseReport)
+        assert out.branch == "degenerate"
+        assert out.report["detail"] == "p_i(0) must be positive for every colour"
+        assert "book_phase" not in out.report
