@@ -58,6 +58,13 @@ def pair_index(n: int, u: int, v: int) -> int:
     return u * n - (u * (u + 1)) // 2 + (v - u - 1)
 
 
+def _check_size(n: int, r: int) -> None:
+    if n < 1:
+        raise InvalidInput(f"need at least one vertex, got n={n}")
+    if not 1 <= r <= MAX_COLOURS:
+        raise InvalidInput(f"colour count must be in [1, {MAX_COLOURS}], got r={r}")
+
+
 class EdgeColouring:
     """An r-colouring of the edges of the complete graph on n vertices.
 
@@ -67,10 +74,7 @@ class EdgeColouring:
     __slots__ = ("n", "r", "_tri", "_neigh")
 
     def __init__(self, n: int, r: int, triangle):
-        if n < 1:
-            raise InvalidInput(f"need at least one vertex, got n={n}")
-        if not 1 <= r <= MAX_COLOURS:
-            raise InvalidInput(f"colour count must be in [1, {MAX_COLOURS}], got r={r}")
+        _check_size(n, r)
         tri = bytes(triangle)
         expected = n * (n - 1) // 2
         if len(tri) != expected:
@@ -193,6 +197,7 @@ def pentagon_colouring() -> EdgeColouring:
 
 def random_colouring(n: int, r: int, seed: int) -> EdgeColouring:
     """Each edge gets an i.i.d. uniform colour in [0, r); deterministic in ``seed``."""
+    _check_size(n, r)
     rng = random.Random(seed)
     tri = bytes(rng.randrange(r) for _ in range(n * (n - 1) // 2))
     return EdgeColouring(n, r, tri)

@@ -222,58 +222,56 @@ def ramsey_exhaustive(r: int, ks, n: int, budget: SearchBudget | None = None) ->
     if any(k == 1 for k in ks):
         return RamseyResult(True, None, 0)  # a single vertex is a K_1 in every colour
 
-    if n == 1:
-        return RamseyResult(False, EdgeColouring(1, r, b""), 0)
-
-    edges = [(u, v) for u in range(n - 1) for v in range(u + 1, n)]
-    nodes = _NodeCounter(budget.node_limit)
-    tri = bytearray(n * (n - 1) // 2)
+    # Row-major edges: the n - 1 at vertex 0 take the first row's colour, the
+    # rest try every colour.  Colouring {u, v} completes a clique iff cand has a K_{k-2}.
+    edges = [(u, v, 1 << u, 1 << v, (1 << u) - 1) for u in range(n - 1) for v in range(u + 1, n)]
+    m = len(edges)
+    need = [k - 2 for k in ks]
+    limit = budget.node_limit
+    count = 0
+    tri = bytearray(m)
     adj = [[0] * n for _ in range(r)]
 
-    def assign(idx: int, colour: int) -> bool:
-        """Colour edge idx; returns False (and undoes nothing) if a clique completes."""
-        u, v = edges[idx]
-        cand = adj[colour][u] & adj[colour][v] & ((1 << u) - 1)
-        if _has_clique(adj[colour], cand, ks[colour] - 2):
-            return False
-        tri[idx] = colour
-        adj[colour][u] |= 1 << v
-        adj[colour][v] |= 1 << u
-        return True
-
-    def unassign(idx: int, colour: int) -> None:
-        u, v = edges[idx]
-        adj[colour][u] &= ~(1 << v)
-        adj[colour][v] &= ~(1 << u)
-
-    found: list[EdgeColouring] = []
-
     def dfs(idx: int) -> bool:
-        if idx == len(edges):
-            found.append(EdgeColouring(n, r, bytes(tri)))
+        nonlocal count
+        if idx == m:
             return True
-        for colour in range(r):
-            nodes.tick()
-            if assign(idx, colour):
-                if dfs(idx + 1):
-                    return True
-                unassign(idx, colour)
+        u, v, bu, bv, below = edges[idx]
+        for colour in allowed[idx]:
+            count += 1
+            if count > limit:
+                raise BudgetExceeded(f"node limit {limit} exceeded")
+            g = adj[colour]
+            cand = g[u] & g[v] & below
+            size = need[colour]
+            if size == 1:
+                if cand:
+                    continue
+            elif size == 2:
+                rest = cand
+                while rest:  # stops with rest != 0 iff cand holds an edge
+                    b = rest & -rest
+                    rest ^= b
+                    if g[b.bit_length() - 1] & rest:
+                        break
+                if rest:
+                    continue
+            elif size <= 0 or _has_clique(g, cand, size):
+                continue
+            tri[idx] = colour
+            g[u] |= bv
+            g[v] |= bu
+            if dfs(idx + 1):
+                return True
+            g[u] ^= bv
+            g[v] ^= bu
         return False
 
     for row in _first_rows(r, n, ks):
-        ok = True
-        placed = 0
-        for idx, colour in enumerate(row):
-            nodes.tick()
-            if not assign(idx, colour):
-                ok = False
-                break
-            placed += 1
-        if ok and dfs(n - 1):
-            return RamseyResult(False, found[0], nodes.count)
-        for idx in range(placed - 1, -1, -1):
-            unassign(idx, row[idx])
-    return RamseyResult(True, None, nodes.count)
+        allowed = [(colour,) for colour in row] + [tuple(range(r))] * (m - len(row))
+        if dfs(0):
+            return RamseyResult(False, EdgeColouring(n, r, bytes(tri)), count)
+    return RamseyResult(True, None, count)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,14 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fresh_python(*args, **env):
+    """Run a new interpreter that imports this checkout's ramseybook."""
+    src = str(Path(ramseybook.__file__).parent.parent)
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
 class TestGenerate:
     def test_pentagon_file(self, tmp_path, capsys):
         out_file = tmp_path / "c5.rcg"
@@ -40,6 +48,14 @@ class TestGenerate:
         assert code == 0
         payload = json.loads(out)
         assert payload["n"] == 16 and payload["r"] == 4
+
+    @pytest.mark.parametrize("kind", ["random", "product"])
+    def test_zero_colours_is_usage_error(self, tmp_path, capsys, kind):
+        out_file = tmp_path / "x.rcg"
+        code, out, err = invoke(capsys, "generate", "--kind", kind, "--r", "0", "-o", str(out_file))
+        assert code == 2
+        assert out == "" and "got r=0" in err
+        assert not out_file.exists()
 
 
 class TestColouringInput:
@@ -245,6 +261,13 @@ class TestOracleCmd:
         assert payload["result"] == "CounterexampleFound"
         assert payload["counterexample"].startswith("5 2\n")
 
+    def test_python_m_matches_main(self, capsys):
+        argv = ["oracle", "ramsey", "--r", "2", "--ks", "3,3", "--n", "5"]
+        code, out, _ = invoke(capsys, *argv)
+        proc = fresh_python("-m", "ramseybook", *argv)
+        assert code == proc.returncode == 0
+        assert proc.stdout == out
+
     def test_book(self, tmp_path, capsys):
         rcg = tmp_path / "c5.rcg"
         invoke(capsys, "generate", "--kind", "pentagon", "-o", str(rcg))
@@ -300,18 +323,11 @@ class TestUsageErrors:
         assert code == 2
         assert "budget fields must be positive" in err
 
-    @staticmethod
-    def fresh_python(bits, *args):
-        # the variable is read when the package is imported, so only a fresh
-        # interpreter sees it
-        src = str(Path(ramseybook.__file__).parent.parent)
-        env = {**os.environ, "RF_PRECISION_BITS": bits,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
-
+    # the variable is read when the package is imported, so only a fresh
+    # interpreter sees it
     @pytest.mark.parametrize("bits", ["abc", "8"])
     def test_bad_precision_env_is_usage_error(self, bits):
-        proc = self.fresh_python(bits, "-m", "ramseybook.cli", "bounds", "thm51", "--r", "2")
+        proc = fresh_python("-m", "ramseybook.cli", "bounds", "thm51", "--r", "2", RF_PRECISION_BITS=bits)
         assert proc.returncode == 2
         assert f"bad RF_PRECISION_BITS value {bits!r}" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -319,5 +335,6 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("bits", ["abc", "8"])
     def test_bad_precision_env_keeps_default_on_import(self, bits):
-        proc = self.fresh_python(bits, "-c", "from ramseybook import bounds; print(bounds.precision())")
+        proc = fresh_python("-c", "from ramseybook import bounds; print(bounds.precision())",
+                            RF_PRECISION_BITS=bits)
         assert proc.returncode == 0 and proc.stdout.strip() == "128"

@@ -159,7 +159,40 @@ class TestAgainstNetworkx:
             assert (res.pages, res.colour, tuple(vertex_list(res.spine)), set(vertex_list(res.pages_mask))) == want
 
 
+# (r, ks, n) -> (all_contain, nodes, counterexample text): the exact search tree
+# (edges row-major, colours ascending, canonical first rows) pinned case by case
+RAMSEY_TABLE = [
+    (2, [3, 3], 4, False, 16, "4 2\n0 0 1\n1 0\n0\n"),
+    (2, [3, 3], 5, False, 57, "5 2\n0 0 1 1\n1 0 1\n1 0\n0\n"),
+    (2, [3, 3], 6, True, 55, None),
+    (2, [3, 4], 8, False, 8186,
+     "8 2\n0 0 0 1 1 1 1\n1 1 0 0 1 1\n1 0 1 0 1\n1 0 1 0\n1 1 0\n0 1\n0\n"),
+    (2, [3, 4], 9, True, 1387548, None),
+    (2, [4, 4], 8, False, 1263,
+     "8 2\n0 0 0 0 0 0 0\n0 0 0 1 1 1\n1 1 0 0 1\n1 0 0 1\n0 1 0\n1 1\n0\n"),
+    (2, [5, 5], 7, False, 27, "7 2\n0 0 0 0 0 0\n0 0 0 0 0\n0 0 0 0\n1 1 1\n1 1\n1\n"),
+    (3, [3, 3, 3], 7, False, 3519, "7 3\n0 0 0 0 0 1\n1 1 2 2 0\n2 1 2 0\n2 1 0\n1 0\n0\n"),
+    (1, [4], 3, False, 3, "3 1\n0 0\n0\n"),
+    (1, [4], 4, True, 6, None),
+    (2, [2, 3], 2, False, 2, "2 2\n1\n"),
+    (2, [2, 3], 3, True, 6, None),
+    (3, [2, 2, 3], 4, True, 15, None),
+]
+
+
 class TestRamseyExhaustive:
+    @pytest.mark.parametrize("r,ks,n,all_contain,nodes,cex", RAMSEY_TABLE,
+                             ids=[f"r{r}-{'_'.join(map(str, ks))}-n{n}" for r, ks, n, *_ in RAMSEY_TABLE])
+    def test_search_tree_pinned(self, r, ks, n, all_contain, nodes, cex):
+        res = ramsey_exhaustive(r, ks, n)
+        assert (res.all_contain, res.nodes) == (all_contain, nodes)
+        assert (res.counterexample.serialize() if res.counterexample else None) == cex
+
+    def test_budget_boundary(self):
+        assert ramsey_exhaustive(2, [3, 4], 8, SearchBudget(node_limit=8186)).nodes == 8186
+        with pytest.raises(BudgetExceeded, match="^node limit 8185 exceeded$"):
+            ramsey_exhaustive(2, [3, 4], 8, SearchBudget(node_limit=8185))
+
     def test_n5_counterexample(self):
         res = ramsey_exhaustive(2, [3, 3], 5)
         assert res.result == "CounterexampleFound"

@@ -161,14 +161,16 @@ class TestDriver:
         assert out.report["branch"] == "spine_clique"
         assert c.is_mono_clique(out.vertices, out.colour)
 
-    def test_escape_branch(self):
+    def test_spine_clique_precedes_escape(self):
+        # escape_sum=1 would escape, but the colour-1 spine of size 5 already
+        # holds a K5, so the driver returns that clique first
         c = star_heavy()
-        out = desk_ramsey_driver(
-            c, 5, DriverConfig(t=1, eps=F(1, 10), escape_sum=1)
-        )
-        assert isinstance(out, (CliqueFound, BookPhaseReport))
-        if isinstance(out, BookPhaseReport):
-            assert out.branch in ("escape", "spine_clique")
+        out = desk_ramsey_driver(c, 5, DriverConfig(t=1, eps=F(1, 10), escape_sum=1))
+        assert isinstance(out, CliqueFound)
+        assert out.report == {"k": 5, "n": 8, "r": 2, "branch": "spine_clique",
+                              "regularisation": {"s_sizes": [1, 5], "w_size": 2}}
+        assert out.colour == 1 and out.vertices.bit_count() == 5
+        assert c.is_mono_clique(out.vertices, out.colour)
 
     def test_scale_error(self, c5):
         with pytest.raises(ScaleError):
