@@ -24,7 +24,6 @@ from .geometry import (
     min_density,
     moment_double_sum,
     moment_tensor,
-    special_f,
 )
 from .book_engine import EngineOutcome, EngineParams, Trace, read_trace, run, write_trace
 from .monitors import run_all_monitors

@@ -242,14 +242,6 @@ def es_upper(r: int, ks) -> int:
     return multinomial(ks)
 
 
-def es_upper_crude(r: int, ks) -> int:
-    """The crude form r**sum(ks)."""
-    ks = list(ks)
-    if len(ks) != r:
-        raise InvalidInput(f"expected {r} clique sizes, got {len(ks)}")
-    return r ** sum(ks)
-
-
 # ---------------------------------------------------------------------------
 # inequality reports
 # ---------------------------------------------------------------------------
@@ -370,9 +362,13 @@ def thm_book_hypotheses(p, mu, t: int, m: int, r: int, size_x, size_ys) -> ThmBo
     mu = Fraction(mu)
     if not 0 < p <= 1:
         raise InvalidInput("p must be in (0, 1]")
+    if mu <= 0:
+        raise InvalidInput("mu must be positive")
     if t < 1 or m < 1 or r < 1:
         raise InvalidInput("t, m, r must be positive")
     size_ys = list(size_ys)
+    if size_x < 0 or any(sy < 0 for sy in size_ys):
+        raise InvalidInput("set sizes must be non-negative")
     links = [
         _rational_link("mu", "mu >= 2^10 r^3", mu, Fraction(2**10 * r**3)),
         _rational_link("t", "t >= mu^5 / p", Fraction(t), mu**5 / p),
@@ -534,47 +530,3 @@ def thm51_chain(r: int, k: int | None = None) -> Thm51Report:
 
     return Thm51Report(r, k, t, tuple(links))
 
-
-# ---------------------------------------------------------------------------
-# book-size targets
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BookTargetReport:
-    r: int
-    k: int
-    t: int
-    page_coeff: LogScalar        # e^{-t^2/8k} r^{-t}, the per-n page fraction
-    es_bound: LogScalar          # e^{-t^2/6k} r^{rk - t}
-    n_threshold: LogScalar       # es_bound / page_coeff
-    target_meets_es_at_headline: bool
-
-    def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "k": self.k,
-            "t": self.t,
-            "page_coeff_log10": self.page_coeff.log10(),
-            "es_bound_log10": self.es_bound.log10(),
-            "n_threshold_log10": self.n_threshold.log10(),
-            "target_meets_es_at_headline": self.target_meets_es_at_headline,
-        }
-
-
-def book_target_bounds(r: int, k: int, t: int) -> BookTargetReport:
-    """Page-count target coefficient and the off-diagonal product bound.
-
-    The coefficient multiplies n; when n >= e^{-delta k} r^{rk} with the
-    headline delta = 2^-160 r^-12, the target dominates the product bound
-    exactly when delta <= t^2/24k^2, which is reported.  The comparison
-    depends on k and t only through t/k; it holds whenever
-    t/k >= sqrt(24 delta), for instance at the chain's ratio t/k = 2^-40 r^-3.
-    """
-    if not 0 <= t <= k:
-        raise InvalidInput("need 0 <= t <= k")
-    ln_r = iv.log(iv_from_int(r))
-    page_coeff = LogScalar(1, iv_from_fraction(Fraction(-t * t, 8 * k)) - t * ln_r)
-    es_bound = LogScalar(1, iv_from_fraction(Fraction(-t * t, 6 * k)) + (r * k - t) * ln_r)
-    n_threshold = es_bound / page_coeff
-    meets = _delta51(r) <= Fraction(t * t, 24 * k * k) if t > 0 else False
-    return BookTargetReport(r, k, t, page_coeff, es_bound, n_threshold, meets)

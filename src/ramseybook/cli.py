@@ -2,8 +2,9 @@
 bounds | oracle | moments.
 
 Machine-readable JSON goes to stdout, human summaries to stderr.  Exit codes:
-0 success, 1 verification failure, 2 usage error.  RF_PRECISION_BITS
-overrides the working precision (default 128 bits).
+0 success, 1 verification failure, 2 usage error, 3 undecided at the working
+precision.  RF_PRECISION_BITS overrides the working precision (default 128
+bits).
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ from .errors import (
     InvalidInput,
     LemmaViolation,
     ParseError,
+    PrecisionExhausted,
     RamseyBookError,
 )
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
+EXIT_UNDECIDED = 3
 
 
 def _fraction(text: str) -> Fraction:
@@ -338,6 +341,9 @@ def main(argv=None) -> int:
     except (InvalidInput, ParseError, OSError, BudgetExceeded) as e:
         _note(f"error: {e}")
         return EXIT_USAGE
+    except PrecisionExhausted as e:
+        _note(f"undecided: {e}")
+        return EXIT_UNDECIDED
     except RamseyBookError as e:
         _note(f"error: {e}")
         return EXIT_VERIFY

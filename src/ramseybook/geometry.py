@@ -1,6 +1,7 @@
 """Geometric core: trimmed-neighbourhood embeddings with exact rational inner
-products, the cosh-sqrt special function, tensor-power moment positivity, and
-the lambda-witness search that drives every round of the book algorithm.
+products, the certified two-branch bound on the cosh-sqrt special function,
+tensor-power moment positivity, and the lambda-witness search that drives
+every round of the book algorithm.
 
 Inner products are never computed from materialised vectors; each one is an
 affine function of a codegree, so the whole witness search runs on integer
@@ -11,13 +12,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
 from itertools import chain, compress
 
-from mpmath import iv, mp
+from mpmath import iv
 
 from .bounds import (
     certify_interval_ge,
@@ -111,7 +112,6 @@ class Embedding:
     densities: tuple[Fraction, ...]
     alphas: tuple[Fraction, ...]
     trimmed: tuple[tuple[int, ...], ...]  # [colour][point index] -> N' bitmask
-    index: dict = field(repr=False)
 
     @property
     def r(self) -> int:
@@ -123,25 +123,6 @@ class Embedding:
 
     def trimmed_sizes(self) -> tuple[int, ...]:
         return tuple(int(p * y) for p, y in zip(self.densities, self.y_sizes))
-
-    def self_inner(self, colour: int) -> Fraction:
-        return (1 - self.densities[colour]) / self.alphas[colour]
-
-    def _point_index(self, x: int) -> int:
-        try:
-            return self.index[x]
-        except KeyError:
-            raise InvalidVertex(f"vertex {x} is not in X") from None
-
-    def codegree(self, colour: int, x: int, y: int) -> int:
-        a, b = self._point_index(x), self._point_index(y)
-        t = self.trimmed[colour]
-        return (t[a] & t[b]).bit_count()
-
-    def inner(self, colour: int, x: int, y: int) -> Fraction:
-        if not 0 <= colour < self.r:
-            raise InvalidColour(f"colour {colour} out of range [0, {self.r})")
-        return self.inner_from_codegree(colour, self.codegree(colour, x, y))
 
     def inner_from_codegree(self, colour: int, codeg: int) -> Fraction:
         p, a, y = self.densities[colour], self.alphas[colour], self.y_sizes[colour]
@@ -206,7 +187,6 @@ def build_embedding(c: EdgeColouring, xset: int, ysets, alphas) -> Embedding:
         densities=tuple(densities),
         alphas=alphas,
         trimmed=tuple(trimmed),
-        index={x: a for a, x in enumerate(points)},
     )
 
 
@@ -217,56 +197,6 @@ def build_embedding(c: EdgeColouring, xset: int, ysets, alphas) -> Embedding:
 class SpecialBranch(Enum):
     UPPER_BOUND_HOLDS = "UpperBoundHolds"
     NEGATIVE_CASE_HOLDS = "NegativeCaseHolds"
-
-
-def _cosh_sqrt_mp(x):
-    if x >= 0:
-        return mp.cosh(mp.sqrt(x))
-    return mp.cos(mp.sqrt(-x))
-
-
-def _mpf(x):
-    return mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mp.mpf(x)
-
-
-def _f_from_factors(ctx, vals, factors):
-    """sum_j vals[j] prod_{i != j} factors[i] in ctx (mp or iv), multiplying
-    in index order."""
-    total = ctx.mpf(0)
-    for j, v in enumerate(vals):
-        prod = ctx.mpf(1)
-        for i, f in enumerate(factors):
-            if i != j:
-                prod *= f
-        total += v * prod
-    return total
-
-
-def special_f(xs) -> "mp.mpf":
-    """f(x_1..x_r) = sum_j x_j prod_{i != j} (2 + cosh sqrt(x_i)), high precision.
-
-    cosh sqrt(x) means cos sqrt(-x) for x < 0 (one entire function).
-    """
-    vals = [_mpf(x) for x in xs]
-    return _f_from_factors(mp, vals, [2 + _cosh_sqrt_mp(v) for v in vals])
-
-
-def cosh_sqrt_series(x):
-    """Truncated Taylor series sum_{n < 40} x^n / (2n)! for cross-checking the closed form."""
-    v = _mpf(x)
-    total = mp.mpf(0)
-    term = mp.mpf(1)
-    for n in range(40):
-        if n > 0:
-            term = term * v / ((2 * n - 1) * (2 * n))
-        total += term
-    return total
-
-
-def special_f_series(xs):
-    """f evaluated with series-expanded cosh sqrt factors."""
-    vals = [_mpf(x) for x in xs]
-    return _f_from_factors(mp, vals, [2 + cosh_sqrt_series(v) for v in vals])
 
 
 def _exact(x) -> Fraction:
@@ -286,8 +216,10 @@ def _cosh_sqrt_iv(q: Fraction):
 def check_special_bounds(xs) -> SpecialBranch:
     """Certify the two-branch upper bound on f with adverse rounding.
 
-    If every x_i >= -3r, asserts f <= 3^r r e^(sum sqrt(x_i + 3r)); otherwise
-    asserts f <= -1.  Both checks compare an interval upper bound of f against
+    f(x_1..x_r) = sum_j x_j prod_{i != j} (2 + cosh sqrt(x_i)), where cosh
+    sqrt(x) means cos sqrt(-x) for x < 0 (one entire function).  If every
+    x_i >= -3r, asserts f <= 3^r r e^(sum sqrt(x_i + 3r)); otherwise asserts
+    f <= -1.  Both checks compare an interval upper bound of f against
     a lower bound of the target, so a pass is rigorous.  A failure raises
     LemmaViolation, signalling an implementation bug.
     """
@@ -295,7 +227,14 @@ def check_special_bounds(xs) -> SpecialBranch:
     r = len(qs)
     if r < 1:
         raise InvalidInput("need at least one coordinate")
-    f = _f_from_factors(iv, [iv_from_fraction(q) for q in qs], [2 + _cosh_sqrt_iv(q) for q in qs])
+    factors = [2 + _cosh_sqrt_iv(q) for q in qs]
+    f = iv.mpf(0)
+    for j, q in enumerate(qs):
+        prod = iv.mpf(1)
+        for i, factor in enumerate(factors):
+            if i != j:
+                prod *= factor
+        f += iv_from_fraction(q) * prod
 
     if all(q >= -3 * r for q in qs):
         bound = iv_from_int(3**r * r) * iv.exp(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .book_engine import EngineParams, run
 from .colouring import EdgeColouring, full_mask, iter_vertices
 from .errors import BudgetExceeded, InvalidColour, InvalidInput
 
@@ -20,8 +19,6 @@ __all__ = [
     "BookSearchResult",
     "ramsey_exhaustive",
     "RamseyResult",
-    "validate_book_engine",
-    "EngineValidation",
 ]
 
 
@@ -273,33 +270,3 @@ def ramsey_exhaustive(r: int, ks, n: int, budget: SearchBudget | None = None) ->
             return RamseyResult(False, EdgeColouring(n, r, bytes(tri)), count)
     return RamseyResult(True, None, count)
 
-
-@dataclass(frozen=True)
-class EngineValidation:
-    found: bool
-    book_valid: bool
-    engine_pages: int | None
-    oracle_pages: int | None
-
-    @property
-    def ratio(self) -> float | None:
-        if not self.found or not self.oracle_pages:
-            return None
-        return self.engine_pages / self.oracle_pages
-
-
-def validate_book_engine(c: EdgeColouring, params: EngineParams) -> EngineValidation:
-    """Run the engine on X = Y_i = V and compare any found book to the oracle optimum."""
-    budget = SearchBudget(n_cap=14)
-    if c.n > budget.n_cap:
-        raise BudgetExceeded(f"n={c.n} exceeds n_cap={budget.n_cap}")
-    outcome = run(c, c.vertices, [c.vertices] * c.r, params)
-    if not outcome.found:
-        return EngineValidation(False, True, None, None)
-    valid = c.is_mono_book(outcome.spine, outcome.pages, outcome.book_colour)
-    ref = best_book(c, params.t, budget)
-    m_engine = outcome.pages.bit_count()
-    m_oracle = ref.pages if ref is not None else None
-    if ref is not None and m_engine > ref.pages:
-        valid = False
-    return EngineValidation(True, valid, m_engine, m_oracle)

@@ -10,10 +10,8 @@ from mpmath import iv
 from ramseybook.bounds import (
     LogScalar,
     appendix_check,
-    book_target_bounds,
     certify_interval_ge,
     es_upper,
-    es_upper_crude,
     interval_endpoints,
     iv_from_fraction,
     multinomial,
@@ -94,9 +92,6 @@ class TestMultinomials:
         assert es_upper(1, [7]) == 1
         assert es_upper(3, [2, 2, 2]) == 90
 
-    def test_crude_form(self):
-        assert es_upper_crude(2, [3, 3]) == 2**6
-
     def test_factorial_identity(self):
         rng = random.Random(7)
         for _ in range(30):
@@ -167,6 +162,21 @@ class TestThmBookHypotheses:
         assert not by_label["X"].passes
         assert by_label["X"].log_gap < 0
 
+    @pytest.mark.parametrize("mu, size_x, size_ys", [
+        (F(0), 1, [1]),
+        (F(-1), 1, [1]),
+        (F(2**13), -4, [1]),
+        (F(2**13), 1, [1, -3]),
+    ])
+    def test_non_positive_mu_and_negative_sizes_rejected(self, mu, size_x, size_ys):
+        with pytest.raises(InvalidInput):
+            thm_book_hypotheses(F(1), mu, 1, 1, 1, size_x, size_ys)
+
+    def test_empty_sets_fail_without_error(self):
+        rep = thm_book_hypotheses(F(1), F(2**13), 1, 1, 1, 0, [0])
+        by_label = {l.label: l for l in rep.links}
+        assert not by_label["X"].passes and not by_label["Y0"].passes
+
 
 class TestThm51Chain:
     @pytest.mark.parametrize("r", [2, 3, 17, 64])
@@ -185,6 +195,14 @@ class TestThm51Chain:
         assert not link_i.passes
         assert link_i.log_gap == pytest.approx(-math.log(2**30 * 2**3), rel=1e-6)
 
+    def test_link_vi_page_comparison_at_headline_ratio(self):
+        # link vi includes delta <= t^2/24k^2; the chain's ratio t/k = 2^-40 r^-3
+        # is 2^-43 at r = 2, far above sqrt(24 delta) ~ 2^-81
+        rep = thm51_chain(2)
+        assert F(rep.t, rep.k) == F(1, 2**43)
+        assert F(1, 2**160 * 2**12) <= F(rep.t**2, 24 * rep.k**2)
+        assert rep.links[-1].label == "vi" and rep.links[-1].passes
+
     def test_r_below_2_rejected(self):
         with pytest.raises(InvalidInput):
             thm51_chain(1)
@@ -194,32 +212,6 @@ class TestThm51Chain:
         # t = 2^-40 r^-3 k must be a positive integer
         with pytest.raises(InvalidInput):
             thm51_chain(2, k=k)
-
-
-class TestBookTargets:
-    def test_t0(self):
-        rep = book_target_bounds(2, 40, 0)
-        assert rep.page_coeff.sign == 1
-        lo, hi = interval_endpoints(rep.page_coeff.log)
-        assert lo == hi == 0  # coefficient exactly 1
-        assert rep.es_bound.log10() == pytest.approx(2 * 40 * math.log10(2), rel=1e-9)
-
-    def test_moderate_scale_reported(self):
-        rep = book_target_bounds(2, 40, 4)
-        assert rep.n_threshold.sign == 1
-        # delta is tiny, so the headline comparison also holds at k=40, t=4
-        assert rep.target_meets_es_at_headline
-
-    def test_microscopic_spine_fails_headline_comparison(self):
-        rep = book_target_bounds(2, 2**200, 1)
-        assert not rep.target_meets_es_at_headline
-
-    def test_headline_scale_assertion_holds(self):
-        # the comparison depends only on t/k; here t/k = 2^-43
-        k = 2**176
-        t = k // 2**43
-        rep = book_target_bounds(2, k, t)
-        assert rep.target_meets_es_at_headline
 
 
 class TestEndpoints:

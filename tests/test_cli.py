@@ -323,8 +323,28 @@ class TestUsageErrors:
         assert code == 2
         assert "budget fields must be positive" in err
 
+    @pytest.mark.parametrize("bad", [
+        ["--mu", "0"],
+        ["--mu", "-1"],
+        ["--size-x", "-4"],
+        ["--size-ys", "-3"],
+    ])
+    def test_thm_book_bad_mu_or_size(self, capsys, bad):
+        base = {"--p": "1", "--mu": "1", "--t": "1", "--m": "1", "--r": "1",
+                "--size-x": "1", "--size-ys": "1"}
+        base[bad[0]] = bad[1]
+        code, out, err = invoke(capsys, "bounds", "thm-book", *(x for kv in base.items() for x in kv))
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
     # the variable is read when the package is imported, so only a fresh
     # interpreter sees it
+    @pytest.mark.parametrize("bits, code", [("24", 3), ("128", 0)])
+    def test_undecided_has_its_own_exit_code(self, bits, code):
+        proc = fresh_python("-m", "ramseybook.cli", "bounds", "thm51", "--r", "2", RF_PRECISION_BITS=bits)
+        assert proc.returncode == code
+        assert ("undecided: cannot order overlapping intervals at 24 bits" in proc.stderr) == (code == 3)
+
     @pytest.mark.parametrize("bits", ["abc", "8"])
     def test_bad_precision_env_is_usage_error(self, bits):
         proc = fresh_python("-m", "ramseybook.cli", "bounds", "thm51", "--r", "2", RF_PRECISION_BITS=bits)

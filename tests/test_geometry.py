@@ -14,7 +14,6 @@ from ramseybook.errors import (
     DegenerateDensity,
     EmptySet,
     InvalidInput,
-    InvalidVertex,
     LemmaViolation,
     TensorTooLarge,
 )
@@ -28,15 +27,12 @@ from ramseybook.geometry import (
     build_embedding,
     c_interval,
     check_special_bounds,
-    cosh_sqrt_series,
     default_beta,
     find_lambda_witness,
     key_lemma_step,
     min_density,
     moment_double_sum,
     moment_tensor,
-    special_f,
-    special_f_series,
     verify_key_step,
     verify_witness,
     witness_bound_upper,
@@ -45,6 +41,38 @@ from ramseybook.geometry import (
 
 def triangle():
     return from_pair_function(3, 1, lambda u, v: 0)
+
+
+def _mpf(x):
+    return mp.mpf(x.numerator) / x.denominator if isinstance(x, F) else mp.mpf(x)
+
+
+def cosh_sqrt_mp(x):
+    """cosh sqrt(x) in mp, read as cos sqrt(-x) for x < 0."""
+    return mp.cosh(mp.sqrt(x)) if x >= 0 else mp.cos(mp.sqrt(-x))
+
+
+def cosh_sqrt_series(x):
+    """Truncated Taylor series sum_{n < 40} x^n / (2n)! for cross-checking the closed form."""
+    v = _mpf(x)
+    total = mp.mpf(0)
+    term = mp.mpf(1)
+    for n in range(40):
+        if n > 0:
+            term = term * v / ((2 * n - 1) * (2 * n))
+        total += term
+    return total
+
+
+def special_f(xs, cosh_sqrt=cosh_sqrt_mp):
+    """Reference f(x) = sum_j x_j prod_{i != j} (2 + cosh sqrt(x_i)) at mp precision.
+
+    Summed with mp.fsum over mp.fprod products, so it shares no code with the
+    interval evaluation in check_special_bounds that it checks.
+    """
+    vals = [_mpf(x) for x in xs]
+    factors = [2 + cosh_sqrt(v) for v in vals]
+    return mp.fsum(v * mp.fprod(factors[:j] + factors[j + 1 :]) for j, v in enumerate(vals))
 
 
 def fraction_recounter(emb):
@@ -122,22 +150,24 @@ class TestEmbedding:
             for a in range(5):
                 assert emb.trimmed[i][a].bit_count() == 2
 
+    # with X = V, each vertex is its own point index
     def test_pentagon_inner_product(self, c5):
         emb = build_embedding(c5, c5.vertices, [c5.vertices] * 2, [F(1, 10)] * 2)
-        assert emb.inner(0, 0, 1) == -4
+        assert emb.inner_by_index(0, 0, 1) == -4
 
     def test_self_inner_product(self, c5):
         emb = build_embedding(c5, c5.vertices, [c5.vertices] * 2, [F(1, 10)] * 2)
         for i in range(2):
             for x in range(5):
-                assert emb.inner(i, x, x) == (1 - emb.densities[i]) / emb.alphas[i]
+                assert emb.inner_by_index(i, x, x) == (1 - emb.densities[i]) / emb.alphas[i]
 
     def test_codegree_equivalence_spot(self, c5):
         # codegree 1 pair in colour 0 has inner product exactly 1, and the
         # threshold formula (p + lam alpha) p |Y| hits 1 at lam = 1
         emb = build_embedding(c5, c5.vertices, [c5.vertices] * 2, [F(1, 10)] * 2)
-        assert emb.codegree(0, 0, 2) == 1
-        assert emb.inner(0, 0, 2) == 1
+        t = emb.trimmed[0]
+        assert (t[0] & t[2]).bit_count() == 1
+        assert emb.inner_by_index(0, 0, 2) == 1
         lam = F(1)
         assert (F(2, 5) + lam * F(1, 10)) * F(2, 5) * 5 == 1
 
@@ -145,12 +175,12 @@ class TestEmbedding:
         c = random_colouring(30, 2, 8)
         alphas = [F(1, 7), F(2, 9)]
         emb = build_embedding(c, c.vertices, [c.vertices] * 2, alphas)
-        pts = emb.points
         for i in range(2):
             p, a, y = emb.densities[i], emb.alphas[i], emb.y_sizes[i]
-            for xa in range(len(pts)):
-                for xb in range(xa, len(pts)):
-                    d = emb.codegree(i, pts[xa], pts[xb])
+            t = emb.trimmed[i]
+            for xa in range(emb.npoints):
+                for xb in range(xa, emb.npoints):
+                    d = (t[xa] & t[xb]).bit_count()
                     v = emb.inner_by_index(i, xa, xb)
                     for lam in (F(-1), F(0), v, v + F(1, 999), v - F(1, 999)):
                         assert (v >= lam) == (d >= (p + lam * a) * p * y)
@@ -181,11 +211,6 @@ class TestEmbedding:
         with pytest.raises(InvalidInput):
             build_embedding(c5, c5.vertices, [c5.vertices] * 2, [F(0), F(1, 4)])
 
-    def test_inner_needs_members_of_x(self, c5):
-        emb = build_embedding(c5, mask_of([0, 1, 2]), [c5.vertices] * 2, [F(1, 4)] * 2)
-        with pytest.raises(InvalidVertex):
-            emb.inner(0, 0, 4)
-
 
 class TestSpecialFunction:
     def test_zero(self):
@@ -209,7 +234,7 @@ class TestSpecialFunction:
             r = rng.randint(1, 3)
             xs = [F(rng.randint(-1000, 1000), 100) for _ in range(r)]  # |x| <= 10
             a = special_f(xs)
-            b = special_f_series(xs)
+            b = special_f(xs, cosh_sqrt_series)
             assert abs(a - b) <= mp.mpf("1e-25") * max(1, abs(a))
 
     def test_cosh_sqrt_series_negative_is_cos(self):
@@ -240,6 +265,32 @@ class TestSpecialBounds:
             r = rng.randint(1, 4)
             xs = [F(rng.randint(-20 * r, 40), rng.randint(1, 3)) for _ in range(r)]
             check_special_bounds(xs)  # raises on violation
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_enclosure_contains_reference_f(self, r, monkeypatch):
+        # both branches hand the enclosure of f to certify_interval_ge as its
+        # second argument; the mp reference, at twice the working precision,
+        # must lie inside it
+        enclosures = []
+        certify = geometry.certify_interval_ge
+
+        def recording(a, b):
+            enclosures.append(b)
+            return certify(a, b)
+
+        monkeypatch.setattr(geometry, "certify_interval_ge", recording)
+        rng = random.Random(29 + r)
+        for branch in SpecialBranch:
+            for _ in range(20):
+                xs = [F(rng.randint(-9 * r, 120), 3) for _ in range(r)]  # in [-3r, 40]
+                if branch is SpecialBranch.NEGATIVE_CASE_HOLDS:
+                    xs[rng.randrange(r)] = F(rng.randint(-60 * r, -9 * r - 1), 3)
+                assert check_special_bounds(xs) is branch
+                (enclosure,) = enclosures
+                enclosures.clear()
+                lo, hi = interval_endpoints(enclosure)
+                with mp.workprec(2 * precision()):
+                    assert _mpf(lo) <= special_f(xs) <= _mpf(hi), xs
 
 
 def two_point_family():
@@ -309,7 +360,7 @@ class TestWitness:
     def test_singleton_x(self, c5):
         emb = build_embedding(c5, mask_of([0]), [c5.vertices] * 2, [F(1, 10)] * 2)
         rep = find_lambda_witness(emb)
-        floor = min(emb.self_inner(i) for i in range(2))
+        floor = min(emb.inner_by_index(i, 0, 0) for i in range(2))
         assert rep.lam >= floor
         assert rep.q == 1
 

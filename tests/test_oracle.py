@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramseybook.book_engine import EngineParams
+from ramseybook.book_engine import EngineParams, run
 from ramseybook.colouring import (
     from_pair_function,
     full_mask,
@@ -21,7 +21,6 @@ from ramseybook.oracle import (
     best_book,
     max_mono_clique,
     ramsey_exhaustive,
-    validate_book_engine,
 )
 
 from conftest import naive_max_clique
@@ -228,35 +227,49 @@ class TestRamseyExhaustive:
             ramsey_exhaustive(2, [4, 4], 10, SearchBudget(node_limit=50))
 
 
+def engine_book_vs_oracle(c, params):
+    """Run the engine on X = Y_i = V and compare its book with the oracle's.
+
+    Returns None if the engine finds no book.  Otherwise asserts that the
+    book is monochromatic and returns (its page count, the oracle's best page
+    count for spine size t).  The oracle search is capped at n = 14.
+    """
+    ref = best_book(c, params.t, SearchBudget(n_cap=14))
+    outcome = run(c, c.vertices, [c.vertices] * c.r, params)
+    if not outcome.found:
+        return None
+    assert c.is_mono_book(outcome.spine, outcome.pages, outcome.book_colour)
+    return outcome.pages.bit_count(), ref.pages
+
+
 class TestValidateEngine:
     def test_pentagon(self, c5):
-        rep = validate_book_engine(c5, EngineParams(t=1, lambda0=F(100), delta=F(1, 8)))
-        assert rep.found and rep.book_valid
-        assert rep.engine_pages <= rep.oracle_pages == 2
+        engine, best = engine_book_vs_oracle(c5, EngineParams(t=1, lambda0=F(100), delta=F(1, 8)))
+        assert engine <= best == 2
 
     def test_mostly_monochromatic_k8(self):
         # colour 0 everywhere except a perfect matching keeps both densities positive
         c = from_pair_function(8, 2, lambda u, v: 1 if v == u + 4 else 0)
-        rep = validate_book_engine(c, EngineParams(t=2, lambda0=F(100), delta=F(1, 8)))
-        if rep.found:
-            assert rep.book_valid
+        pages = engine_book_vs_oracle(c, EngineParams(t=2, lambda0=F(100), delta=F(1, 8)))
+        if pages is not None:
+            engine, best = pages
+            assert engine <= best
 
     def test_random_corpus(self):
         found = 0
         for seed in range(100):
             c = random_colouring(12, 2, 200 + seed)
             try:
-                rep = validate_book_engine(c, EngineParams(t=1, lambda0=F(20), delta=F(1, 8)))
+                pages = engine_book_vs_oracle(c, EngineParams(t=1, lambda0=F(20), delta=F(1, 8)))
             except InvalidInput:
                 continue
-            assert rep.book_valid
-            if rep.found:
+            if pages is not None:
                 found += 1
-                assert rep.engine_pages <= rep.oracle_pages
-                assert 0 < rep.ratio <= 1
+                engine, best = pages
+                assert 0 < engine <= best
         assert found >= 90
 
     def test_n_cap(self):
         c = random_colouring(20, 2, 1)
         with pytest.raises(BudgetExceeded):
-            validate_book_engine(c, EngineParams(t=1, lambda0=F(10), delta=F(1, 8)))
+            engine_book_vs_oracle(c, EngineParams(t=1, lambda0=F(10), delta=F(1, 8)))
