@@ -29,6 +29,6 @@ from .book_engine import EngineOutcome, EngineParams, Trace, read_trace, run, wr
 from .monitors import run_all_monitors
 from .oracle import SearchBudget, best_book, max_mono_clique, ramsey_exhaustive
 from .pipeline import DriverConfig, desk_ramsey_driver, lemma53_check, regularise
-from .bounds import LogScalar, appendix_check, es_upper, thm51_chain, thm_book_hypotheses
+from .bounds import appendix_check, es_upper, thm51_chain, thm_book_hypotheses
 
 __version__ = "0.1.0"

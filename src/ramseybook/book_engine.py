@@ -187,6 +187,12 @@ def _read_header(d: dict) -> TraceHeader:
         raise ParseError("r must be >= 1")
     if len(h.initial_y_sizes) != h.r or len(h.initial_densities) != h.r:
         raise ParseError(f"every per-colour list must have r = {h.r} entries")
+    if h.beta <= 0:
+        raise ParseError("beta must be positive")
+    if any(not 0 < p <= 1 for p in h.initial_densities):
+        raise ParseError("every initial density must lie in (0, 1]")
+    if h.p0 != min(h.initial_densities):
+        raise ParseError("p0 must be the least initial density")
     return h
 
 

@@ -1,10 +1,10 @@
 """Exact and log-space arithmetic for closed-form bound verification.
 
 Two tiers, chosen per inequality: exact ``Fraction`` arithmetic wherever both
-sides are rational, and interval-backed ``LogScalar`` values (sign plus an
-enclosure of the natural log of the magnitude) elsewhere.  Every interval
-comparison is directed: a reported "pass" means the inequality holds for the
-true real values, no matter how the enclosures were rounded.
+sides are rational, and interval enclosures of natural logs elsewhere (a
+product's log is a sum of ``iv_ln`` enclosures, a power's a multiple of one).
+Every interval comparison is directed: a reported "pass" means the inequality
+holds for the true real values, no matter how the enclosures were rounded.
 """
 
 from __future__ import annotations
@@ -89,130 +89,29 @@ def certify_interval_ge(a, b) -> bool:
     raise PrecisionExhausted(f"cannot order overlapping intervals at {precision()} bits")
 
 
+def iv_ln(q):
+    """Enclosure of ln q for a positive int or Fraction: ln(numerator) - ln(denominator)."""
+    q = Fraction(q)
+    if q <= 0:
+        raise InvalidInput(f"ln needs a positive argument, got {q}")
+    log = iv.log(iv_from_int(q.numerator))
+    return log if q.denominator == 1 else log - iv.log(iv_from_int(q.denominator))
+
+
+def iv_mid(x) -> float:
+    """The midpoint of an interval, as a float for reports."""
+    lo, hi = interval_endpoints(x)
+    return float((lo + hi) / 2)
+
+
+def iv_log10(log) -> float | None:
+    """log10 (at the midpoint) of the value whose natural log ``log`` encloses; None for ln 0."""
+    return None if log is None else iv_mid(log) / math.log(10)
+
+
 def iv_cosh(u):
     e = iv.exp(u)
     return (e + 1 / e) / 2
-
-
-# ---------------------------------------------------------------------------
-# LogScalar
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LogScalar:
-    """Sign plus an interval enclosure of ln|value|.
-
-    Multiplication adds logs, integer/rational powers scale them, and addition
-    of same-sign values goes through interval log-sum-exp, so chains of
-    astronomically large or small factors stay exactly comparable.
-    """
-
-    sign: int
-    log: object | None  # iv.mpf enclosure of ln|value|; None iff sign == 0
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LogScalar":
-        return cls(0, None)
-
-    @classmethod
-    def one(cls) -> "LogScalar":
-        return cls(1, iv.mpf(0))
-
-    @classmethod
-    def from_int(cls, x: int) -> "LogScalar":
-        if x == 0:
-            return cls.zero()
-        return cls(1 if x > 0 else -1, iv.log(iv_from_int(abs(x))))
-
-    @classmethod
-    def from_fraction(cls, q) -> "LogScalar":
-        q = Fraction(q)
-        if q == 0:
-            return cls.zero()
-        mag = iv.log(iv_from_int(abs(q.numerator))) - iv.log(iv_from_int(q.denominator))
-        return cls(1 if q > 0 else -1, mag)
-
-    @classmethod
-    def exp(cls, exponent) -> "LogScalar":
-        """e**exponent for an exact rational exponent."""
-        return cls(1, iv_from_fraction(Fraction(exponent)))
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __mul__(self, other: "LogScalar") -> "LogScalar":
-        if self.sign == 0 or other.sign == 0:
-            return LogScalar.zero()
-        return LogScalar(self.sign * other.sign, self.log + other.log)
-
-    def __truediv__(self, other: "LogScalar") -> "LogScalar":
-        if other.sign == 0:
-            raise ZeroDivisionError("LogScalar division by zero")
-        if self.sign == 0:
-            return LogScalar.zero()
-        return LogScalar(self.sign * other.sign, self.log - other.log)
-
-    def __neg__(self) -> "LogScalar":
-        return LogScalar(-self.sign, self.log)
-
-    def __pow__(self, exponent) -> "LogScalar":
-        if self.sign == 0:
-            if exponent == 0:
-                return LogScalar.one()
-            return LogScalar.zero()
-        if self.sign < 0:
-            if not isinstance(exponent, int):
-                raise InvalidInput("negative base needs an integer exponent")
-            sign = -1 if exponent % 2 else 1
-        else:
-            sign = 1
-        return LogScalar(sign, self.log * iv_from_fraction(Fraction(exponent)))
-
-    def __add__(self, other: "LogScalar") -> "LogScalar":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        if self.sign != other.sign:
-            raise InvalidInput("log-space subtraction of overlapping signs is unsupported")
-        # log-sum-exp; valid for either ordering of magnitudes
-        log = self.log + iv.log(1 + iv.exp(other.log - self.log))
-        return LogScalar(self.sign, log)
-
-    # -- comparison / reporting --------------------------------------------
-
-    def definitely_ge(self, other: "LogScalar") -> bool:
-        """Certified ``self >= other``; raises PrecisionExhausted when undecidable."""
-        if self.sign > other.sign:
-            return True
-        if self.sign < other.sign:
-            return False
-        if self.sign == 0:
-            return True  # 0 >= 0
-        if self.sign > 0:
-            return certify_interval_ge(self.log, other.log)
-        return certify_interval_ge(other.log, self.log)
-
-    def log_gap(self, other: "LogScalar") -> float:
-        """ln(self) - ln(other) (midpoints) for two positive values, for reports."""
-        if self.sign <= 0 or other.sign <= 0:
-            raise InvalidInput("log_gap is defined for positive values")
-        d = self.log - other.log
-        lo, hi = interval_endpoints(d)
-        return float((lo + hi) / 2)
-
-    def log10(self) -> float:
-        if self.sign == 0:
-            return float("-inf")
-        lo, hi = interval_endpoints(self.log)
-        return float((lo + hi) / 2) / math.log(10)
-
-    def __repr__(self) -> str:
-        if self.sign == 0:
-            return "LogScalar(0)"
-        s = "-" if self.sign < 0 else ""
-        return f"LogScalar({s}10^{self.log10():.6g})"
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +151,9 @@ class InequalityLink:
     description: str
     passes: bool
     exact: bool
-    lhs_log10: float
-    rhs_log10: float
-    log_gap: float
+    lhs_log10: float | None  # None where the side is 0 (log undefined)
+    rhs_log10: float | None
+    log_gap: float | None    # ln(lhs) - ln(rhs); None where undefined
 
     def to_json(self) -> dict:
         return {
@@ -269,24 +168,22 @@ class InequalityLink:
 
 
 def _rational_link(label: str, desc: str, lhs: Fraction, rhs: Fraction) -> InequalityLink:
-    """Exact check lhs >= rhs for rationals, with log10 values for the report."""
-    def l10(q):
-        q = Fraction(q)
-        if q == 0:
-            return float("-inf")
-        return LogScalar.from_fraction(abs(q)).log10()
-    gap = float("inf")
-    if lhs > 0 and rhs > 0:
-        gap = (LogScalar.from_fraction(lhs) / LogScalar.from_fraction(rhs)).log10() * math.log(10)
-    return InequalityLink(label, desc, lhs >= rhs, True, l10(lhs), l10(rhs), gap)
+    """Exact check lhs >= rhs for non-negative rationals, with log10 values for the report."""
+    l_log, r_log = (iv_ln(q) if q else None for q in (lhs, rhs))
+    gap = None
+    if lhs and rhs:
+        # through log10 and back: this rounding is the one every earlier report printed
+        gap = iv_log10(l_log - r_log) * math.log(10)
+    return InequalityLink(label, desc, lhs >= rhs, True, iv_log10(l_log), iv_log10(r_log), gap)
 
 
-def _log_link(label: str, desc: str, lhs: LogScalar, rhs: LogScalar) -> InequalityLink:
-    passes = lhs.definitely_ge(rhs)
-    gap = float("nan")
-    if lhs.sign > 0 and rhs.sign > 0:
-        gap = lhs.log_gap(rhs)
-    return InequalityLink(label, desc, passes, False, lhs.log10(), rhs.log10(), gap)
+def _log_link(label: str, desc: str, lhs, rhs) -> InequalityLink:
+    """Certified lhs >= rhs from enclosures of their natural logs; None stands for the value 0."""
+    if lhs is None or rhs is None:
+        passes, gap = rhs is None, None
+    else:
+        passes, gap = certify_interval_ge(lhs, rhs), iv_mid(lhs - rhs)
+    return InequalityLink(label, desc, passes, False, iv_log10(lhs), iv_log10(rhs), gap)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +207,7 @@ class AppendixReport:
             "r": self.r,
             "pass": self.passes,
             "identity_ok": self.identity_ok,
-            "lhs_log10": LogScalar.from_int(self.lhs).log10(),
+            "lhs_log10": iv_log10(iv_ln(self.lhs)),
             "rhs_log10": self.rhs_log10,
         }
 
@@ -333,11 +230,9 @@ def appendix_check(k: int, t: int, r: int) -> AppendixReport:
     identity_ok = ratio == prod
 
     exponent = -Fraction((r - 1) * t * t, 3 * r * k)
-    rhs_log = iv_from_fraction(exponent) + (r * k - t) * iv.log(iv_from_int(r))
-    lhs_log = iv.log(iv_from_int(lhs))
-    passes = certify_interval_ge(rhs_log, lhs_log)
-    rhs_log10 = float(sum(interval_endpoints(rhs_log)) / 2) / math.log(10)
-    return AppendixReport(k, t, r, passes, identity_ok, lhs, rhs_log10)
+    rhs_log = iv_from_fraction(exponent) + (r * k - t) * iv_ln(r)
+    passes = certify_interval_ge(rhs_log, iv_ln(lhs))
+    return AppendixReport(k, t, r, passes, identity_ok, lhs, iv_log10(rhs_log))
 
 
 # ---------------------------------------------------------------------------
@@ -367,21 +262,22 @@ def thm_book_hypotheses(p, mu, t: int, m: int, r: int, size_x, size_ys) -> ThmBo
     if t < 1 or m < 1 or r < 1:
         raise InvalidInput("t, m, r must be positive")
     size_ys = list(size_ys)
+    if len(size_ys) != r:
+        raise InvalidInput(f"need one |Y_i| per colour: {r} sizes, got {len(size_ys)}")
     if size_x < 0 or any(sy < 0 for sy in size_ys):
         raise InvalidInput("set sizes must be non-negative")
     links = [
         _rational_link("mu", "mu >= 2^10 r^3", mu, Fraction(2**10 * r**3)),
         _rational_link("t", "t >= mu^5 / p", Fraction(t), mu**5 / p),
     ]
-    x_need = LogScalar.from_fraction(mu**2 / p) ** (mu * r * t)
-    links.append(_log_link("X", "|X| >= (mu^2/p)^(mu r t)", LogScalar.from_int(size_x), x_need))
-    y_need_log = (
+    x_need = iv_ln(mu**2 / p) * iv_from_fraction(mu * r * t)
+    links.append(_log_link("X", "|X| >= (mu^2/p)^(mu r t)", iv_ln(size_x) if size_x else None, x_need))
+    y_need = (
         iv_from_fraction(Fraction(2**13 * r**3) / mu**2) - iv.log(iv_from_fraction(p))
-    ) * t + iv.log(iv_from_int(m))
-    y_need = LogScalar(1, y_need_log)
+    ) * t + iv_ln(m)
     for i, sy in enumerate(size_ys):
         links.append(
-            _log_link(f"Y{i}", "|Y_i| >= (e^(2^13 r^3/mu^2)/p)^t m", LogScalar.from_int(sy), y_need)
+            _log_link(f"Y{i}", "|Y_i| >= (e^(2^13 r^3/mu^2)/p)^t m", iv_ln(sy) if sy else None, y_need)
         )
     return ThmBookReport(tuple(links))
 
@@ -457,9 +353,9 @@ def thm51_chain(r: int, k: int | None = None) -> Thm51Report:
     # (ii) the |X| chain: r^(rk/4) >= (2^61 r^7)^(2^-10 r k) >= (mu^2/p)^(mu r t)
     e1 = r * k // 4
     e2 = r * k // 2**10
-    lhs_a = LogScalar(1, e1 * iv.log(iv_from_int(r)))
-    rhs_a = LogScalar(1, e2 * iv.log(iv_from_int(2**61 * r**7)))
-    links.append(_log_link("ii-a", "r^(rk/4) >= (2^61 r^7)^(2^-10 rk)", lhs_a, rhs_a))
+    links.append(
+        _log_link("ii-a", "r^(rk/4) >= (2^61 r^7)^(2^-10 rk)", e1 * iv_ln(r), e2 * iv_ln(2**61 * r**7))
+    )
     exponents_match = mu * r * t == e2
     base_ok = Fraction(2**61 * r**7) >= Fraction(mu) ** 2 / p
     links.append(
@@ -469,8 +365,8 @@ def thm51_chain(r: int, k: int | None = None) -> Thm51Report:
             exponents_match and base_ok,
             True,
             float(e2) * math.log10(2**61 * r**7),
-            float(mu * r * t) * LogScalar.from_fraction(Fraction(mu) ** 2 / p).log10(),
-            float("nan"),
+            float(mu * r * t) * iv_log10(iv_ln(Fraction(mu) ** 2 / p)),
+            None,
         )
     )
 
@@ -506,9 +402,9 @@ def thm51_chain(r: int, k: int | None = None) -> Thm51Report:
             "p >= e^(-3 eps r)/r",
             certify_interval_ge(margin, iv.mpf(0)),
             False,
-            LogScalar.from_fraction(p).log10(),
-            LogScalar.from_fraction(p).log10(),
-            float(sum(interval_endpoints(margin)) / 2),
+            iv_log10(iv_ln(p)),
+            iv_log10(iv_ln(p)),
+            iv_mid(margin),
         )
     )
 
@@ -522,9 +418,9 @@ def thm51_chain(r: int, k: int | None = None) -> Thm51Report:
             "|Y_i| chain: t/8k - 4 eps r >= 2^13 r^3/mu^2 and delta <= t^2/24k^2, exact",
             terminal and page_cmp,
             True,
-            float(LogScalar.from_fraction(Fraction(t, 8 * k) - 4 * eps * r).log10()),
-            float(LogScalar.from_fraction(Fraction(2**13 * r**3, mu**2)).log10()),
-            float("nan"),
+            iv_log10(iv_ln(Fraction(t, 8 * k) - 4 * eps * r)),
+            iv_log10(iv_ln(Fraction(2**13 * r**3, mu**2))),
+            None,
         )
     )
 

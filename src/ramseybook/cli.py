@@ -49,7 +49,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def _note(msg: str) -> None:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from mpmath import iv
 
 from .book_engine import EngineParams, run
-from .bounds import LogScalar, certify_interval_ge, iv_from_fraction
+from .bounds import certify_interval_ge, iv_from_fraction, iv_ln, iv_log10
 from .colouring import EdgeColouring, iter_vertices, mask_of, vertex_list
 from .errors import (
     DegenerateDensity,
@@ -149,17 +149,18 @@ def lemma53_check(r: int, k: int, eps, ss) -> Lemma53Report:
     if s < eps * eps * k:
         raise InvalidInput(f"sum s_i = {s} below eps^2 k = {float(eps * eps * k)}")
 
-    lhs = LogScalar.from_int(r) ** (r * k - s)
+    # natural logs of both sides
+    lhs = iv_ln(r) * iv_from_fraction(Fraction(r * k - s))
     rhs = (
-        LogScalar.exp(-(eps**3) * k / 2)
-        * LogScalar.from_fraction((1 + eps) / r) ** s
-        * LogScalar.from_int(r) ** (r * k)
+        iv_from_fraction(-(eps**3) * k / 2)
+        + iv_ln((1 + eps) / r) * iv_from_fraction(Fraction(s))
+        + iv_ln(r) * iv_from_fraction(Fraction(r * k))
     )
-    passes = rhs.definitely_ge(lhs)
+    passes = certify_interval_ge(rhs, lhs)
     reduced = certify_interval_ge(
         s * iv.log(iv_from_fraction(1 + eps)), iv_from_fraction((eps**3) * k / 2)
     )
-    return Lemma53Report(passes, reduced, lhs.log10(), rhs.log10())
+    return Lemma53Report(passes, reduced, iv_log10(lhs), iv_log10(rhs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,49 @@
-"""The benchmark's tracer replaces names in ``ramseybook`` with timing wrappers
-(``bench/tracing.py``'s ``WRAPS``).  Deleting or renaming one of those names
-in ``src/`` breaks ``Tracer.install()``; this test catches that without
-running the benchmark."""
+"""The benchmark's hooks into ``ramseybook``, checked without running it.
 
+The tracer replaces names in ``ramseybook`` with timing wrappers
+(``bench/tracing.py``'s ``WRAPS``); deleting or renaming one of those names in
+``src/`` breaks ``Tracer.install()``.  Each workload's digest covers the
+outputs (traces and report texts) of its first pass; a change that alters any
+output changes the digest, so the tiny passes' digests are pinned here."""
+
+import hashlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_wrapped_name_resolves_to_a_callable():
-    wraps = _load_tracing().WRAPS
+    wraps = _load("tracing").WRAPS
     assert wraps
     broken = [f"{owner.__name__}.{attr}" for owner, attr, *_ in wraps
               if not callable(getattr(owner, attr, None))]
     assert broken == []
+
+
+# SHA-256 over the outputs of one tiny pass at seed 1, in job order, as ``Loop`` hashes them
+TINY_DIGESTS = {
+    "book-large": "79e0dc5b464050708885dac1aef1c181d46385e4336cafcec6ca421842022f24",
+    "keystep-audit": "3296df390f64e6bd9241f47870edd0dfc5e3c1728228938c5eb64de9f3cecb0c",
+    "trace-audit": "ef6a8361ebe1b227bcd3721b23e05de913776335ac8c5d3ab41899d90aa6e61a",
+    "certify": "9dc91272a3ede9db1f1f23af79ee69766d9ec2fdbc53e5384caf0f997b5e5041",
+}
+
+
+@pytest.mark.parametrize("workload", TINY_DIGESTS)
+def test_tiny_pass_outputs_unchanged(workload):
+    h = hashlib.sha256()
+    for job in _load("workloads").build(workload, 1, tiny=True):
+        ok, output = job()
+        assert ok
+        h.update(b"" if output is None else output.encode("ascii"))
+    assert h.hexdigest() == TINY_DIGESTS[workload]

@@ -18,6 +18,10 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def fresh_python(*args, **env):
     """Run a new interpreter that imports this checkout's ramseybook."""
     src = str(Path(ramseybook.__file__).parent.parent)
@@ -133,11 +137,18 @@ class TestRunAndVerify:
             (1, lambda h: h.replace('"delta":"1/8"', '"delta":"0/1"')),
             (1, lambda h: h.replace('"lambda0":"5/1"', '"lambda0":"-2/1"')),
             (1, lambda h: h.replace('"delta":"1/8"', '"delta":"2/16"')),
+            (1, lambda h: h.replace('"beta":"1/6561"', '"beta":"-1/1"')),
+            (1, lambda h: h.replace('"beta":"1/6561"', '"beta":"0/1"')),
+            (1, lambda h: h.replace('"p0":"4/15"', '"p0":"0/1"')),
+            (1, lambda h: h.replace('"p0":"4/15"', '"p0":"1/3"')),
+            (1, lambda h: h.replace('"initial_densities":["4/15","1/3"]', '"initial_densities":["4/15","4/3"]')),
+            (1, lambda h: h.replace('"p0":"4/15"', '"p0":"0/1"').replace('["4/15",', '["0/1",')),
         ],
         ids=["array", "numeric-rational", "numeric-sizes", "non-ascii", "string-int", "bool-int",
              "float-int", "numeric-hash", "string-sizes", "short-sizes", "chosen-colour-range",
              "witness-colour-range", "wrong-r", "zero-t", "zero-delta", "negative-lambda0",
-             "unreduced-rational"],
+             "unreduced-rational", "negative-beta", "zero-beta", "zero-p0", "p0-not-least",
+             "density-above-one", "zero-density"],
     )
     def test_verify_malformed_trace_is_usage_error(self, tmp_path, capsys, line, spoil):
         rcg = tmp_path / "c.rcg"
@@ -252,6 +263,20 @@ class TestBoundsCmd:
         payload = json.loads(out)
         assert not payload["all_pass"]  # t is far below mu^5/p here
 
+    def test_thm_book_empty_sets_print_strict_json(self, capsys):
+        # |X| = |Y_i| = 0: the logs and slacks that do not exist are null, not -Infinity or NaN
+        code, out, _ = invoke(
+            capsys, "bounds", "thm-book", "--p", "1", "--mu", "8192", "--t", "1",
+            "--m", "1", "--r", "1", "--size-x", "0", "--size-ys", "0",
+        )
+        assert code == 0
+        payload = json.loads(out, parse_constant=reject_constant)
+        by_label = {l["label"]: l for l in payload["hypotheses"]}
+        for label in ("X", "Y0"):
+            assert not by_label[label]["pass"]
+            assert by_label[label]["lhs_log10"] is None and by_label[label]["slack_log"] is None
+            assert by_label[label]["rhs_log10"] > 0
+
 
 class TestOracleCmd:
     def test_ramsey_pentagon_counterexample(self, capsys):
@@ -336,6 +361,13 @@ class TestUsageErrors:
         code, out, err = invoke(capsys, "bounds", "thm-book", *(x for kv in base.items() for x in kv))
         assert code == 2
         assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("sizes", ["100000000000000", "1,1,1", ""])
+    def test_thm_book_needs_one_y_size_per_colour(self, capsys, sizes):
+        code, out, err = invoke(capsys, "bounds", "thm-book", "--p", "1/2", "--mu", "8192", "--t", "100",
+                                "--m", "1", "--r", "2", "--size-x", "1", "--size-ys", sizes)
+        assert code == 2
+        assert out == "" and "2 sizes" in err
 
     # the variable is read when the package is imported, so only a fresh
     # interpreter sees it

@@ -1,5 +1,6 @@
 """The README's CLI examples, run in order in a fresh directory."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -20,11 +21,17 @@ def readme_commands() -> list[list[str]]:
     return commands
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_readme_cli_examples_exit_zero(tmp_path, monkeypatch, capsys):
+    """Each example exits 0 and prints strict JSON (no NaN or Infinity) on stdout."""
     commands = readme_commands()
     assert len(commands) >= 10
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         code = main(argv)
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code == 0, (argv, err)
+        json.loads(out, parse_constant=reject_constant)
