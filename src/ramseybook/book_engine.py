@@ -183,10 +183,12 @@ def _read_header(d: dict) -> TraceHeader:
         EngineParams(h.t, h.lambda0, h.delta)
     except InvalidInput as e:
         raise ParseError(str(e)) from None
-    if h.r < 1:
-        raise ParseError("r must be >= 1")
+    if h.n < 1 or h.r < 1:
+        raise ParseError("n and r must be >= 1")
     if len(h.initial_y_sizes) != h.r or len(h.initial_densities) != h.r:
         raise ParseError(f"every per-colour list must have r = {h.r} entries")
+    if any(not 1 <= size <= h.n for size in (h.initial_x_size, *h.initial_y_sizes)):
+        raise ParseError(f"every initial size must lie in [1, n = {h.n}]")
     if h.beta <= 0:
         raise ParseError("beta must be positive")
     if any(not 0 < p <= 1 for p in h.initial_densities):
@@ -209,6 +211,14 @@ def _read_record(h: TraceHeader, s: int, d: dict) -> StepRecord:
         raise ParseError("lambda must be >= -1")
     if any(v is not None and len(v) != h.r for v in (rec.y_sizes, rec.t_sizes, rec.densities)):
         raise ParseError(f"every per-colour list must have r = {h.r} entries")
+    if not 0 <= rec.pivot < h.n:
+        raise ParseError(f"pivot out of range [0, n = {h.n})")
+    if any(not 0 <= size <= h.n for size in (rec.x_size, *rec.y_sizes, *rec.t_sizes)):
+        raise ParseError(f"every size must lie in [0, n = {h.n}]")
+    if rec.densities is None and rec.x_size > 0:
+        raise ParseError("densities must be given while X is non-empty")
+    if any(not 0 <= p <= 1 for p in rec.densities or ()):
+        raise ParseError("every density must lie in [0, 1]")
     return rec
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from functools import cache
@@ -575,6 +575,7 @@ def key_lemma_step(c: EdgeColouring, xset: int, ysets, alphas, beta=None) -> Key
 
 @dataclass(frozen=True)
 class KeyStepCheck:
+    pivot_ok: bool
     y_sizes_ok: bool
     size_bound_ok: bool
     boost_ok: bool
@@ -583,21 +584,16 @@ class KeyStepCheck:
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.y_sizes_ok
-            and self.size_bound_ok
-            and self.boost_ok
-            and self.all_colours_ok
-            and self.slack_ok
-        )
+        return all(getattr(self, f.name) for f in fields(self))
 
 
 def verify_key_step(c, xset, ysets, alphas, res: KeyStepResult, beta=None) -> KeyStepCheck:
     """Recompute every key-step postcondition from the colouring alone.
 
-    Densities, trimmed sets and codegrees are all rebuilt from scratch; the
-    exponential size bound compares the exact |X'| against an upper-rounded
-    right side.
+    The pivot must lie in X and X' in X minus the pivot; each Y'_i must be
+    the pivot's trimmed neighbourhood, of size exactly p_i |Y_i|.  Densities,
+    trimmed sets and codegrees are all rebuilt from scratch; the exponential
+    size bound compares the exact |X'| against an upper-rounded right side.
     """
     ysets = tuple(ysets)
     alphas = tuple(Fraction(a) for a in alphas)
@@ -605,31 +601,27 @@ def verify_key_step(c, xset, ysets, alphas, res: KeyStepResult, beta=None) -> Ke
     beta = default_beta(r) if beta is None else Fraction(beta)
     xsize = xset.bit_count()
 
+    in_x = res.pivot >= 0 and (xset >> res.pivot) & 1 == 1
+    pivot_ok = in_x and res.x_prime & ~(xset ^ (1 << res.pivot)) == 0
     densities = [min_density(c, xset, ysets[i], i) for i in range(r)]
     m = [int(densities[i] * ysets[i].bit_count()) for i in range(r)]
-
-    y_sizes_ok = all(res.y_primes[i].bit_count() == m[i] for i in range(r))
-    # Y'_i must be the trimmed neighbourhood of the pivot
-    for i in range(r):
-        full = c.neighbourhood(res.pivot, i) & ysets[i]
-        want = full if full.bit_count() == m[i] else _lowest_bits(full, m[i])
-        if res.y_primes[i] != want:
-            y_sizes_ok = False
+    y_sizes_ok = all(
+        res.y_primes[i].bit_count() == m[i]
+        and res.y_primes[i] == _lowest_bits(c.neighbourhood(res.pivot, i) & ysets[i], m[i])
+        for i in range(r)
+    )
 
     bound = witness_bound_upper(res.lam, r, beta)
     size_bound_ok = Fraction(res.x_prime.bit_count()) >= bound * xsize
     slack_ok = Fraction(res.x_prime.bit_count()) >= res.q * xsize - 1
 
-    boost_ok = True
-    all_colours_ok = True
+    boost_ok = all_colours_ok = True
     if res.x_prime:
-        pl = min_density(c, res.x_prime, res.y_primes[res.colour], res.colour)
-        boost_ok = pl >= densities[res.colour] + res.lam * alphas[res.colour]
-        for i in range(r):
-            pi = min_density(c, res.x_prime, res.y_primes[i], i)
-            if pi < densities[i] - alphas[i]:
-                all_colours_ok = False
-    return KeyStepCheck(y_sizes_ok, size_bound_ok, boost_ok, all_colours_ok, slack_ok)
+        after = [min_density(c, res.x_prime, res.y_primes[i], i) for i in range(r)]
+        w = res.colour
+        boost_ok = 0 <= w < r and after[w] >= densities[w] + res.lam * alphas[w]
+        all_colours_ok = all(after[i] >= densities[i] - alphas[i] for i in range(r))
+    return KeyStepCheck(pivot_ok, y_sizes_ok, size_bound_ok, boost_ok, all_colours_ok, slack_ok)
 
 
 def verify_witness(c, xset, ysets, alphas, rep: WitnessReport, beta=None) -> None:

@@ -7,6 +7,7 @@ and raise BudgetExceeded rather than running away.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .colouring import EdgeColouring, full_mask, iter_vertices
@@ -35,19 +36,6 @@ class SearchBudget:
 DEFAULT_BUDGET = SearchBudget()
 
 
-class _NodeCounter:
-    __slots__ = ("count", "limit")
-
-    def __init__(self, limit: int):
-        self.count = 0
-        self.limit = limit
-
-    def tick(self) -> None:
-        self.count += 1
-        if self.count > self.limit:
-            raise BudgetExceeded(f"node limit {self.limit} exceeded")
-
-
 def max_mono_clique(c: EdgeColouring, colour: int, budget: SearchBudget | None = None,
                     within: int | None = None) -> tuple[int, int]:
     """Exact maximum clique in the colour-`colour` graph, with witness mask.
@@ -62,8 +50,9 @@ def max_mono_clique(c: EdgeColouring, colour: int, budget: SearchBudget | None =
     if pool.bit_count() > budget.n_cap:
         raise BudgetExceeded(f"{pool.bit_count()} vertices exceeds n_cap={budget.n_cap}")
     adj = c._neigh[colour]
-    nodes = _NodeCounter(budget.node_limit)
-    best = {"size": 0, "mask": 0}
+    limit = budget.node_limit
+    count = 0
+    best_size = best_mask = 0
 
     def bound_order(pmask: int) -> list[tuple[int, int]]:
         # greedy independent-set classes; a clique takes at most one per class,
@@ -83,15 +72,16 @@ def max_mono_clique(c: EdgeColouring, colour: int, budget: SearchBudget | None =
         return order
 
     def expand(rsize: int, rmask: int, pmask: int) -> None:
-        nodes.tick()
+        nonlocal count, best_size, best_mask
+        count += 1
+        if count > limit:
+            raise BudgetExceeded(f"node limit {limit} exceeded")
         if pmask == 0:
-            if rsize > best["size"]:
-                best["size"] = rsize
-                best["mask"] = rmask
+            if rsize > best_size:
+                best_size, best_mask = rsize, rmask
             return
-        order = bound_order(pmask)
-        for v, cls in reversed(order):
-            if rsize + cls <= best["size"]:
+        for v, cls in reversed(bound_order(pmask)):
+            if rsize + cls <= best_size:
                 return
             bit = 1 << v
             expand(rsize + 1, rmask | bit, pmask & adj[v])
@@ -99,9 +89,7 @@ def max_mono_clique(c: EdgeColouring, colour: int, budget: SearchBudget | None =
 
     if pool:
         expand(0, 0, pool)
-    else:
-        return 0, 0
-    return best["size"], best["mask"]
+    return best_size, best_mask
 
 
 @dataclass(frozen=True)
@@ -123,15 +111,18 @@ def best_book(c: EdgeColouring, t: int, budget: SearchBudget | None = None) -> B
     budget = budget or DEFAULT_BUDGET
     if c.n > budget.n_cap:
         raise BudgetExceeded(f"n={c.n} exceeds n_cap={budget.n_cap}")
-    nodes = _NodeCounter(budget.node_limit)
+    limit = budget.node_limit
+    count = 0
     best: BookSearchResult | None = None
 
     for colour in range(c.r):
         adj = c._neigh[colour]
 
         def extend(spine_mask: int, size: int, common: int, min_next: int) -> None:
-            nonlocal best
-            nodes.tick()
+            nonlocal best, count
+            count += 1
+            if count > limit:
+                raise BudgetExceeded(f"node limit {limit} exceeded")
             if size == t:
                 m = common.bit_count()
                 if best is None or m > best.pages:
@@ -174,34 +165,26 @@ def _has_clique(adj: list[int], cand: int, size: int) -> bool:
     return False
 
 
-def _first_rows(r: int, n: int, ks) -> list[tuple[int, ...]]:
-    """Canonical colourings of the edges at vertex 0.
+def _first_rows(r: int, n: int, ks) -> Iterator[tuple[int, ...]]:
+    """Canonical colourings of the edges at vertex 0, generated lazily.
 
     Vertex relabelling sorts the row into colour blocks; when all target
     clique sizes are equal, colour permutation additionally forces the block
     sizes to be non-increasing.
     """
     uniform = len(set(ks)) == 1
-    rows = []
 
-    def compose(remaining: int, colour: int, counts: list[int]):
+    def compose(remaining: int, colour: int, cap: int) -> Iterator[tuple[int, ...]]:
+        # cap: the largest block this colour may take
         if colour == r - 1:
-            counts.append(remaining)
-            if not uniform or all(counts[i] >= counts[i + 1] for i in range(r - 1)):
-                row = []
-                for ci, cnt in enumerate(counts):
-                    row.extend([ci] * cnt)
-                rows.append(tuple(row))
-            counts.pop()
+            if remaining <= cap:
+                yield (colour,) * remaining
             return
-        cap = remaining if not uniform else min(remaining, counts[-1] if counts else remaining)
-        for take in range(cap, -1, -1):
-            counts.append(take)
-            compose(remaining - take, colour + 1, counts)
-            counts.pop()
+        for take in range(min(remaining, cap), -1, -1):
+            for rest in compose(remaining - take, colour + 1, take if uniform else n):
+                yield (colour,) * take + rest
 
-    compose(n - 1, 0, [])
-    return rows
+    return compose(n - 1, 0, n - 1)
 
 
 def ramsey_exhaustive(r: int, ks, n: int, budget: SearchBudget | None = None) -> RamseyResult:

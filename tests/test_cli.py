@@ -143,12 +143,26 @@ class TestRunAndVerify:
             (1, lambda h: h.replace('"p0":"4/15"', '"p0":"1/3"')),
             (1, lambda h: h.replace('"initial_densities":["4/15","1/3"]', '"initial_densities":["4/15","4/3"]')),
             (1, lambda h: h.replace('"p0":"4/15"', '"p0":"0/1"').replace('["4/15",', '["0/1",')),
+            (1, lambda h: h.replace('"n":30,', '"n":3,')),
+            (1, lambda h: h.replace('"n":30,', '"n":0,')),
+            (1, lambda h: h.replace('"initial_x_size":30', '"initial_x_size":3000')),
+            (1, lambda h: h.replace('"initial_y_sizes":[30,30]', '"initial_y_sizes":[30,0]')),
+            (2, lambda s: s.replace('"pivot":11', '"pivot":-1')),
+            (3, lambda s: s.replace('"pivot":21', '"pivot":2100')),
+            (2, lambda s: s.replace('"x_size":3', '"x_size":31')),
+            (3, lambda s: s.replace('"y_sizes":[6,30]', '"y_sizes":[6,31]')),
+            (5, lambda s: s.replace('"t_sizes":[1,1]', '"t_sizes":[1,-1]')),
+            (2, lambda s: s.replace('"densities":["3/4","2/5"]', '"densities":null')),
+            (2, lambda s: s.replace('"densities":["3/4","2/5"]', '"densities":["3/4","5/4"]')),
+            (2, lambda s: s.replace('"densities":["3/4","2/5"]', '"densities":["-3/4","2/5"]')),
         ],
         ids=["array", "numeric-rational", "numeric-sizes", "non-ascii", "string-int", "bool-int",
              "float-int", "numeric-hash", "string-sizes", "short-sizes", "chosen-colour-range",
              "witness-colour-range", "wrong-r", "zero-t", "zero-delta", "negative-lambda0",
              "unreduced-rational", "negative-beta", "zero-beta", "zero-p0", "p0-not-least",
-             "density-above-one", "zero-density"],
+             "density-above-one", "zero-density", "small-n", "zero-n", "initial-x-above-n",
+             "zero-initial-y", "negative-pivot", "pivot-above-n", "x-size-above-n", "y-size-above-n",
+             "negative-t-size", "null-densities", "step-density-above-one", "negative-density"],
     )
     def test_verify_malformed_trace_is_usage_error(self, tmp_path, capsys, line, spoil):
         rcg = tmp_path / "c.rcg"

@@ -621,6 +621,14 @@ class TestKeyStep:
         # the boost inequality is exactly tight here: 1/2 = 2/3 - 1/6
         assert min_density(c, res.x_prime, res.y_primes[0], 0) == F(1, 2)
 
+    def test_witness_colour_outside_range_fails(self):
+        c = triangle()
+        alphas = [F(1, 4)]
+        res = key_lemma_step(c, c.vertices, [c.vertices], alphas)
+        for colour in (-1, 1):
+            chk = verify_key_step(c, c.vertices, [c.vertices], alphas, replace(res, colour=colour))
+            assert not chk.boost_ok and not chk.all_ok
+
     def test_triangle_small_alpha_falls_back(self):
         c = triangle()
         res = key_lemma_step(c, c.vertices, [c.vertices], [F(1, 10)])
@@ -687,6 +695,30 @@ class TestKeyStep:
                 assert chk.all_ok
                 done += 1
         assert done >= 25  # the full postconditions hold on nearly all seeds
+
+    @pytest.mark.parametrize("mutation", ["pivot-in-x-prime", "x-prime-leaves-x", "pivot-outside-x"])
+    def test_pivot_and_x_prime_must_lie_in_x(self, mutation):
+        # X = {0..19} in K_40; vertex 20 lies outside X
+        xset = (1 << 20) - 1
+        for seed in range(40):
+            c = random_colouring(40, 2, seed)
+            ysets = [c.vertices] * 2
+            densities = [min_density(c, xset, y, i) for i, y in enumerate(ysets)]
+            alphas = [p / 2 for p in densities]
+            res = key_lemma_step(c, xset, ysets, alphas)
+            assert verify_key_step(c, xset, ysets, alphas, res).all_ok
+            if mutation == "pivot-in-x-prime":
+                bad = replace(res, x_prime=res.x_prime | 1 << res.pivot)
+            elif mutation == "x-prime-leaves-x":
+                bad = replace(res, x_prime=res.x_prime | 1 << 20)
+            else:
+                y_primes = tuple(
+                    _lowest_bits(c.neighbourhood(20, i) & y, int(densities[i] * y.bit_count()))
+                    for i, y in enumerate(ysets)
+                )
+                bad = replace(res, pivot=20, y_primes=y_primes)
+            chk = verify_key_step(c, xset, ysets, alphas, bad)
+            assert not chk.pivot_ok and not chk.all_ok
 
 
 class TestWitnessCap:

@@ -1,3 +1,4 @@
+from collections.abc import Iterator
 from fractions import Fraction as F
 
 import itertools
@@ -11,6 +12,7 @@ from ramseybook.colouring import (
     from_pair_function,
     full_mask,
     mask_of,
+    pentagon_colouring,
     product_colouring,
     random_colouring,
     vertex_list,
@@ -18,6 +20,7 @@ from ramseybook.colouring import (
 from ramseybook.errors import BudgetExceeded, InvalidInput
 from ramseybook.oracle import (
     SearchBudget,
+    _first_rows,
     best_book,
     max_mono_clique,
     ramsey_exhaustive,
@@ -71,6 +74,21 @@ class TestMaxClique:
         with pytest.raises(BudgetExceeded):
             max_mono_clique(c, 0, SearchBudget(n_cap=10))
 
+    @pytest.mark.parametrize(
+        "make, colour, within, nodes, size",
+        [
+            (pentagon_colouring, 0, None, 3, 2),
+            (lambda: random_colouring(30, 2, 1), 1, None, 18, 6),
+            (lambda: random_colouring(40, 3, 2), 0, full_mask(30), 14, 5),
+        ],
+        ids=["pentagon", "n30-r2", "n40-r3-within"],
+    )
+    def test_budget_boundary(self, make, colour, within, nodes, size):
+        c = make()
+        assert max_mono_clique(c, colour, SearchBudget(node_limit=nodes), within)[0] == size
+        with pytest.raises(BudgetExceeded, match=f"^node limit {nodes - 1} exceeded$"):
+            max_mono_clique(c, colour, SearchBudget(node_limit=nodes - 1), within)
+
 
 class TestBestBook:
     def test_pentagon_t1(self, c5):
@@ -99,6 +117,13 @@ class TestBestBook:
 
     def test_no_spine_returns_none(self, c5):
         assert best_book(c5, 3) is None  # pentagon has no monochromatic triangle
+
+    @pytest.mark.parametrize("n, r, seed, t, nodes, pages", [(12, 2, 3, 3, 147, 3), (16, 3, 5, 2, 171, 4)])
+    def test_budget_boundary(self, n, r, seed, t, nodes, pages):
+        c = random_colouring(n, r, seed)
+        assert best_book(c, t, SearchBudget(node_limit=nodes)).pages == pages
+        with pytest.raises(BudgetExceeded, match=f"^node limit {nodes - 1} exceeded$"):
+            best_book(c, t, SearchBudget(node_limit=nodes - 1))
 
     def test_pages_are_common_neighbourhood(self):
         c = random_colouring(10, 2, 60)
@@ -225,6 +250,15 @@ class TestRamseyExhaustive:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             ramsey_exhaustive(2, [4, 4], 10, SearchBudget(node_limit=50))
+
+    def test_first_rows_are_generated_lazily(self):
+        assert isinstance(_first_rows(3, 8, [3, 3, 3]), Iterator)
+
+    def test_budget_bounds_first_row_enumeration(self):
+        # 167 960 canonical first rows at r = 10, n = 12: the budget must stop
+        # the search before they are all listed
+        with pytest.raises(BudgetExceeded, match="^node limit 10 exceeded$"):
+            ramsey_exhaustive(10, [3] * 9 + [4], 12, SearchBudget(node_limit=10))
 
 
 def engine_book_vs_oracle(c, params):
