@@ -25,7 +25,6 @@ from .errors import (
 )
 
 MAX_COLOURS = 64
-_ONE_DIGIT = bytes(range(10))
 
 
 def full_mask(n: int) -> int:
@@ -71,7 +70,7 @@ class EdgeColouring:
     Immutable after construction; all queries are safe for concurrent readers.
     """
 
-    __slots__ = ("n", "r", "_tri", "_neigh")
+    __slots__ = ("n", "r", "_tri", "_neigh", "_sha256")
 
     def __init__(self, n: int, r: int, triangle):
         _check_size(n, r)
@@ -84,6 +83,7 @@ class EdgeColouring:
         self.n = n
         self.r = r
         self._tri = tri
+        self._sha256 = None  # set by parse_colouring, or on the first sha256()
         # the symmetric n x n colour matrix, 0xff on the diagonal: row u of the
         # upper triangle goes in as row u right of the diagonal and, by one
         # extended slice, as column u below it
@@ -165,7 +165,10 @@ class EdgeColouring:
         return "\n".join(lines) + "\n"
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.serialize().encode("ascii")).hexdigest()
+        """SHA-256 of the colouring's one ``.rcg`` text, ``serialize()``."""
+        if self._sha256 is None:
+            self._sha256 = hashlib.sha256(self.serialize().encode("ascii")).hexdigest()
+        return self._sha256
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EdgeColouring):
@@ -238,7 +241,8 @@ def parse_colouring(text: str) -> EdgeColouring:
     """Parse the ``.rcg`` text format.  Raises ParseError with the offending line.
 
     Every number must be written as ``str`` writes it (no sign, leading zero,
-    underscore or stray whitespace), so each colouring has exactly one text.
+    underscore or stray whitespace), so each colouring has exactly one text,
+    and the colouring's ``sha256()`` is taken from the text read.
     """
     if not text.endswith("\n"):
         raise ParseError("missing trailing newline")
@@ -258,6 +262,9 @@ def parse_colouring(text: str) -> EdgeColouring:
         raise ParseError(f"header {lines[0]!r} is not written as {f'{n} {r}'!r}", line=1)
     if len(lines) != n:
         raise ParseError(f"expected {n - 1} rows after the header, got {len(lines) - 1}", line=len(lines))
+    # the keys are exactly the canonical spellings of [0, r), so one lookup
+    # checks a field's range and spelling
+    colour_of = {str(c): c for c in range(r)}.__getitem__
     tri = bytearray()
     for u in range(n - 1):
         lineno = u + 2
@@ -267,22 +274,13 @@ def parse_colouring(text: str) -> EdgeColouring:
         if len(fields) != k:
             raise ParseError(f"row {u} must have {k} entries, got {len(fields)}", line=lineno)
         try:
-            row = bytes(map(int, fields))
-        except ValueError:  # a non-integer field, or one outside [0, 256)
-            row = None
-        if row is None or max(row) >= r or len(line) != _canonical_length(row, r) or not line.isascii():
-            raise ParseError(_bad_field(fields, r), line=lineno)
-        tri += row
-    return EdgeColouring(n, r, tri)
-
-
-def _canonical_length(row: bytes, r: int) -> int:
-    """Length of a row's canonical text: a digit per colour, one more per
-    two-digit colour, and a space between neighbours.  Every other ASCII
-    spelling that int() reads (sign, leading zero, underscore, whitespace) is
-    longer."""
-    wide = len(row.translate(None, _ONE_DIGIT)) if r > 10 else 0
-    return 2 * len(row) - 1 + wide
+            tri += bytes(map(colour_of, fields))
+        except KeyError:
+            raise ParseError(_bad_field(fields, r), line=lineno) from None
+    c = EdgeColouring(n, r, tri)
+    # every part of the text was checked to be canonical, so it is serialize()
+    c._sha256 = hashlib.sha256(text.encode("ascii")).hexdigest()
+    return c
 
 
 def _bad_field(fields, r: int) -> str:

@@ -79,6 +79,8 @@ def min_density(c: EdgeColouring, xset: int, yset: int, colour: int) -> Fraction
         raise EmptySet("min_density needs non-empty X and Y")
     if not 0 <= colour < c.r:
         raise InvalidColour(f"colour {colour} out of range [0, {c.r})")
+    if (xset | yset) >> c.n:
+        raise InvalidVertex(f"X or Y contains vertices out of range [0, {c.n})")
     ysize = yset.bit_count()
     neigh = c._neigh[colour]
     best = min((neigh[x] & yset).bit_count() for x in iter_vertices(xset))
@@ -162,15 +164,17 @@ def build_embedding(c: EdgeColouring, xset: int, ysets, alphas) -> Embedding:
         raise EmptySet("X is empty")
     if any(a <= 0 for a in alphas):
         raise InvalidInput("alphas must be positive")
-    points = tuple(iter_vertices(xset))
-    if points[-1] >= c.n:
+    if xset >> c.n:
         raise InvalidVertex("X contains vertices out of range")
+    points = tuple(iter_vertices(xset))
     y_sizes = []
     densities = []
     trimmed = []
     for i, yset in enumerate(ysets):
         if yset == 0:
             raise EmptySet(f"Y_{i} is empty")
+        if yset >> c.n:
+            raise InvalidVertex(f"Y_{i} contains vertices out of range")
         ysize = yset.bit_count()
         neigh = c._neigh[i]
         masks = [neigh[x] & yset for x in points]
@@ -598,6 +602,8 @@ def verify_key_step(c, xset, ysets, alphas, res: KeyStepResult, beta=None) -> Ke
     ysets = tuple(ysets)
     alphas = tuple(Fraction(a) for a in alphas)
     r = c.r
+    if len(ysets) != r or len(alphas) != r:
+        raise InvalidInput(f"need one Y set and one alpha per colour ({r})")
     beta = default_beta(r) if beta is None else Fraction(beta)
     xsize = xset.bit_count()
 
@@ -605,7 +611,8 @@ def verify_key_step(c, xset, ysets, alphas, res: KeyStepResult, beta=None) -> Ke
     pivot_ok = in_x and res.x_prime & ~(xset ^ (1 << res.pivot)) == 0
     densities = [min_density(c, xset, ysets[i], i) for i in range(r)]
     m = [int(densities[i] * ysets[i].bit_count()) for i in range(r)]
-    y_sizes_ok = all(
+    y_count_ok = len(res.y_primes) == r
+    y_sizes_ok = y_count_ok and all(
         res.y_primes[i].bit_count() == m[i]
         and res.y_primes[i] == _lowest_bits(c.neighbourhood(res.pivot, i) & ysets[i], m[i])
         for i in range(r)
@@ -615,8 +622,9 @@ def verify_key_step(c, xset, ysets, alphas, res: KeyStepResult, beta=None) -> Ke
     size_bound_ok = Fraction(res.x_prime.bit_count()) >= bound * xsize
     slack_ok = Fraction(res.x_prime.bit_count()) >= res.q * xsize - 1
 
-    boost_ok = all_colours_ok = True
-    if res.x_prime:
+    # without one Y'_i per colour the densities after the step are undefined
+    boost_ok = all_colours_ok = y_count_ok
+    if res.x_prime and y_count_ok:
         after = [min_density(c, res.x_prime, res.y_primes[i], i) for i in range(r)]
         w = res.colour
         boost_ok = 0 <= w < r and after[w] >= densities[w] + res.lam * alphas[w]

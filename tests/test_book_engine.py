@@ -15,8 +15,8 @@ from ramseybook.book_engine import (
     write_trace,
 )
 from ramseybook.bounds import certify_interval_ge, interval_endpoints, iv_from_fraction, iv_from_int
-from ramseybook.colouring import iter_vertices, mask_of, random_colouring
-from ramseybook.errors import InvalidInput, ParseError
+from ramseybook.colouring import iter_vertices, mask_of, parse_colouring, random_colouring
+from ramseybook.errors import InvalidInput, InvalidVertex, ParseError
 from ramseybook.geometry import c_interval
 from ramseybook.monitors import (
     MonitorReport,
@@ -79,6 +79,16 @@ class TestRun:
             run(c5, 0, [c5.vertices] * 2, params)
         with pytest.raises(InvalidInput):
             run(c5, c5.vertices, [c5.vertices], params)
+
+    @pytest.mark.parametrize("stray", ["x", "y"])
+    def test_out_of_range_vertex_rejected(self, stray):
+        # a stray Y vertex used to give book_found with initial_y_sizes (11, 11),
+        # which the trace reader rejects
+        c = random_colouring(10, 2, 0)
+        v = c.vertices
+        xset, yset = (v | 1 << 12, v) if stray == "x" else (v, v | 1 << 40)
+        with pytest.raises(InvalidVertex):
+            run(c, xset, [yset] * 2, EngineParams(t=2, lambda0=F(10), delta=F(1, 16)))
 
     def test_zero_initial_density_rejected(self):
         from ramseybook.colouring import from_pair_function
@@ -251,6 +261,16 @@ class TestTraceIO:
     def test_header_carries_hash(self, c5):
         out = run_full(c5, EngineParams(t=1, lambda0=F(100), delta=F(1, 8)))
         assert out.trace.header.colouring_sha256 == c5.sha256()
+
+    def test_header_hash_same_for_parsed_colouring(self):
+        # the parsed colouring takes its digest from the text read, the
+        # constructed one from serialize(); the traces must not tell them apart
+        c = random_colouring(30, 3, 8)
+        parsed = parse_colouring(c.serialize())
+        params = EngineParams(t=2, lambda0=F(10), delta=F(1, 16))
+        built, read = run_full(c, params).trace, run_full(parsed, params).trace
+        assert built.header.colouring_sha256 == read.header.colouring_sha256
+        assert built.to_text() == read.to_text()
 
 
 def _engine_trace(n=40, r=2, seed=5, t=2, lam0=F(10), delta=F(1, 8)):

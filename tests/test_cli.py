@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 import ramseybook
 from ramseybook import bounds as bounds_mod
+from ramseybook.book_engine import read_trace
 from ramseybook.cli import main
 from ramseybook.colouring import pentagon_colouring
 
@@ -70,6 +72,26 @@ class TestColouringInput:
                                 "--lambda0", "10", "--delta", "1/16", "--trace", str(tmp_path / "t.jsonl"))
         assert code == 2
         assert out == "" and "line 2" in err
+
+    def test_one_digest_from_generate_to_trace(self, tmp_path, capsys):
+        # generate's printed sha256, the file's bytes and run-book's trace
+        # header name the colouring by one digest, also when the file is
+        # rewritten with CRLF line ends (run-book reads it with universal newlines)
+        rcg = tmp_path / "c.rcg"
+        _, out, _ = invoke(capsys, "generate", "--n", "40", "--r", "2", "--seed", "4", "-o", str(rcg))
+        digest = json.loads(out)["sha256"]
+        assert hashlib.sha256(rcg.read_bytes()).hexdigest() == digest
+
+        def header_digest(tag):
+            trace = tmp_path / f"{tag}.jsonl"
+            code, _, _ = invoke(capsys, "run-book", "-i", str(rcg), "--t", "2",
+                                "--lambda0", "10", "--delta", "1/16", "--trace", str(trace))
+            assert code == 0
+            return read_trace(trace).header.colouring_sha256
+
+        assert header_digest("lf") == digest
+        rcg.write_bytes(rcg.read_bytes().replace(b"\n", b"\r\n"))
+        assert header_digest("crlf") == digest
 
 
 class TestRunAndVerify:

@@ -1,7 +1,8 @@
+import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramseybook.colouring import (
@@ -253,11 +254,23 @@ class TestSerialization:
         with pytest.raises(ParseError):
             parse_colouring("2 1\n0")
 
+    @staticmethod
+    def assert_one_digest(c, text):
+        """The parsed colouring's digest, taken from the text read, is the
+        digest of that text and of the same colouring built from its bytes."""
+        want = hashlib.sha256(text.encode()).hexdigest()
+        assert parse_colouring(text).sha256() == want
+        assert EdgeColouring(c.n, c.r, c._tri).sha256() == want
+
     @given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 10**6))
+    @example(1, 1, 0)
+    @example(1, 11, 0)
+    @example(12, 11, 3)
     @settings(max_examples=60, deadline=None)
     def test_roundtrip(self, n, r, seed):
         c = random_colouring(n, r, seed)
         assert parse_colouring(c.serialize()) == c
+        self.assert_one_digest(c, c.serialize())
 
 
     def test_roundtrip_at_colour_cap(self):
@@ -266,6 +279,7 @@ class TestSerialization:
         text = c.serialize()
         assert parse_colouring(text) == c
         assert parse_colouring(text).serialize() == text
+        self.assert_one_digest(c, text)
 
     @pytest.mark.parametrize(
         "rows, line, message",

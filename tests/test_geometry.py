@@ -14,6 +14,7 @@ from ramseybook.errors import (
     DegenerateDensity,
     EmptySet,
     InvalidInput,
+    InvalidVertex,
     LemmaViolation,
     TensorTooLarge,
 )
@@ -133,6 +134,20 @@ class TestMinDensity:
         with pytest.raises(EmptySet):
             min_density(c5, c5.vertices, 0, 0)
 
+    def test_x_out_of_range_rejected(self):
+        c = random_colouring(10, 2, 0)
+        with pytest.raises(InvalidVertex):
+            min_density(c, mask_of([3, 12]), c.vertices, 0)
+        with pytest.raises(InvalidVertex):  # a negative int has infinitely many bits set
+            min_density(c, -1, c.vertices, 0)
+
+    def test_y_out_of_range_rejected(self):
+        # the stray vertex used to count in |Y|: 1/11 where Y = V gives 1/10
+        c = random_colouring(10, 2, 0)
+        assert min_density(c, c.vertices, c.vertices, 0) == F(1, 10)
+        with pytest.raises(InvalidVertex):
+            min_density(c, c.vertices, c.vertices | 1 << 40, 0)
+
     def test_monotone_in_x(self):
         c = random_colouring(20, 2, 1)
         full = c.vertices
@@ -206,6 +221,13 @@ class TestEmbedding:
         c = from_pair_function(4, 2, lambda u, v: 0 if u == 0 else 1)
         with pytest.raises(DegenerateDensity):
             build_embedding(c, c.vertices, [c.vertices] * 2, [F(1, 4)] * 2)
+
+    @pytest.mark.parametrize("where", ["x", "y0", "y1"])
+    def test_out_of_range_vertex_rejected(self, c5, where):
+        sets = {"x": c5.vertices, "y0": c5.vertices, "y1": c5.vertices}
+        sets[where] |= 1 << 7
+        with pytest.raises(InvalidVertex):
+            build_embedding(c5, sets["x"], [sets["y0"], sets["y1"]], [F(1, 10)] * 2)
 
     def test_alpha_must_be_positive(self, c5):
         with pytest.raises(InvalidInput):
@@ -719,6 +741,28 @@ class TestKeyStep:
                 bad = replace(res, pivot=20, y_primes=y_primes)
             chk = verify_key_step(c, xset, ysets, alphas, bad)
             assert not chk.pivot_ok and not chk.all_ok
+
+
+    def _step(self):
+        c = random_colouring(40, 2, 0)
+        full = c.vertices
+        alphas = [min_density(c, full, full, i) / 2 for i in range(2)]
+        res = key_lemma_step(c, full, [full] * 2, alphas)
+        assert verify_key_step(c, full, [full] * 2, alphas, res).all_ok
+        return c, full, alphas, res
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_y_primes_of_wrong_length_fail(self, count):
+        c, full, alphas, res = self._step()
+        y_primes = (res.y_primes + (res.y_primes[0],))[:count]
+        chk = verify_key_step(c, full, [full] * 2, alphas, replace(res, y_primes=y_primes))
+        assert not chk.y_sizes_ok and not chk.all_ok
+
+    @pytest.mark.parametrize("ysets, alphas", [(1, 2), (3, 2), (2, 1), (2, 3)])
+    def test_inputs_of_wrong_length_rejected(self, ysets, alphas):
+        c, full, good_alphas, res = self._step()
+        with pytest.raises(InvalidInput):
+            verify_key_step(c, full, [full] * ysets, (good_alphas * 2)[:alphas], res)
 
 
 class TestWitnessCap:
