@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import iv, mp
-from mpmath.libmp import to_str
+from mpmath.libmp import from_int, mpi_div, round_ceiling, round_floor, to_str
 
 from .errors import InvalidInput, NonFiniteEndpoint, PrecisionExhausted
 
@@ -44,15 +44,26 @@ except (ValueError, InvalidInput):
 # interval helpers
 # ---------------------------------------------------------------------------
 
+def mpi_from_int(n: int):
+    """The endpoint pair of ``iv.mpf(n)``: n rounded down and up at ``iv.prec``."""
+    return from_int(n, iv.prec, round_floor), from_int(n, iv.prec, round_ceiling)
+
+
+def mpi_from_fraction(q: Fraction):
+    """The endpoint pair of ``iv.mpf(q.numerator) / iv.mpf(q.denominator)``."""
+    return mpi_div(mpi_from_int(q.numerator), mpi_from_int(q.denominator), iv.prec)
+
+
 def iv_from_int(x: int):
-    return iv.mpf(x)
+    return iv.make_mpf(mpi_from_int(x))
 
 
 def iv_from_fraction(q: Fraction):
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+    return iv.make_mpf(mpi_from_fraction(q))
 
 
-def _raw_to_fraction(raw) -> Fraction:
+def endpoint_fraction(raw) -> Fraction:
+    """The exact rational value of one raw interval endpoint."""
     sign, man, exp, _bc = raw
     if not man and exp:  # mpmath tags +inf, -inf and nan with a zero mantissa
         raise NonFiniteEndpoint(f"interval endpoint {to_str(raw, 5)} is not finite")
@@ -67,7 +78,7 @@ def interval_endpoints(x) -> tuple[Fraction, Fraction]:
     infinite or NaN, so no caller ever orders or reports such an endpoint.
     """
     a, b = x._mpi_
-    return _raw_to_fraction(a), _raw_to_fraction(b)
+    return endpoint_fraction(a), endpoint_fraction(b)
 
 
 def upper_fraction(x) -> Fraction:
@@ -107,11 +118,6 @@ def iv_mid(x) -> float:
 def iv_log10(log) -> float | None:
     """log10 (at the midpoint) of the value whose natural log ``log`` encloses; None for ln 0."""
     return None if log is None else iv_mid(log) / math.log(10)
-
-
-def iv_cosh(u):
-    e = iv.exp(u)
-    return (e + 1 / e) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ every round of the book algorithm.
 Inner products are never computed from materialised vectors; each one is an
 affine function of a codegree, so the whole witness search runs on integer
 codegree tables and only the returned threshold is converted to a Fraction.
+
+The special-function and witness decay bounds run on mpmath's raw interval
+endpoint pairs (``mpmath.libmp.mpi_*``) at ``iv.prec``, read at each call, in
+the order the ``iv`` operators take, so their enclosures are those of ``iv``.
 """
 
 from __future__ import annotations
@@ -19,13 +23,14 @@ from functools import cache
 from itertools import chain, compress
 
 from mpmath import iv
+from mpmath.libmp import mpi_add, mpi_cos, mpi_div, mpi_exp, mpi_mul, mpi_neg, mpi_sqrt
 
 from .bounds import (
     certify_interval_ge,
-    iv_cosh,
-    iv_from_fraction,
+    endpoint_fraction,
     iv_from_int,
-    upper_fraction,
+    mpi_from_fraction,
+    mpi_from_int,
 )
 from .colouring import EdgeColouring, iter_vertices, mask_of, vertex_list
 from .errors import (
@@ -65,8 +70,9 @@ def witness_bound_upper(lam: Fraction, r: int, beta: Fraction) -> Fraction:
     """
     if lam < -1:
         raise InvalidInput("threshold below -1")
-    expo = -c_interval(r) * iv.sqrt(iv_from_fraction(lam + 1))
-    return upper_fraction(iv_from_fraction(beta) * iv.exp(expo))
+    prec = iv.prec
+    expo = mpi_mul(mpi_neg(c_interval(r)._mpi_, prec), mpi_sqrt(mpi_from_fraction(lam + 1), prec), prec)
+    return endpoint_fraction(mpi_mul(mpi_from_fraction(beta), mpi_exp(expo, prec), prec)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +217,6 @@ def _exact(x) -> Fraction:
     raise InvalidInput(f"need an exact int/float/Fraction input, got {type(x).__name__}")
 
 
-def _cosh_sqrt_iv(q: Fraction):
-    if q >= 0:
-        return iv_cosh(iv.sqrt(iv_from_fraction(q)))
-    return iv.cos(iv.sqrt(iv_from_fraction(-q)))
-
-
 def check_special_bounds(xs) -> SpecialBranch:
     """Certify the two-branch upper bound on f with adverse rounding.
 
@@ -231,23 +231,35 @@ def check_special_bounds(xs) -> SpecialBranch:
     r = len(qs)
     if r < 1:
         raise InvalidInput("need at least one coordinate")
-    factors = [2 + _cosh_sqrt_iv(q) for q in qs]
-    f = iv.mpf(0)
-    for j, q in enumerate(qs):
-        prod = iv.mpf(1)
+    prec = iv.prec
+    zero, one, two = mpi_from_int(0), mpi_from_int(1), mpi_from_int(2)
+    encl = [mpi_from_fraction(q) for q in qs]
+    factors = []
+    for q, x in zip(qs, encl):
+        if q >= 0:  # cosh u = (e + 1/e)/2 with e = exp u
+            e = mpi_exp(mpi_sqrt(x, prec), prec)
+            cosh = mpi_div(mpi_add(e, mpi_div(one, e, prec), prec), two, prec)
+        else:
+            cosh = mpi_cos(mpi_sqrt(mpi_neg(x), prec), prec)
+        factors.append(mpi_add(two, cosh, prec))
+    f = zero
+    for j, x in enumerate(encl):
+        prod = one
         for i, factor in enumerate(factors):
             if i != j:
-                prod *= factor
-        f += iv_from_fraction(q) * prod
+                prod = mpi_mul(prod, factor, prec)
+        f = mpi_add(f, mpi_mul(x, prod, prec), prec)
+    f = iv.make_mpf(f)
 
     if all(q >= -3 * r for q in qs):
-        bound = iv_from_int(3**r * r) * iv.exp(
-            sum(iv.sqrt(iv_from_fraction(q + 3 * r)) for q in qs)
-        )
-        if not certify_interval_ge(bound, f):
+        root_sum = zero
+        for q in qs:
+            root_sum = mpi_add(root_sum, mpi_sqrt(mpi_from_fraction(q + 3 * r), prec), prec)
+        bound = mpi_mul(mpi_from_int(3**r * r), mpi_exp(root_sum, prec), prec)
+        if not certify_interval_ge(iv.make_mpf(bound), f):
             raise LemmaViolation(f"f{tuple(map(float, qs))} exceeded the positive-quadrant bound")
         return SpecialBranch.UPPER_BOUND_HOLDS
-    if not certify_interval_ge(iv.mpf(-1), f):
+    if not certify_interval_ge(iv_from_int(-1), f):
         raise LemmaViolation(f"f{tuple(map(float, qs))} exceeded -1 in the negative branch")
     return SpecialBranch.NEGATIVE_CASE_HOLDS
 
@@ -612,7 +624,7 @@ def verify_key_step(c, xset, ysets, alphas, res: KeyStepResult, beta=None) -> Ke
     densities = [min_density(c, xset, ysets[i], i) for i in range(r)]
     m = [int(densities[i] * ysets[i].bit_count()) for i in range(r)]
     y_count_ok = len(res.y_primes) == r
-    y_sizes_ok = y_count_ok and all(
+    y_sizes_ok = in_x and y_count_ok and all(
         res.y_primes[i].bit_count() == m[i]
         and res.y_primes[i] == _lowest_bits(c.neighbourhood(res.pivot, i) & ysets[i], m[i])
         for i in range(r)
@@ -622,9 +634,10 @@ def verify_key_step(c, xset, ysets, alphas, res: KeyStepResult, beta=None) -> Ke
     size_bound_ok = Fraction(res.x_prime.bit_count()) >= bound * xsize
     slack_ok = Fraction(res.x_prime.bit_count()) >= res.q * xsize - 1
 
-    # without one Y'_i per colour the densities after the step are undefined
-    boost_ok = all_colours_ok = y_count_ok
-    if res.x_prime and y_count_ok:
+    # the densities after the step need one non-empty Y'_i per colour, and X', Y'_i in range
+    defined = y_count_ok and all(res.y_primes) and not any(s >> c.n for s in (res.x_prime, *res.y_primes))
+    boost_ok = all_colours_ok = defined
+    if res.x_prime and defined:
         after = [min_density(c, res.x_prime, res.y_primes[i], i) for i in range(r)]
         w = res.colour
         boost_ok = 0 <= w < r and after[w] >= densities[w] + res.lam * alphas[w]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from ramseybook import geometry
-from ramseybook.bounds import interval_endpoints, precision, set_precision
+from ramseybook.bounds import interval_endpoints, mpi_from_fraction, mpi_from_int, precision, set_precision
 from ramseybook.colouring import from_pair_function, iter_vertices, mask_of, random_colouring
 from ramseybook.errors import (
     DegenerateDensity,
@@ -288,19 +289,25 @@ class TestSpecialBounds:
             xs = [F(rng.randint(-20 * r, 40), rng.randint(1, 3)) for _ in range(r)]
             check_special_bounds(xs)  # raises on violation
 
+    @staticmethod
+    def recorded_pairs(monkeypatch):
+        """The (target, f) enclosures check_special_bounds hands to certify_interval_ge."""
+        pairs = []
+        certify = geometry.certify_interval_ge
+
+        def recording(a, b):
+            pairs.append((a, b))
+            return certify(a, b)
+
+        monkeypatch.setattr(geometry, "certify_interval_ge", recording)
+        return pairs
+
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_enclosure_contains_reference_f(self, r, monkeypatch):
         # both branches hand the enclosure of f to certify_interval_ge as its
         # second argument; the mp reference, at twice the working precision,
         # must lie inside it
-        enclosures = []
-        certify = geometry.certify_interval_ge
-
-        def recording(a, b):
-            enclosures.append(b)
-            return certify(a, b)
-
-        monkeypatch.setattr(geometry, "certify_interval_ge", recording)
+        pairs = self.recorded_pairs(monkeypatch)
         rng = random.Random(29 + r)
         for branch in SpecialBranch:
             for _ in range(20):
@@ -308,11 +315,65 @@ class TestSpecialBounds:
                 if branch is SpecialBranch.NEGATIVE_CASE_HOLDS:
                     xs[rng.randrange(r)] = F(rng.randint(-60 * r, -9 * r - 1), 3)
                 assert check_special_bounds(xs) is branch
-                (enclosure,) = enclosures
-                enclosures.clear()
+                ((_target, enclosure),) = pairs
+                pairs.clear()
                 lo, hi = interval_endpoints(enclosure)
                 with mp.workprec(2 * precision()):
                     assert _mpf(lo) <= special_f(xs) <= _mpf(hi), xs
+
+    def test_enclosures_pinned(self, monkeypatch):
+        # SHA-256 of the enclosures at 128 bits, recorded from the iv operator
+        # evaluation: the endpoint-pair evaluation must give the same bits
+        pairs = self.recorded_pairs(monkeypatch)
+        rng = random.Random(61)
+        branches = set()
+        digest = hashlib.sha256()
+        old = precision()
+        try:
+            set_precision(128)
+            for r in range(1, 6):
+                for _ in range(40):
+                    den = rng.getrandbits(140) | 1 << 139
+                    xs = rng.choice([
+                        [F(rng.randint(-6 * r * 64, 40 * 64), 64) for _ in range(r)],  # k/64 grid
+                        [F(rng.randint(-6 * r * den, 40 * den), den) for _ in range(r)],  # 140-bit terms
+                        [rng.uniform(-6 * r, 40) for _ in range(r)],
+                    ])
+                    branches.add((r, check_special_bounds(xs)))
+                    ((target, f),) = pairs
+                    pairs.clear()
+                    digest.update(repr(interval_endpoints(target) + interval_endpoints(f)).encode())
+        finally:
+            set_precision(old)
+        assert len(branches) == 10  # both branches at every r
+        assert digest.hexdigest() == "34c70f448d32eb0abfb2c970a9e4f5395ecc6f7cf963714be31c38c07fc26f13"
+
+    def test_precision_read_at_each_call(self, monkeypatch):
+        # constants or conversions frozen at import precision would keep wide
+        # mantissas at 40 bits, or the 40-bit widths at 128 bits
+        pairs = self.recorded_pairs(monkeypatch)
+        points = ([F(7, 3), F(-5, 7), F(23, 5)], [F(7, 3), F(-37, 4), F(23, 5)])
+        widths, upper = {}, {}
+        old = precision()
+        try:
+            for bits in (40, 128):
+                set_precision(bits)
+                for xs in points:
+                    check_special_bounds(xs)
+                f = [b for _a, b in pairs]
+                pairs.clear()
+                bound = witness_bound_upper(F(13, 7), 3, default_beta(3))
+                if bits == 40:
+                    encs = [enc._mpi_ for enc in f] + [mpi_from_int(3**90), mpi_from_fraction(F(3**90, 7**50))]
+                    assert all(bc <= 40 for enc in encs for _sign, _man, _exp, bc in enc)
+                    odd = bound.numerator >> (bound.numerator & -bound.numerator).bit_length() - 1
+                    assert odd.bit_length() <= 40 and bound.denominator & bound.denominator - 1 == 0
+                widths[bits] = [hi - lo for lo, hi in map(interval_endpoints, f)]
+                upper[bits] = bound
+        finally:
+            set_precision(old)
+        assert all(0 < w128 < w40 for w128, w40 in zip(widths[128], widths[40]))
+        assert upper[128] < upper[40]
 
 
 def two_point_family():
@@ -758,6 +819,27 @@ class TestKeyStep:
         chk = verify_key_step(c, full, [full] * 2, alphas, replace(res, y_primes=y_primes))
         assert not chk.y_sizes_ok and not chk.all_ok
 
+    @pytest.mark.parametrize("change", [
+        {"pivot": 50},
+        {"pivot": -1},
+        {"x_prime": 1 << 45},
+        {"y_primes": (1 << 45, 1)},
+        {"y_primes": (0, 0)},
+    ], ids=["pivot-above-n", "negative-pivot", "x-prime-above-n", "y-prime-above-n", "empty-y-primes"])
+    def test_out_of_range_result_fails_checks(self, change):
+        # a malformed result fails its checks instead of raising
+        c, full, alphas, res = self._step()
+        if "x_prime" in change:
+            change = {"x_prime": res.x_prime | change["x_prime"]}
+        chk = verify_key_step(c, full, [full] * 2, alphas, replace(res, **change))
+        assert not chk.all_ok
+        if "pivot" in change:
+            assert not chk.pivot_ok and not chk.y_sizes_ok
+        elif "x_prime" in change:
+            assert not chk.pivot_ok and not chk.boost_ok and not chk.all_colours_ok
+        else:
+            assert not chk.y_sizes_ok and not chk.boost_ok and not chk.all_colours_ok
+
     @pytest.mark.parametrize("ysets, alphas", [(1, 2), (3, 2), (2, 1), (2, 3)])
     def test_inputs_of_wrong_length_rejected(self, ysets, alphas):
         c, full, good_alphas, res = self._step()
@@ -795,6 +877,23 @@ class TestWitnessCap:
             assert beta < witness_bound_upper(F(-1), 2, beta) <= 2 * beta
         finally:
             set_precision(old)
+
+    def test_bounds_pinned(self):
+        # SHA-256 of the 128-bit bounds, recorded from the iv operator evaluation
+        rng = random.Random(67)
+        digest = hashlib.sha256()
+        old = precision()
+        try:
+            set_precision(128)
+            for _ in range(300):
+                r = rng.randint(1, 6)
+                lam = rng.choice([F(-1), F(rng.randint(-64, 64 * 60), 64),
+                                  F(rng.getrandbits(140), rng.getrandbits(136) | 1) - 1])
+                beta = rng.choice([default_beta(r), F(1, 4), F(rng.getrandbits(140) | 1, rng.getrandbits(150) | 1)])
+                digest.update(repr(witness_bound_upper(lam, r, beta)).encode())
+        finally:
+            set_precision(old)
+        assert digest.hexdigest() == "e0be91718e254fdfcfd455147ca870eb3b57bfeb24f1cf83e62937efc31741d9"
 
     @staticmethod
     def minus_one_embedding(seed):
