@@ -5,7 +5,8 @@ every round of the book algorithm.
 
 Inner products are never computed from materialised vectors; each one is an
 affine function of a codegree, so the whole witness search runs on integer
-codegree tables and only the returned threshold is converted to a Fraction.
+codegree tables, whose pair eligibility is checked per row only once a scan
+reaches that row, and only the thresholds it reaches become Fractions.
 
 The special-function and witness decay bounds run on mpmath's raw interval
 endpoint pairs (``mpmath.libmp.mpi_*``) at ``iv.prec``, read at each call, in
@@ -405,11 +406,12 @@ class _PairTables:
     ``rows[i][a][j]`` is the colour-i codegree of the pair (a, a + 1 + j).  A
     pair is eligible when every coordinate inner product is >= -1, i.e.
     codeg_i >= p_i |Y_i| (p_i - alpha_i) for every colour; only eligible pairs
-    can contribute to any witness event, so an ineligible pair reads -1 in
-    every colour.  ``row_max[i][a]`` is the largest entry of ``rows[i][a]``,
-    so scans skip the rows that cannot reach a threshold.  The n diagonal
-    pairs have codegree ``diag[i]``, which is at least every candidate
-    threshold, so they are in every event.
+    can contribute to any witness event.  Eligibility is decided per row the
+    first time a scan reaches it (``_rows_reaching``); from then on an
+    ineligible pair reads -1 in every colour.  ``row_max[i][a]`` is the
+    largest entry of ``rows[i][a]``, so scans skip the rows that cannot reach
+    a threshold.  The n diagonal pairs have codegree ``diag[i]``, which is at
+    least every candidate threshold, so they are in every event.
     """
 
     def __init__(self, emb: Embedding):
@@ -424,19 +426,32 @@ class _PairTables:
             p, a, y = emb.densities[i], emb.alphas[i], emb.y_sizes[i]
             thr = p * y * (p - a)
             self.dmin.append(max(0, -(-thr.numerator // thr.denominator)))  # ceil, floored at 0
-        self.rows = [[] for _ in range(r)]
-        for a in range(n):
-            row = [list(map(int.bit_count, map(t[a].__and__, t[a + 1 :]))) for t in emb.trimmed]
-            bad = set()
-            for codeg, dmin in zip(row, self.dmin):
-                if codeg and min(codeg) < dmin:
-                    bad.update(compress(range(len(codeg)), map(dmin.__gt__, codeg)))
-            for j in bad:
-                for codeg in row:
-                    codeg[j] = -1
-            for rows_i, codeg in zip(self.rows, row):
-                rows_i.append(codeg)
+        self.rows = [[[(ta & tb).bit_count() for tb in t[a + 1 :]] for a, ta in enumerate(t)] for t in emb.trimmed]
         self.row_max = [[max(codeg, default=-1) for codeg in rows_i] for rows_i in self.rows]
+        self.unchecked = set(range(n))
+
+    def _check_row(self, a: int) -> None:
+        """Mark the ineligible pairs of row a -1 in every colour, and re-take its row maxima."""
+        self.unchecked.discard(a)
+        row = [rows_i[a] for rows_i in self.rows]
+        bad = set()
+        for codeg, dmin in zip(row, self.dmin):
+            if codeg and min(codeg) < dmin:
+                bad.update(compress(range(len(codeg)), map(dmin.__gt__, codeg)))
+        if bad:
+            for codeg, row_max_i in zip(row, self.row_max):
+                for j in bad:
+                    codeg[j] = -1
+                row_max_i[a] = max(codeg)
+
+    def _rows_reaching(self, colour: int, d: int, stop: int | None = None):
+        """The rows a < stop (default n) with an eligible codegree >= d in ``colour``, each checked first."""
+        row_max = self.row_max[colour]
+        for a in compress(range(self.n if stop is None else stop), map(d.__le__, row_max)):
+            if a in self.unchecked:
+                self._check_row(a)
+            if row_max[a] >= d:
+                yield a
 
     def candidates(self):
         """(lam, colour, codegree threshold) triples, lam descending, colour ascending.
@@ -445,39 +460,43 @@ class _PairTables:
         included.  No lower threshold is needed: the lowest attained one
         already has every eligible pair in its event, and a smaller bound.
         The triples come lazily, so a scan that stops early converts only the
-        codegrees it reached into Fractions.
+        codegrees it reached into Fractions, and checks only the rows it read.
         """
         per_colour = [self._colour_candidates(i) for i in range(self.emb.r)]
         return heapq.merge(*per_colour, key=lambda t: (-t[0], t[1]))
 
     def _colour_candidates(self, colour: int):
-        """The candidates of one colour, codegree (hence lam) descending."""
-        seen = set().union(*self.rows[colour])
-        seen.discard(-1)
-        seen.add(self.diag[colour])
-        for d in sorted(seen, reverse=True):
-            yield self.emb.inner_from_codegree(colour, d), colour, d
+        """The candidates of one colour, codegree (hence lam) descending.
+
+        The values below ``dmin`` are attained by ineligible pairs only; any
+        other value is kept only where a checked row still holds it.
+        """
+        rows, diag = self.rows[colour], self.diag[colour]
+        seen = set().union(*rows)
+        seen.add(diag)
+        for d in sorted(filter(self.dmin[colour].__le__, seen), reverse=True):
+            if d == diag or any(d in rows[a] for a in self._rows_reaching(colour, d)):
+                yield self.emb.inner_from_codegree(colour, d), colour, d
 
     def _partners_after(self, colour: int, d: int, a: int):
-        """The partners b > a of point a at codegree threshold d."""
+        """The partners b > a of point a at codegree threshold d; row a must be checked."""
         return compress(range(a + 1, self.n), map(d.__le__, self.rows[colour][a]))
 
     def partner_counts(self, colour: int, d: int) -> list[int]:
         """Per point, the off-diagonal event partners at codegree threshold d."""
         counts = [0] * self.n
-        for a, top in enumerate(self.row_max[colour]):
-            if top >= d:
-                after = list(self._partners_after(colour, d, a))
-                counts[a] += len(after)
-                for b in after:
-                    counts[b] += 1
+        for a in self._rows_reaching(colour, d):
+            after = list(self._partners_after(colour, d, a))
+            counts[a] += len(after)
+            for b in after:
+                counts[b] += 1
         return counts
 
     def x_prime_mask(self, colour: int, d: int, pivot_idx: int) -> int:
-        rows, row_max = self.rows[colour], self.row_max[colour]
-        before = [
-            a for a in range(pivot_idx) if row_max[a] >= d and rows[a][pivot_idx - a - 1] >= d
-        ]
+        rows = self.rows[colour]
+        # reaching the pivot row checks it; a row that cannot reach d has no partner after it
+        reached = list(self._rows_reaching(colour, d, pivot_idx + 1))
+        before = [a for a in reached if a < pivot_idx and rows[a][pivot_idx - a - 1] >= d]
         points = self.emb.points
         return mask_of(points[b] for b in chain(before, self._partners_after(colour, d, pivot_idx)))
 
@@ -551,9 +570,13 @@ def key_lemma_step(c: EdgeColouring, xset: int, ysets, alphas, beta=None) -> Key
     Builds the embedding, scans the lambda witnesses in decreasing lam order,
     and takes the first one that admits a pivot x whose event partner set
     X'(x) (excluding x itself) is at least beta e^(-C sqrt(lam+1)) |X|.  If
-    no witness admits such a pivot (possible only when no off-diagonal pair
-    has all coordinates >= -1, e.g. |X| = 1), falls back to the first witness
-    with the best available pivot.
+    no witness admits such a pivot, falls back to the first witness with the
+    best available pivot.  While 2 beta |X| <= 1 (at the default beta: |X| <=
+    3280 at r = 2, 265720 at r = 3) that happens exactly when no off-diagonal
+    pair is eligible, e.g. |X| = 1: an eligible pair is in the event of each
+    colour's lowest candidate, whose q > 1/|X| >= 2 beta makes it a witness,
+    and one partner meets the cap 2 beta |X|.  Above that, a witness's bound
+    |X| can exceed its best pivot's partner count.
 
     Pivot ties break to the smallest vertex label.  The size bound is decided
     against the exact cap 2 beta |X| first (met at or above it, missed with

@@ -594,29 +594,40 @@ class TestBulkBuilders:
     @staticmethod
     def check_tables(emb):
         """Compare _PairTables with a plain per-pair popcount; returns the
-        number of ineligible pairs."""
+        number of ineligible pairs.
+
+        A row is checked for eligibility only when a scan reaches it, so the
+        candidates and partner counts are read from one fresh table and the X'
+        masks from a second one, each through its own row checks; then every
+        row of the first table is checked and read directly.
+        """
         n, r = emb.npoints, emb.r
         t = emb.trimmed
-        tables = _PairTables(emb)
         codeg = {(i, a, b): (t[i][a] & t[i][b]).bit_count()
                  for i in range(r) for a in range(n) for b in range(n)}
         eligible = {(a, b) for a in range(n) for b in range(n)
                     if all(emb.inner_by_index(i, a, b) >= -1 for i in range(r))}
-        for i in range(r):
-            for a in range(n):
-                want = [codeg[i, a, b] if (a, b) in eligible else -1 for b in range(a + 1, n)]
-                assert tables.rows[i][a] == want
-                assert tables.row_max[i][a] == max(want, default=-1)
         attained = {(i, codeg[i, a, b]) for i in range(r) for a, b in eligible}
         want = sorted(((emb.inner_from_codegree(i, d), i, d) for i, d in attained),
                       key=lambda c: (-c[0], c[1]))
+        partners = {(i, d): [[b for b in range(n) if b != a and (a, b) in eligible and codeg[i, a, b] >= d]
+                             for a in range(n)]
+                    for _lam, i, d in want}
+        tables = _PairTables(emb)
         assert list(tables.candidates()) == want
         for _lam, i, d in want:
-            partners = [[b for b in range(n) if b != a and (a, b) in eligible and codeg[i, a, b] >= d]
-                        for a in range(n)]
-            assert tables.partner_counts(i, d) == [len(ps) for ps in partners]
+            assert tables.partner_counts(i, d) == [len(ps) for ps in partners[i, d]]
+        fresh = _PairTables(emb)
+        for _lam, i, d in want:
             for a in range(n):
-                assert tables.x_prime_mask(i, d, a) == mask_of(emb.points[b] for b in partners[a])
+                assert fresh.x_prime_mask(i, d, a) == mask_of(emb.points[b] for b in partners[i, d][a])
+        for a in range(n):
+            tables._check_row(a)
+        for i in range(r):
+            for a in range(n):
+                row = [codeg[i, a, b] if (a, b) in eligible else -1 for b in range(a + 1, n)]
+                assert tables.rows[i][a] == row
+                assert tables.row_max[i][a] == max(row, default=-1)
         return n * (n - 1) - len(eligible - {(a, a) for a in range(n)})
 
     @settings(max_examples=150, deadline=None)
@@ -630,6 +641,33 @@ class TestBulkBuilders:
         c = random_colouring(30, 3, seed)
         emb = build_embedding(c, c.vertices, [c.vertices] * 3, [F(1, 40)] * 3)
         assert 0 < self.check_tables(emb) < 30 * 29
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_row_checks_change_nothing_and_stay_deferred(self, seed):
+        c = random_colouring(300, 3, seed)
+        full = c.vertices
+        densities = [min_density(c, full, full, i) for i in range(3)]
+        alphas = [(p - min(densities) + F(1, 16)) / 2 for p in densities]  # engine alphas, delta = 1/16, t = 2
+        emb = build_embedding(c, full, [full] * 3, alphas)
+        lazy, eager = _PairTables(emb), _PairTables(emb)
+        for a in range(eager.n):
+            eager._check_row(a)
+
+        def key(w):
+            return w.lam, w.colour, w.d, w.counts, w.q
+
+        # at the default beta and 2 beta |X| <= 1 the key step stops at the
+        # first witness with a partner, then reads its pivot's X'
+        scan = lazy.witnesses(None)
+        got = []
+        for w in scan:
+            got.append(key(w))
+            if max(w.counts):
+                break
+        lazy.x_prime_mask(w.colour, w.d, w.counts.index(max(w.counts)))
+        assert lazy.n - len(lazy.unchecked) <= lazy.n // 10
+        got += map(key, scan)
+        assert got == [key(w) for w in eager.witnesses(None)]
 
 
 class TestWitnessChoice:
@@ -691,6 +729,16 @@ class TestWitnessChoice:
 
 
 class TestKeyStep:
+    @settings(max_examples=150, deadline=None)
+    @given(small_embeddings())
+    def test_falls_back_exactly_when_no_pair_is_eligible(self, drawn):
+        c, xset, ysets, alphas, emb = drawn
+        n, r = emb.npoints, emb.r
+        assert 2 * default_beta(r) * n <= 1  # the condition key_lemma_step's docstring proves it under
+        eligible = any(all(emb.inner_by_index(i, a, b) >= -1 for i in range(r))
+                       for a in range(n) for b in range(a + 1, n))
+        assert key_lemma_step(c, xset, ysets, alphas).met_size_bound == eligible
+
     def test_triangle_full_postconditions(self):
         c = triangle()
         alphas = [F(1, 4)]
