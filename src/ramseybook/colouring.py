@@ -26,6 +26,10 @@ from .errors import (
 
 MAX_COLOURS = 64
 
+# byte c <-> the digit that writes colour c, for the colours 0-9
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
 
 def full_mask(n: int) -> int:
     """Bitmask of all vertices 0..n-1."""
@@ -74,7 +78,10 @@ class EdgeColouring:
 
     def __init__(self, n: int, r: int, triangle):
         _check_size(n, r)
-        tri = bytes(triangle)
+        try:
+            tri = bytes(triangle)
+        except ValueError:  # an int outside [0, 256)
+            raise InvalidColour(f"edge colour out of range [0, {r})") from None
         expected = n * (n - 1) // 2
         if len(tri) != expected:
             raise InvalidInput(f"expected {expected} edge colours for n={n}, got {len(tri)}")
@@ -155,6 +162,19 @@ class EdgeColouring:
         return True
 
     def serialize(self) -> str:
+        """The ``.rcg`` text: the header ``n r``, then row u's colours of the
+        pairs {u, v}, v > u, separated by single spaces.
+
+        When every colour is a single digit, each field of the body takes two
+        bytes with its separator, so the body is the digits at the even offsets
+        and :func:`_separators` at the odd ones, written in one pass; any
+        colour of 10 or more is written row by row.
+        """
+        if not self._tri.translate(None, bytes(range(10))):  # no colour >= 10
+            body = bytearray(2 * len(self._tri))
+            body[0::2] = self._tri.translate(_DIGITS)
+            body[1::2] = _separators(self.n)
+            return f"{self.n} {self.r}\n" + body.decode("ascii")
         names = [str(c) for c in range(self.r)]
         lines = [f"{self.n} {self.r}"]
         idx = 0
@@ -182,13 +202,20 @@ class EdgeColouring:
         return f"EdgeColouring(n={self.n}, r={self.r})"
 
 
+def _separators(n: int) -> bytearray:
+    """The byte after each field of a body of single-digit fields: a space, or
+    the newline that ends the field's row."""
+    seps = bytearray(b" ") * (n * (n - 1) // 2)
+    end = -1
+    for k in range(n - 1, 0, -1):
+        end += k
+        seps[end] = ord("\n")
+    return seps
+
+
 def from_pair_function(n: int, r: int, colour_of) -> EdgeColouring:
     """Build a colouring from a callable on ordered pairs u < v."""
-    tri = bytearray()
-    for u in range(n - 1):
-        for v in range(u + 1, n):
-            tri.append(colour_of(u, v))
-    return EdgeColouring(n, r, tri)
+    return EdgeColouring(n, r, [colour_of(u, v) for u in range(n - 1) for v in range(u + 1, n)])
 
 
 def pentagon_colouring() -> EdgeColouring:
@@ -199,11 +226,30 @@ def pentagon_colouring() -> EdgeColouring:
 
 
 def random_colouring(n: int, r: int, seed: int) -> EdgeColouring:
-    """Each edge gets an i.i.d. uniform colour in [0, r); deterministic in ``seed``."""
+    """Each edge gets an i.i.d. uniform colour in [0, r); deterministic in ``seed``.
+
+    Edge j in row-major order (the order of :func:`pair_index`) gets the j-th
+    value of ``random.Random(seed).randrange(r)``.  The seed must be at least
+    0, since ``Random(-s)`` draws the same stream as ``Random(s)``.
+    """
     _check_size(n, r)
+    if seed < 0:
+        raise InvalidInput(f"seed must be at least 0, got {seed}")
+    # randrange(r) takes the top k bits of one 32-bit Mersenne Twister word
+    # and draws again while they are >= r.  The little-endian bytes of
+    # getrandbits(32 * w) are the next w words in order, so their top bytes,
+    # less the rejected ones and shifted down to k bits, are the same draws.
+    k = r.bit_length()
+    top_k = bytes(b >> (8 - k) for b in range(256))
+    reject = bytes(b for b in range(256) if b >> (8 - k) >= r)
     rng = random.Random(seed)
-    tri = bytes(rng.randrange(r) for _ in range(n * (n - 1) // 2))
-    return EdgeColouring(n, r, tri)
+    m = n * (n - 1) // 2
+    tri = bytearray()
+    while len(tri) < m:
+        # at least half the words are accepted; 2^16 words bound the transient
+        w = min(2 * (m - len(tri)), 1 << 16)
+        tri += rng.getrandbits(32 * w).to_bytes(4 * w, "little")[3::4].translate(top_k, reject)
+    return EdgeColouring(n, r, tri[:m])
 
 
 def product_colouring(c1: EdgeColouring, c2: EdgeColouring) -> EdgeColouring:
@@ -243,6 +289,11 @@ def parse_colouring(text: str) -> EdgeColouring:
     Every number must be written as ``str`` writes it (no sign, leading zero,
     underscore or stray whitespace), so each colouring has exactly one text,
     and the colouring's ``sha256()`` is taken from the text read.
+
+    A body in the single-digit layout that ``serialize`` writes (digits below
+    r at the even offsets, its separators at the odd ones) is checked and read
+    in one pass; any other body, with two-digit colours or an error, is read
+    row by row, which names the first bad row and field.
     """
     if not text.endswith("\n"):
         raise ParseError("missing trailing newline")
@@ -262,6 +313,27 @@ def parse_colouring(text: str) -> EdgeColouring:
         raise ParseError(f"header {lines[0]!r} is not written as {f'{n} {r}'!r}", line=1)
     if len(lines) != n:
         raise ParseError(f"expected {n - 1} rows after the header, got {len(lines) - 1}", line=len(lines))
+    tri = None
+    # isascii() first: encode() would reject a non-ASCII digit that the row
+    # loop reports with its line
+    if text.isascii():
+        body = text[len(lines[0]) + 1 :].encode("ascii")
+        if (
+            len(body) == n * (n - 1)
+            and body[1::2] == _separators(n)
+            and not body[0::2].translate(None, b"0123456789"[: min(r, 10)])
+        ):
+            tri = body[0::2].translate(_VALUES)
+    c = EdgeColouring(n, r, _read_rows(lines, r) if tri is None else tri)
+    # every part of the text was checked to be canonical, so it is serialize()
+    c._sha256 = hashlib.sha256(text.encode("ascii")).hexdigest()
+    return c
+
+
+def _read_rows(lines: list[str], r: int) -> bytearray:
+    """The colours of the rows ``lines[1:]``, read field by field; a ParseError
+    names the first row with a wrong field count or a bad field."""
+    n = len(lines)
     # the keys are exactly the canonical spellings of [0, r), so one lookup
     # checks a field's range and spelling
     colour_of = {str(c): c for c in range(r)}.__getitem__
@@ -277,10 +349,7 @@ def parse_colouring(text: str) -> EdgeColouring:
             tri += bytes(map(colour_of, fields))
         except KeyError:
             raise ParseError(_bad_field(fields, r), line=lineno) from None
-    c = EdgeColouring(n, r, tri)
-    # every part of the text was checked to be canonical, so it is serialize()
-    c._sha256 = hashlib.sha256(text.encode("ascii")).hexdigest()
-    return c
+    return tri
 
 
 def _bad_field(fields, r: int) -> str:

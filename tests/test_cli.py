@@ -55,6 +55,14 @@ class TestGenerate:
         payload = json.loads(out)
         assert payload["n"] == 16 and payload["r"] == 4
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        # --seed -5 used to write the file of --seed 5
+        out_file = tmp_path / "x.rcg"
+        code, out, err = invoke(capsys, "generate", "--n", "5", "--r", "2", "--seed", "-5", "-o", str(out_file))
+        assert code == 2
+        assert out == "" and "seed must be at least 0, got -5" in err
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("kind", ["random", "product"])
     def test_zero_colours_is_usage_error(self, tmp_path, capsys, kind):
         out_file = tmp_path / "x.rcg"

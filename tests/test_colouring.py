@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -58,6 +59,53 @@ def reference_row(fields, r):
         if f != str(c):
             return f"colour value {f!r} is not written as {str(c)!r}"
     return row
+
+
+def reference_random(n, r, seed):
+    """The colours random_colouring draws, one randrange call per edge (the
+    loop its batched draw replaced)."""
+    rng = random.Random(seed)
+    return bytes(rng.randrange(r) for _ in range(n * (n - 1) // 2))
+
+
+def reference_serialize(n, r, tri):
+    """The .rcg text written row by row with one join per row (the only path
+    serialize keeps, for colourings with a colour of 10 or more)."""
+    lines, idx = [f"{n} {r}"], 0
+    for u in range(n - 1):
+        lines.append(" ".join(map(str, tri[idx : idx + n - 1 - u])))
+        idx += n - 1 - u
+    return "\n".join(lines) + "\n"
+
+
+def reference_parse(text):
+    """What reading a text with a canonical header row by row gives: its
+    colours, or the (line, message) of the first ParseError."""
+    lines = text.split("\n")[:-1]
+    n, r = map(int, lines[0].split(" "))
+    if len(lines) != n:
+        return len(lines), f"expected {n - 1} rows after the header, got {len(lines) - 1}"
+    tri = []
+    for u, line in enumerate(lines[1:]):
+        fields = line.split(" ") if line else []
+        if len(fields) != n - 1 - u:
+            return u + 2, f"row {u} must have {n - 1 - u} entries, got {len(fields)}"
+        got = reference_row(fields, r)
+        if isinstance(got, str):
+            return u + 2, got
+        tri += got
+    return bytes(tri)
+
+
+@st.composite
+def small_colourings(draw):
+    """(n, r, colours) with n <= 14 and every colour below a drawn top <= r:
+    a top of at most 10 writes every colour as one digit, also when r > 10."""
+    n = draw(st.integers(1, 14))
+    r = draw(st.integers(1, MAX_COLOURS))
+    top = draw(st.integers(1, r))
+    m = n * (n - 1) // 2
+    return n, r, bytes(draw(st.lists(st.integers(0, top - 1), min_size=m, max_size=m)))
 
 
 class TestColour:
@@ -170,6 +218,31 @@ class TestRandomColouring:
         )
         frac = zeros / (40 * 39 / 2)
         assert 0.4 <= frac <= 0.6
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 8, 9, 16, 17, 63, 64])
+    def test_draws_the_randrange_stream(self, r):
+        # n = 400 has 79800 edges, more than one draw of at most 2^16 words gives
+        for n in (1, 2, 3, 50, 400):
+            for seed in (0, 1, 2**40 + 3):
+                assert random_colouring(n, r, seed)._tri == reference_random(n, r, seed), (n, seed)
+
+    @pytest.mark.parametrize(
+        "n, r, seed, digest",
+        [
+            (60, 2, 7, "738e545bec538f8d"),  # README's generate example
+            (1000, 3, 1, "9c948ddd61b9aa76"),
+            (30, 64, 5, "5ff1265d93d5a39b"),
+            (700, 2, 12345, "2c6e8198f378b82a"),
+        ],
+    )
+    def test_pinned_digests(self, n, r, seed, digest):
+        assert random_colouring(n, r, seed).sha256()[:16] == digest
+
+    @pytest.mark.parametrize("seed", [-1, -5])
+    def test_negative_seed_rejected(self, seed):
+        # Random(-s) seeds the same stream as Random(s)
+        with pytest.raises(InvalidInput, match="seed must be at least 0"):
+            random_colouring(5, 2, seed)
 
 
 class TestProductColouring:
@@ -349,6 +422,36 @@ class TestSerialization:
         assert ei.value.line == 1
         assert "is not written as '" in str(ei.value)
 
+    @given(small_colourings())
+    @example((12, MAX_COLOURS, bytes(c % 10 for c in range(66))))
+    @settings(max_examples=300, deadline=None)
+    def test_one_buffer_paths_match_row_paths(self, case):
+        n, r, tri = case
+        c = EdgeColouring(n, r, tri)
+        text = c.serialize()
+        assert text == reference_serialize(n, r, tri)
+        assert reference_parse(text) == tri
+        got = parse_colouring(text)
+        assert got == c and got.sha256() == hashlib.sha256(text.encode()).hexdigest()
+
+    @pytest.mark.parametrize("char", ["\t", "\r", " ", "\n", "x", "0", "7", "\u0661"])
+    @pytest.mark.parametrize("r", [3, 11, MAX_COLOURS])
+    def test_one_byte_changes_keep_row_errors(self, char, r):
+        # every body of exactly 2m characters one character away from a
+        # single-digit text reads as row by row: the same colours, or the
+        # same ParseError line and message
+        base = EdgeColouring(6, r, bytes(c % 3 for c in range(15))).serialize()
+        body_start = len(f"6 {r}\n")
+        for at in range(body_start, len(base) - 1):  # the final newline stays
+            text = base[:at] + char + base[at + 1 :]
+            want = reference_parse(text)
+            if isinstance(want, bytes):
+                assert parse_colouring(text) == EdgeColouring(6, r, want)
+                continue
+            with pytest.raises(ParseError) as ei:
+                parse_colouring(text)
+            assert (ei.value.line, str(ei.value)) == (want[0], f"line {want[0]}: {want[1]}")
+
     def test_canonical_check_keeps_old_messages(self):
         # out of range is reported as before, also next to a non-canonical field
         with pytest.raises(ParseError) as ei:
@@ -367,6 +470,13 @@ class TestValidation:
     def test_colour_value_checked(self):
         with pytest.raises(InvalidColour):
             EdgeColouring(2, 1, b"\x01")
+
+    @pytest.mark.parametrize("colour", [-1, 256, 300])
+    def test_colour_outside_a_byte_checked(self, colour):
+        with pytest.raises(InvalidColour):
+            EdgeColouring(3, 2, [0, colour, 1])
+        with pytest.raises(InvalidColour):
+            from_pair_function(3, 2, lambda u, v: colour if v == 2 else 0)
 
     def test_pair_function_builder(self):
         c = from_pair_function(3, 1, lambda u, v: 0)
