@@ -15,15 +15,12 @@ from .colouring import (
 from .geometry import (
     Embedding,
     KeyStepResult,
-    VectorFamily,
     WitnessReport,
     build_embedding,
     check_special_bounds,
     find_lambda_witness,
     key_lemma_step,
     min_density,
-    moment_double_sum,
-    moment_tensor,
 )
 from .book_engine import EngineOutcome, EngineParams, Trace, read_trace, run, write_trace
 from .monitors import run_all_monitors

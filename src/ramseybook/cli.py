@@ -1,5 +1,5 @@
 """Command-line surface: generate | run-book | verify-trace | regularise |
-bounds | oracle | moments.
+bounds | oracle.
 
 Machine-readable JSON goes to stdout, human summaries to stderr.  Exit codes:
 0 success, 1 verification failure, 2 usage error, 3 undecided at the working
@@ -12,12 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from fractions import Fraction
 
 from . import bounds as bounds_mod
-from . import book_engine, colouring, geometry, monitors, oracle, pipeline
+from . import book_engine, colouring, monitors, oracle, pipeline
 from .errors import (
     BudgetExceeded,
     DegenerateDensity,
@@ -206,44 +205,6 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _random_family(seed: int, dims: list[int], npoints: int) -> geometry.VectorFamily:
-    rng = random.Random(seed)
-    vectors = tuple(
-        tuple(
-            tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(d))
-            for _ in range(npoints)
-        )
-        for d in dims
-    )
-    return geometry.VectorFamily(vectors)
-
-
-def _cmd_moments(args) -> int:
-    ells = args.ells
-    dims = args.dims if args.dims else [3] * len(ells)
-    if len(dims) != len(ells):
-        raise InvalidInput("--dims and --ells must have the same length")
-    fam = _random_family(args.seed, dims, args.points)
-    ds = geometry.moment_double_sum(fam, ells)
-    tv = geometry.moment_tensor(fam, ells)
-    payload = {
-        "seed": args.seed,
-        "dims": dims,
-        "ells": ells,
-        "points": args.points,
-        "double_sum": f"{ds.numerator}/{ds.denominator}",
-        "tensor": f"{tv.numerator}/{tv.denominator}",
-        "equal": ds == tv,
-        "nonnegative": ds >= 0,
-    }
-    _emit(payload)
-    if not (payload["equal"] and payload["nonnegative"]):
-        _note("moment check FAILED")
-        return EXIT_VERIFY
-    _note("moment positivity and tensor equivalence hold")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -309,13 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     obook.add_argument("--t", type=int, required=True)
     obook.add_argument("--node-limit", type=int, default=None)
     o.set_defaults(func=_cmd_oracle)
-
-    m = sub.add_parser("moments", help="positivity and tensor-vs-double-sum equality")
-    m.add_argument("--seed", type=int, default=0)
-    m.add_argument("--dims", type=_int_list, default=None)
-    m.add_argument("--ells", type=_int_list, required=True)
-    m.add_argument("--points", type=int, default=6)
-    m.set_defaults(func=_cmd_moments)
 
     return ap
 

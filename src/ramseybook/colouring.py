@@ -85,7 +85,7 @@ class EdgeColouring:
         expected = n * (n - 1) // 2
         if len(tri) != expected:
             raise InvalidInput(f"expected {expected} edge colours for n={n}, got {len(tri)}")
-        if tri and max(tri) >= r:
+        if tri.translate(None, bytes(range(r))):
             raise InvalidColour(f"edge colour out of range [0, {r})")
         self.n = n
         self.r = r

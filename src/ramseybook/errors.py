@@ -56,10 +56,6 @@ class LemmaViolation(RamseyBookError):
     """A monitored inequality that is a theorem failed: implementation bug."""
 
 
-class TensorTooLarge(InvalidInput):
-    """Requested dense tensor exceeds the tensor size caps."""
-
-
 class BudgetExceeded(RamseyBookError):
     """A brute-force search ran past its node or size budget."""
 

@@ -1,7 +1,6 @@
 """Geometric core: trimmed-neighbourhood embeddings with exact rational inner
 products, the certified two-branch bound on the cosh-sqrt special function,
-tensor-power moment positivity, and the lambda-witness search that drives
-every round of the book algorithm.
+and the lambda-witness search that drives every round of the book algorithm.
 
 Inner products are never computed from materialised vectors; each one is an
 affine function of a codegree, so the whole witness search runs on integer
@@ -33,7 +32,7 @@ from .bounds import (
     mpi_from_fraction,
     mpi_from_int,
 )
-from .colouring import EdgeColouring, iter_vertices, mask_of, vertex_list
+from .colouring import EdgeColouring, iter_vertices, mask_of
 from .errors import (
     DegenerateDensity,
     EmptySet,
@@ -41,11 +40,7 @@ from .errors import (
     InvalidInput,
     InvalidVertex,
     LemmaViolation,
-    TensorTooLarge,
 )
-
-TENSOR_ORDER_CAP = 4
-TENSOR_DIM_CAP = 32
 
 
 def default_beta(r: int) -> Fraction:
@@ -140,21 +135,6 @@ class Embedding:
     def inner_by_index(self, colour: int, a: int, b: int) -> Fraction:
         t = self.trimmed[colour]
         return self.inner_from_codegree(colour, (t[a] & t[b]).bit_count())
-
-    def as_family(self) -> "VectorFamily":
-        """Materialise the unscaled centred indicators over Y_i coordinates."""
-        vectors = []
-        scales = []
-        for i in range(self.r):
-            ys = vertex_list(self.y_masks[i])
-            p = self.densities[i]
-            vecs = tuple(
-                tuple((1 if (self.trimmed[i][a] >> v) & 1 else 0) - p for v in ys)
-                for a in range(self.npoints)
-            )
-            vectors.append(vecs)
-            scales.append(1 / (self.alphas[i] * p * self.y_sizes[i]))
-        return VectorFamily(tuple(vectors), tuple(scales))
 
 
 def build_embedding(c: EdgeColouring, xset: int, ysets, alphas) -> Embedding:
@@ -263,113 +243,6 @@ def check_special_bounds(xs) -> SpecialBranch:
     if not certify_interval_ge(iv_from_int(-1), f):
         raise LemmaViolation(f"f{tuple(map(float, qs))} exceeded -1 in the negative branch")
     return SpecialBranch.NEGATIVE_CASE_HOLDS
-
-
-# ---------------------------------------------------------------------------
-# moments
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class VectorFamily:
-    """r functions from a finite point set into rational vectors.
-
-    ``scales[i]`` multiplies raw dot products in colour i, so implicitly
-    sqrt-scaled families (like embeddings) stay exactly rational.
-    """
-
-    vectors: tuple  # [colour][point][coord] -> Fraction
-    scales: tuple = None
-
-    def __post_init__(self):
-        if not self.vectors:
-            raise InvalidInput("need at least one colour")
-        npts = len(self.vectors[0])
-        if npts == 0:
-            raise EmptySet("need at least one point")
-        if any(len(v) != npts for v in self.vectors):
-            raise InvalidInput("every colour must map the same point set")
-        if self.scales is None:
-            object.__setattr__(self, "scales", tuple(Fraction(1) for _ in self.vectors))
-        if len(self.scales) != len(self.vectors):
-            raise InvalidInput("need one scale per colour")
-
-    @property
-    def r(self) -> int:
-        return len(self.vectors)
-
-    @property
-    def npoints(self) -> int:
-        return len(self.vectors[0])
-
-    def dim(self, colour: int) -> int:
-        return len(self.vectors[colour][0])
-
-    def inner_by_index(self, colour: int, a: int, b: int) -> Fraction:
-        va, vb = self.vectors[colour][a], self.vectors[colour][b]
-        return self.scales[colour] * sum(x * y for x, y in zip(va, vb))
-
-
-def _check_exponents(family, ells) -> list[int]:
-    ells = [int(e) for e in ells]
-    if len(ells) != family.r:
-        raise InvalidInput(f"need one exponent per colour ({family.r})")
-    if any(e < 0 for e in ells):
-        raise InvalidInput("exponents must be non-negative")
-    return ells
-
-
-def moment_double_sum(family, ells) -> Fraction:
-    """(1/|X|^2) sum over ordered pairs of prod_i <s_i(x), s_i(y)>^l_i, exact.
-
-    Non-negative for every exponent vector: a negative value signals a bug.
-    Accepts an Embedding or a VectorFamily.
-    """
-    ells = _check_exponents(family, ells)
-    n = family.npoints
-    active = [(i, e) for i, e in enumerate(ells) if e > 0]
-    total = Fraction(0)
-    for a in range(n):
-        for b in range(a, n):
-            term = Fraction(1)
-            for i, e in active:
-                term *= family.inner_by_index(i, a, b) ** e
-            total += term if a == b else 2 * term
-    return total / (n * n)
-
-
-def moment_tensor(family, ells) -> Fraction:
-    """<E[Z], E[Z]> via an explicit dense tensor-power average; equals the double sum.
-
-    Z is the order-(sum ells) tensor product of the point's vectors, one
-    factor per exponent unit.  Guarded by caps because the tensor has
-    prod(dim) entries.
-    """
-    if isinstance(family, Embedding):
-        family = family.as_family()
-    ells = _check_exponents(family, ells)
-    order = sum(ells)
-    if order > TENSOR_ORDER_CAP:
-        raise TensorTooLarge(f"tensor order {order} exceeds cap {TENSOR_ORDER_CAP}")
-    a_seq = [i for i, e in enumerate(ells) for _ in range(e)]
-    dims = [family.dim(i) for i in a_seq]
-    size = 1
-    for i, d in zip(a_seq, dims):
-        if d > TENSOR_DIM_CAP:
-            raise TensorTooLarge(f"colour {i} has dimension {d} > cap {TENSOR_DIM_CAP}")
-        size *= d
-    total = [Fraction(0)] * size
-    for a in range(family.npoints):
-        acc = [Fraction(1)]
-        for i in a_seq:
-            vec = family.vectors[i][a]
-            acc = [v * coord for v in acc for coord in vec]
-        for idx, v in enumerate(acc):
-            total[idx] += v
-    value = sum(v * v for v in total)
-    for i in a_seq:
-        value *= family.scales[i]
-    n = family.npoints
-    return value / (n * n)
 
 
 # ---------------------------------------------------------------------------

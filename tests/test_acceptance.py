@@ -22,13 +22,10 @@ from ramseybook.colouring import random_colouring
 from ramseybook.errors import DegenerateDensity, InvalidInput
 from ramseybook.geometry import (
     SpecialBranch,
-    VectorFamily,
     check_special_bounds,
     find_lambda_witness,
     key_lemma_step,
     min_density,
-    moment_double_sum,
-    moment_tensor,
     verify_key_step,
     verify_witness,
 )
@@ -96,37 +93,6 @@ class TestAcceptance:
         elapsed = time.time() - start
         _report("witness existence", True, f"{count} witnesses recounted, {elapsed:.1f}s")
         assert count == len(key_corpus)
-
-    def test_moment_positivity_and_tensor_equivalence(self):
-        import random as _random
-
-        rng = _random.Random(77)
-        start = time.time()
-        checked = 0
-        while checked < 200:
-            r = rng.randint(1, 3)
-            npts = rng.randint(1, 8)
-            dims = [rng.randint(1, 6) for _ in range(r)]
-            fam = VectorFamily(
-                tuple(
-                    tuple(
-                        tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(dims[i]))
-                        for _ in range(npts)
-                    )
-                    for i in range(r)
-                )
-            )
-            ells = [rng.randint(0, 4) for _ in range(r)]
-            if sum(ells) > 4:
-                continue
-            ds = moment_double_sum(fam, ells)
-            tv = moment_tensor(fam, ells)
-            assert ds >= 0, (ells, ds)
-            assert ds == tv, (ells, ds, tv)
-            checked += 1
-        elapsed = time.time() - start
-        _report("moment positivity + tensor equivalence", True, f"{checked} families, {elapsed:.1f}s")
-        assert elapsed <= 120
 
     def test_special_function_bounds(self):
         start = time.time()
@@ -267,7 +233,7 @@ class TestAcceptance:
         )
 
     def test_determinism(self, tmp_path, capsys):
-        """Byte-identical traces and JSON outputs across repeated identical
+        """Byte-identical colouring files and traces across repeated identical
         invocations.  (Cross-platform identity holds by construction: traces
         contain only integers and exact rationals in fixed field order.)"""
         rcg = tmp_path / "c.rcg"
@@ -288,15 +254,8 @@ class TestAcceptance:
             assert code == 0
             capsys.readouterr()
         identical = t1.read_bytes() == t2.read_bytes()
-
-        m_outs = []
-        for _ in range(2):
-            assert cli_main(["moments", "--seed", "4", "--ells", "2,1"]) == 0
-            m_outs.append(capsys.readouterr().out)
-        ok = identical and m_outs[0] == m_outs[1]
-        _report("determinism", ok)
+        _report("determinism", identical)
         assert identical
-        assert m_outs[0] == m_outs[1]
 
 
 def find_lambda_witness_checked(c, xset, ysets, alphas):

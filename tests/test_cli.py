@@ -10,7 +10,7 @@ import pytest
 import ramseybook
 from ramseybook import bounds as bounds_mod
 from ramseybook.book_engine import read_trace
-from ramseybook.cli import main
+from ramseybook.cli import EXIT_USAGE, main
 from ramseybook.colouring import pentagon_colouring
 
 
@@ -345,22 +345,12 @@ class TestOracleCmd:
         assert json.loads(out)["m_max"] == 2
 
 
-class TestMomentsCmd:
-    def test_moments(self, capsys):
-        code, out, _ = invoke(capsys, "moments", "--seed", "3", "--ells", "2,1", "--points", "5")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["equal"] and payload["nonnegative"]
-
-    def test_moments_deterministic(self, capsys):
-        _, out1, _ = invoke(capsys, "moments", "--seed", "3", "--ells", "1,1")
-        _, out2, _ = invoke(capsys, "moments", "--seed", "3", "--ells", "1,1")
-        assert out1 == out2
-
-
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert invoke(capsys, "frobnicate")[0] == 2
+
+    def test_removed_moments_command(self, capsys):
+        assert invoke(capsys, "moments", "--seed", "3", "--ells", "2,1")[0] == EXIT_USAGE
 
     def test_missing_required(self, capsys):
         assert invoke(capsys, "generate")[0] == 2

@@ -470,6 +470,16 @@ class TestValidation:
     def test_colour_value_checked(self):
         with pytest.raises(InvalidColour):
             EdgeColouring(2, 1, b"\x01")
+        # a colour equal to r at the very last edge of a large colouring
+        n, r = 1000, 3
+        ok = bytes(i % r for i in range(n * (n - 1) // 2))
+        assert EdgeColouring(n, r, ok).r == r
+        with pytest.raises(InvalidColour) as ei:
+            EdgeColouring(n, r, ok[:-1] + bytes([r]))
+        assert str(ei.value) == f"edge colour out of range [0, {r})"
+        with pytest.raises(InvalidColour):
+            EdgeColouring(n, r, ok[:-1] + b"\xff")
+        assert EdgeColouring(1, r, b"").n == 1
 
     @pytest.mark.parametrize("colour", [-1, 256, 300])
     def test_colour_outside_a_byte_checked(self, colour):

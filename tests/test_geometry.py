@@ -17,12 +17,10 @@ from ramseybook.errors import (
     InvalidInput,
     InvalidVertex,
     LemmaViolation,
-    TensorTooLarge,
 )
 from ramseybook.geometry import (
     Embedding,
     SpecialBranch,
-    VectorFamily,
     WitnessReport,
     _lowest_bits,
     _PairTables,
@@ -33,8 +31,6 @@ from ramseybook.geometry import (
     find_lambda_witness,
     key_lemma_step,
     min_density,
-    moment_double_sum,
-    moment_tensor,
     verify_key_step,
     verify_witness,
     witness_bound_upper,
@@ -376,67 +372,50 @@ class TestSpecialBounds:
         assert upper[128] < upper[40]
 
 
-def two_point_family():
-    return VectorFamily((((F(1), F(0)), (F(0), F(1))),))
+def centred_gram_matrices(c):
+    # The embedding of c (X = Y_i = V, alpha_i = 1/10) and, per colour i, the
+    # Gram matrix of the explicit centred indicators over Y_i, scaled by
+    # 1 / (alpha_i p_i |Y_i|), built from emb.trimmed.
+    emb = build_embedding(c, c.vertices, [c.vertices] * c.r, [F(1, 10)] * c.r)
+    pts = range(emb.npoints)
+    grams = []
+    for i in range(c.r):
+        p, ys = emb.densities[i], list(iter_vertices(emb.y_masks[i]))
+        vecs = [[(t >> y & 1) - p for y in ys] for t in emb.trimmed[i]]
+        scale = emb.alphas[i] * p * emb.y_sizes[i]
+        grams.append([[sum(u * v for u, v in zip(vecs[a], vecs[b])) / scale for b in pts] for a in pts])
+    return emb, grams
 
 
 class TestMoments:
-    def test_orthonormal_pair(self):
-        fam = two_point_family()
-        assert moment_double_sum(fam, [1]) == F(1, 2)
-        assert moment_tensor(fam, [1]) == F(1, 2)
+    @pytest.fixture
+    def colourings(self, c5):
+        return [c5] + [random_colouring(20, 3, s) for s in range(3)]
 
-    def test_zero_exponents(self):
-        fam = two_point_family()
-        assert moment_double_sum(fam, [0]) == 1
-        assert moment_tensor(fam, [0]) == 1
+    def test_embedding_tensor_equivalence(self, colourings):
+        # every inner product of the embedding equals the explicit one
+        for c in colourings:
+            emb, grams = centred_gram_matrices(c)
+            pts = range(emb.npoints)
+            for i, gram in enumerate(grams):
+                assert all(emb.inner_by_index(i, a, b) == gram[a][b] for a in pts for b in pts)
 
-    def test_even_power_nonnegative(self, c5):
-        emb = build_embedding(c5, c5.vertices, [c5.vertices] * 2, [F(1, 10)] * 2)
-        val = moment_double_sum(emb, [2, 0])
-        assert val >= 0
-
-    def test_embedding_tensor_equivalence(self, c5):
-        emb = build_embedding(c5, c5.vertices, [c5.vertices] * 2, [F(1, 10)] * 2)
-        for ells in ([1, 0], [0, 1], [2, 0], [1, 1], [2, 1], [2, 2]):
-            assert moment_tensor(emb, ells) == moment_double_sum(emb, ells)
-
-    def test_random_families_positive_and_equivalent(self):
-        rng = random.Random(17)
-        for _ in range(40):
-            r = rng.randint(1, 3)
-            npts = rng.randint(1, 5)
-            dims = [rng.randint(1, 3) for _ in range(r)]
-            fam = VectorFamily(
-                tuple(
-                    tuple(
-                        tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dims[i]))
-                        for _ in range(npts)
-                    )
-                    for i in range(r)
-                )
-            )
-            ells = [rng.randint(0, 2) for _ in range(r)]
-            if sum(ells) > 4:
-                continue
-            ds = moment_double_sum(fam, ells)
-            assert ds >= 0
-            assert moment_tensor(fam, ells) == ds
-
-    def test_order_cap(self):
-        fam = two_point_family()
-        with pytest.raises(TensorTooLarge):
-            moment_tensor(fam, [5])
-
-    def test_dim_cap(self):
-        vec = tuple(F(1) for _ in range(33))
-        fam = VectorFamily(((vec,),))
-        with pytest.raises(TensorTooLarge):
-            moment_tensor(fam, [1])
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(InvalidInput):
-            moment_double_sum(two_point_family(), [-1])
+    def test_even_power_nonnegative(self, colourings):
+        # sum over ordered pairs of prod_i <.,.>^l_i is 1^T (Hadamard product
+        # of Gram matrices) 1 >= 0
+        for c in colourings:
+            emb, grams = centred_gram_matrices(c)
+            pts = range(emb.npoints)
+            for ells in ([1, 0], [0, 1], [2, 0], [1, 1], [2, 1], [2, 2]):
+                ells = ells + [0] * (c.r - len(ells))
+                total = 0
+                for a in pts:
+                    for b in pts:
+                        term = F(1)
+                        for gram, e in zip(grams, ells):
+                            term *= gram[a][b] ** e
+                        total += term
+                assert total >= 0, (c.n, ells)
 
 
 class TestWitness:
