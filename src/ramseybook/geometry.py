@@ -4,8 +4,10 @@ and the lambda-witness search that drives every round of the book algorithm.
 
 Inner products are never computed from materialised vectors; each one is an
 affine function of a codegree, so the whole witness search runs on integer
-codegree tables, whose pair eligibility is checked per row only once a scan
-reaches that row, and only the thresholds it reaches become Fractions.
+codegrees.  Up front it keeps only each row's largest codegree and the set of
+codegrees attained, O(n r) numbers; a row's codegrees are computed, and its
+pair eligibility checked, when a scan first reaches that row, and only the
+thresholds a scan reaches become Fractions.
 
 The special-function and witness decay bounds run on mpmath's raw interval
 endpoint pairs (``mpmath.libmp.mpi_*``) at ``iv.prec``, read at each call, in
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain, compress
 
 from mpmath import iv
@@ -128,9 +130,14 @@ class Embedding:
     def trimmed_sizes(self) -> tuple[int, ...]:
         return tuple(int(p * y) for p, y in zip(self.densities, self.y_sizes))
 
+    @cached_property
+    def inner_coefficients(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """Per colour, (p_i^2 |Y_i|, alpha_i p_i |Y_i|): an inner product is (codeg - first) / second."""
+        return tuple((p * p * y, a * p * y) for p, a, y in zip(self.densities, self.alphas, self.y_sizes))
+
     def inner_from_codegree(self, colour: int, codeg: int) -> Fraction:
-        p, a, y = self.densities[colour], self.alphas[colour], self.y_sizes[colour]
-        return (Fraction(codeg) - p * p * y) / (a * p * y)
+        offset, scale = self.inner_coefficients[colour]
+        return (codeg - offset) / scale
 
     def inner_by_index(self, colour: int, a: int, b: int) -> Fraction:
         t = self.trimmed[colour]
@@ -274,39 +281,45 @@ class KeyStepResult:
 
 
 class _PairTables:
-    """Integer codegrees of the unordered pairs of X, one row per point.
+    """Integer codegrees of the unordered pairs of X, kept in O(n r) memory.
 
-    ``rows[i][a][j]`` is the colour-i codegree of the pair (a, a + 1 + j).  A
-    pair is eligible when every coordinate inner product is >= -1, i.e.
-    codeg_i >= p_i |Y_i| (p_i - alpha_i) for every colour; only eligible pairs
-    can contribute to any witness event.  Eligibility is decided per row the
-    first time a scan reaches it (``_rows_reaching``); from then on an
-    ineligible pair reads -1 in every colour.  ``row_max[i][a]`` is the
-    largest entry of ``rows[i][a]``, so scans skip the rows that cannot reach
-    a threshold.  The n diagonal pairs have codegree ``diag[i]``, which is at
-    least every candidate threshold, so they are in every event.
+    A pair is eligible when every coordinate inner product is >= -1, i.e.
+    codeg_i >= p_i |Y_i| (p_i - alpha_i) = ``dmin[i]`` for every colour; only
+    eligible pairs can contribute to any witness event.  The build keeps, per
+    colour, ``row_max[i][a]``, the largest codegree of the pairs (a, b > a),
+    and ``values[i]``, every codegree attained by some pair; no row is stored.
+    The first time a scan reaches row a (``_rows_reaching``), ``_check_row``
+    computes it in every colour, marks its ineligible pairs -1 and re-takes
+    its row maxima: ``checked[a][i][j]`` is then the colour-i codegree of the
+    pair (a, a + 1 + j).  Scans skip the rows whose maximum cannot reach a
+    threshold, so a row no scan reached has no pair at any threshold read so
+    far.  The n diagonal pairs have codegree ``diag[i]``, which is at least
+    every candidate threshold, so they are in every event.
     """
 
     def __init__(self, emb: Embedding):
         self.emb = emb
-        n = emb.npoints
-        self.n = n
-        r = emb.r
+        self.n = emb.npoints
         self.diag = emb.trimmed_sizes()
-        # minimal integer codegree for coordinate >= -1
-        self.dmin = []
-        for i in range(r):
-            p, a, y = emb.densities[i], emb.alphas[i], emb.y_sizes[i]
-            thr = p * y * (p - a)
-            self.dmin.append(max(0, -(-thr.numerator // thr.denominator)))  # ceil, floored at 0
-        self.rows = [[[(ta & tb).bit_count() for tb in t[a + 1 :]] for a, ta in enumerate(t)] for t in emb.trimmed]
-        self.row_max = [[max(codeg, default=-1) for codeg in rows_i] for rows_i in self.rows]
-        self.unchecked = set(range(n))
+        # minimal integer codegree for coordinate >= -1, floored at 0
+        self.dmin = [max(0, math.ceil(off - scale)) for off, scale in emb.inner_coefficients]
+        self.row_max = []
+        self.values = []
+        for t in emb.trimmed:
+            row_max_i = []
+            values_i = set()
+            for a, ta in enumerate(t):
+                row = {(ta & tb).bit_count() for tb in t[a + 1 :]}
+                row_max_i.append(max(row, default=-1))
+                values_i |= row
+            self.row_max.append(row_max_i)
+            self.values.append(values_i)
+        self.checked: dict[int, list[list[int]]] = {}
 
     def _check_row(self, a: int) -> None:
-        """Mark the ineligible pairs of row a -1 in every colour, and re-take its row maxima."""
-        self.unchecked.discard(a)
-        row = [rows_i[a] for rows_i in self.rows]
+        """Compute row a in every colour, mark its ineligible pairs -1, and re-take its row maxima."""
+        row = [[(t[a] & tb).bit_count() for tb in t[a + 1 :]] for t in self.emb.trimmed]
+        self.checked[a] = row
         bad = set()
         for codeg, dmin in zip(row, self.dmin):
             if codeg and min(codeg) < dmin:
@@ -321,7 +334,7 @@ class _PairTables:
         """The rows a < stop (default n) with an eligible codegree >= d in ``colour``, each checked first."""
         row_max = self.row_max[colour]
         for a in compress(range(self.n if stop is None else stop), map(d.__le__, row_max)):
-            if a in self.unchecked:
+            if a not in self.checked:
                 self._check_row(a)
             if row_max[a] >= d:
                 yield a
@@ -344,16 +357,14 @@ class _PairTables:
         The values below ``dmin`` are attained by ineligible pairs only; any
         other value is kept only where a checked row still holds it.
         """
-        rows, diag = self.rows[colour], self.diag[colour]
-        seen = set().union(*rows)
-        seen.add(diag)
-        for d in sorted(filter(self.dmin[colour].__le__, seen), reverse=True):
-            if d == diag or any(d in rows[a] for a in self._rows_reaching(colour, d)):
+        checked, diag = self.checked, self.diag[colour]
+        for d in sorted(filter(self.dmin[colour].__le__, self.values[colour] | {diag}), reverse=True):
+            if d == diag or any(d in checked[a][colour] for a in self._rows_reaching(colour, d)):
                 yield self.emb.inner_from_codegree(colour, d), colour, d
 
     def _partners_after(self, colour: int, d: int, a: int):
         """The partners b > a of point a at codegree threshold d; row a must be checked."""
-        return compress(range(a + 1, self.n), map(d.__le__, self.rows[colour][a]))
+        return compress(range(a + 1, self.n), map(d.__le__, self.checked[a][colour]))
 
     def partner_counts(self, colour: int, d: int) -> list[int]:
         """Per point, the off-diagonal event partners at codegree threshold d."""
@@ -366,12 +377,13 @@ class _PairTables:
         return counts
 
     def x_prime_mask(self, colour: int, d: int, pivot_idx: int) -> int:
-        rows = self.rows[colour]
+        checked = self.checked
         # reaching the pivot row checks it; a row that cannot reach d has no partner after it
         reached = list(self._rows_reaching(colour, d, pivot_idx + 1))
-        before = [a for a in reached if a < pivot_idx and rows[a][pivot_idx - a - 1] >= d]
+        before = [a for a in reached if a < pivot_idx and checked[a][colour][pivot_idx - a - 1] >= d]
+        after = self._partners_after(colour, d, pivot_idx) if reached[-1:] == [pivot_idx] else ()
         points = self.emb.points
-        return mask_of(points[b] for b in chain(before, self._partners_after(colour, d, pivot_idx)))
+        return mask_of(points[b] for b in chain(before, after))
 
     def witnesses(self, beta):
         """Yield a _Witness for every candidate, in scan order, whose event

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -605,7 +606,7 @@ class TestBulkBuilders:
         for i in range(r):
             for a in range(n):
                 row = [codeg[i, a, b] if (a, b) in eligible else -1 for b in range(a + 1, n)]
-                assert tables.rows[i][a] == row
+                assert tables.checked[a][i] == row
                 assert tables.row_max[i][a] == max(row, default=-1)
         return n * (n - 1) - len(eligible - {(a, a) for a in range(n)})
 
@@ -644,9 +645,27 @@ class TestBulkBuilders:
             if max(w.counts):
                 break
         lazy.x_prime_mask(w.colour, w.d, w.counts.index(max(w.counts)))
-        assert lazy.n - len(lazy.unchecked) <= lazy.n // 10
+        assert len(lazy.checked) <= lazy.n // 10
         got += map(key, scan)
         assert got == [key(w) for w in eager.witnesses(None)]
+
+    def test_tables_hold_no_quadratic_state(self):
+        # n = 400, r = 3 has 239400 codegrees; a stored table of them holds
+        # about 2 MiB, while row maxima, value sets and the rows a scan
+        # reaches stay far below the limit
+        c = random_colouring(400, 3, 0)
+        full = c.vertices
+        densities = [min_density(c, full, full, i) for i in range(3)]
+        alphas = [(p - min(densities) + F(1, 16)) / 2 for p in densities]  # engine alphas, delta = 1/16, t = 2
+        emb = build_embedding(c, full, [full] * 3, alphas)
+        tracemalloc.start()
+        try:
+            tables = _PairTables(emb)
+            w = next(w for w in tables.witnesses(None) if max(w.counts))
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 200 * 1024, f"{held} bytes held by {tables.n} points, witness at lam = {w.lam}"
 
 
 class TestWitnessChoice:
