@@ -4,10 +4,13 @@ and the lambda-witness search that drives every round of the book algorithm.
 
 Inner products are never computed from materialised vectors; each one is an
 affine function of a codegree, so the whole witness search runs on integer
-codegrees.  Up front it keeps only each row's largest codegree and the set of
-codegrees attained, O(n r) numbers; a row's codegrees are computed, and its
-pair eligibility checked, when a scan first reaches that row, and only the
-thresholds a scan reaches become Fractions.
+codegrees.  A colour's diagonal threshold is reached exactly by the pairs with
+equal trimmed sets, found by grouping the sets; only a threshold below a
+diagonal builds each row's largest codegree and the set of codegrees attained,
+O(n r) numbers from one r n^2 / 2 popcount pass.  A row's codegrees are
+computed, and its pair eligibility checked, when a scan first reaches that
+row, and only the thresholds a scan reaches become Fractions.  The witness
+recount tests each unordered pair once and each diagonal pair explicitly.
 
 The special-function and witness decay bounds run on mpmath's raw interval
 endpoint pairs (``mpmath.libmp.mpi_*``) at ``iv.prec``, read at each call, in
@@ -172,12 +175,13 @@ def build_embedding(c: EdgeColouring, xset: int, ysets, alphas) -> Embedding:
         ysize = yset.bit_count()
         neigh = c._neigh[i]
         masks = [neigh[x] & yset for x in points]
-        m = min(mm.bit_count() for mm in masks)
+        sizes = [mm.bit_count() for mm in masks]
+        m = min(sizes)
         if m == 0:
             raise DegenerateDensity(f"p_{i} = 0: some x in X has no colour-{i} neighbour in Y_{i}", colour=i)
         y_sizes.append(ysize)
         densities.append(Fraction(m, ysize))
-        trimmed.append(tuple(mm if mm.bit_count() == m else _lowest_bits(mm, m) for mm in masks))
+        trimmed.append(tuple(mm if size == m else _lowest_bits(mm, m) for mm, size in zip(masks, sizes)))
     return Embedding(
         points=points,
         y_masks=ysets,
@@ -285,16 +289,21 @@ class _PairTables:
 
     A pair is eligible when every coordinate inner product is >= -1, i.e.
     codeg_i >= p_i |Y_i| (p_i - alpha_i) = ``dmin[i]`` for every colour; only
-    eligible pairs can contribute to any witness event.  The build keeps, per
-    colour, ``row_max[i][a]``, the largest codegree of the pairs (a, b > a),
-    and ``values[i]``, every codegree attained by some pair; no row is stored.
+    eligible pairs can contribute to any witness event.  Every trimmed set of
+    colour i has ``diag[i]`` elements, so ``diag[i]`` is the largest codegree
+    and the pairs that reach it are those with equal colour-i sets: rows are
+    grouped by set in O(n), with no codegree computed.  Only a threshold below
+    some colour's diagonal needs ``_build_maxima``, which keeps, per colour,
+    ``row_max[i][a]``, the largest codegree of the pairs (a, b > a), and
+    ``values[i]``, every codegree attained by some pair; no row is stored.
     The first time a scan reaches row a (``_rows_reaching``), ``_check_row``
     computes it in every colour, marks its ineligible pairs -1 and re-takes
     its row maxima: ``checked[a][i][j]`` is then the colour-i codegree of the
-    pair (a, a + 1 + j).  Scans skip the rows whose maximum cannot reach a
-    threshold, so a row no scan reached has no pair at any threshold read so
-    far.  The n diagonal pairs have codegree ``diag[i]``, which is at least
-    every candidate threshold, so they are in every event.
+    pair (a, a + 1 + j).  A row checked before the maxima are built keeps its
+    -1 marks and maxima in them.  Scans skip the rows whose maximum cannot
+    reach a threshold, so a row no scan reached has no pair at any threshold
+    read so far.  The n diagonal pairs have codegree ``diag[i]``, which is at
+    least every candidate threshold, so they are in every event.
     """
 
     def __init__(self, emb: Embedding):
@@ -303,18 +312,23 @@ class _PairTables:
         self.diag = emb.trimmed_sizes()
         # minimal integer codegree for coordinate >= -1, floored at 0
         self.dmin = [max(0, math.ceil(off - scale)) for off, scale in emb.inner_coefficients]
-        self.row_max = []
-        self.values = []
-        for t in emb.trimmed:
+        self.row_max: list[list[int]] | None = None  # with ``values``, set by _build_maxima
+        self.values: list[set[int]] | None = None
+        self.checked: dict[int, list[list[int]]] = {}
+
+    def _build_maxima(self) -> None:
+        """Per colour, every row's largest codegree and the set of codegrees attained: r n^2 / 2 popcounts."""
+        checked = self.checked
+        self.row_max, self.values = [], []
+        for i, t in enumerate(self.emb.trimmed):
             row_max_i = []
             values_i = set()
             for a, ta in enumerate(t):
-                row = {(ta & tb).bit_count() for tb in t[a + 1 :]}
+                row = set(checked[a][i]) if a in checked else {(ta & tb).bit_count() for tb in t[a + 1 :]}
                 row_max_i.append(max(row, default=-1))
                 values_i |= row
             self.row_max.append(row_max_i)
             self.values.append(values_i)
-        self.checked: dict[int, list[list[int]]] = {}
 
     def _check_row(self, a: int) -> None:
         """Compute row a in every colour, mark its ineligible pairs -1, and re-take its row maxima."""
@@ -325,16 +339,36 @@ class _PairTables:
             if codeg and min(codeg) < dmin:
                 bad.update(compress(range(len(codeg)), map(dmin.__gt__, codeg)))
         if bad:
-            for codeg, row_max_i in zip(row, self.row_max):
+            for codeg in row:
                 for j in bad:
                     codeg[j] = -1
-                row_max_i[a] = max(codeg)
+            if self.row_max is not None:
+                for codeg, row_max_i in zip(row, self.row_max):
+                    row_max_i[a] = max(codeg)
 
     def _rows_reaching(self, colour: int, d: int, stop: int | None = None):
-        """The rows a < stop (default n) with an eligible codegree >= d in ``colour``, each checked first."""
+        """The rows a < stop (default n) with an eligible codegree >= d in ``colour``, each checked first.
+
+        At d = ``diag[colour]`` these are the rows whose trimmed set recurs
+        later; below it, the rows whose maximum reaches d.
+        """
+        stop = self.n if stop is None else stop
+        checked = self.checked
+        if d == self.diag[colour]:
+            t = self.emb.trimmed[colour]
+            last = {ta: a for a, ta in enumerate(t)}
+            for a in range(stop):
+                if last[t[a]] != a:
+                    if a not in checked:
+                        self._check_row(a)
+                    if d in checked[a][colour]:
+                        yield a
+            return
+        if self.row_max is None:
+            self._build_maxima()
         row_max = self.row_max[colour]
-        for a in compress(range(self.n if stop is None else stop), map(d.__le__, row_max)):
-            if a not in self.checked:
+        for a in compress(range(stop), map(d.__le__, row_max)):
+            if a not in checked:
                 self._check_row(a)
             if row_max[a] >= d:
                 yield a
@@ -354,12 +388,17 @@ class _PairTables:
     def _colour_candidates(self, colour: int):
         """The candidates of one colour, codegree (hence lam) descending.
 
-        The values below ``dmin`` are attained by ineligible pairs only; any
-        other value is kept only where a checked row still holds it.
+        The diagonal comes first and needs no codegree.  Below it, the values
+        below ``dmin`` are attained by ineligible pairs only; any other value
+        is kept only where a checked row still holds it.
         """
         checked, diag = self.checked, self.diag[colour]
-        for d in sorted(filter(self.dmin[colour].__le__, self.values[colour] | {diag}), reverse=True):
-            if d == diag or any(d in checked[a][colour] for a in self._rows_reaching(colour, d)):
+        yield self.emb.inner_from_codegree(colour, diag), colour, diag
+        if self.values is None:
+            self._build_maxima()
+        dmin = self.dmin[colour]
+        for d in sorted((v for v in self.values[colour] if dmin <= v < diag), reverse=True):
+            if any(d in checked[a][colour] for a in self._rows_reaching(colour, d)):
                 yield self.emb.inner_from_codegree(colour, d), colour, d
 
     def _partners_after(self, colour: int, d: int, a: int):
@@ -440,9 +479,12 @@ def find_lambda_witness(emb: Embedding, beta=None) -> WitnessReport:
     over all |X|^2 ordered pairs satisfies q >= beta e^(-C sqrt(lam+1)).
 
     Candidate thresholds are the inner-product values attained by the
-    diagonal and by the pairs whose every coordinate is >= -1.
-    Failure to find any witness raises LemmaViolation (it is a theorem that
-    one exists).
+    diagonal and by the pairs whose every coordinate is >= -1.  The top
+    candidate is a colour's diagonal, decided from equal trimmed sets, so
+    when it is accepted (always while 2 beta |X| <= 1: its q >= 1/|X|) the
+    search costs O(|X| r) plus one bound evaluation, and the codegree
+    maxima are never built.  Failure to find any witness raises
+    LemmaViolation (it is a theorem that one exists).
     """
     for w in _PairTables(emb).witnesses(beta):
         return w.report()
@@ -564,7 +606,10 @@ def verify_witness(c, xset, ysets, alphas, rep: WitnessReport, beta=None) -> Non
     d_i = ceil(v_i alpha_i p_i |Y_i| + p_i^2 |Y_i|).  So the count needs one
     exact rational per colour and integer comparisons per pair.  The d_i are
     derived here from the embedding, not taken from the witness search, so
-    the recount stays independent of the search it checks.
+    the recount stays independent of the search it checks.  Codegrees are
+    symmetric, so each unordered pair a < b is tested once and counted
+    twice, and each diagonal pair (a, a) is tested, not assumed, and counted
+    once: every one of the n^2 ordered pairs is decided.
 
     Raises LemmaViolation if the recount disagrees with the report or the
     witness inequality fails against a freshly rounded bound.
@@ -583,11 +628,11 @@ def verify_witness(c, xset, ysets, alphas, rep: WitnessReport, beta=None) -> Non
     need.insert(0, need.pop(rep.colour))  # the witness colour rejects the most pairs
     cnt = 0
     for a in range(n):
-        row = range(n)
+        row = range(a, n)  # (a, a) and the unordered pairs a < b
         for d, t in need:
             ta = t[a]
             row = [b for b in row if (ta & t[b]).bit_count() >= d]
-        cnt += len(row)
+        cnt += 2 * len(row) - (row[:1] == [a])
     if cnt != rep.pair_count or rep.total_pairs != n * n:
         raise LemmaViolation(
             f"witness recount mismatch: recounted {cnt}/{n * n}, reported {rep.pair_count}/{rep.total_pairs}"

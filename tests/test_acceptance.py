@@ -84,7 +84,7 @@ class TestAcceptance:
 
     def test_witness_existence(self, key_corpus):
         """The lambda-witness search succeeds on the whole corpus and every
-        report survives an exhaustive ordered-pair recount."""
+        report survives an exhaustive recount of every pair."""
         start = time.time()
         count = 0
         for c, xset, ysets, alphas in key_corpus:

@@ -106,6 +106,39 @@ def attained_lams(emb):
     return lams
 
 
+def twin_colouring(m, r, seed):
+    """2m vertices in twin pairs 2k, 2k + 1: colour 0 inside a pair, and the
+    colour of (k, l) in random_colouring(m, r, seed) from either of 2k, 2k + 1
+    to either of 2l, 2l + 1.  Twins share every colour-i neighbourhood up to
+    each other, so many of their trimmed sets are equal."""
+    base = random_colouring(m, r, seed)
+    return from_pair_function(2 * m, r, lambda u, v: base.colour(u // 2, v // 2) if u // 2 != v // 2 else 0)
+
+
+def swapped_twin_colouring(m, seed):
+    """twin_colouring(m, 3, seed), except that wherever the base colour is 0
+    or 2 one twin sees it swapped: twins keep equal colour-1 sets, but their
+    colour-0 and colour-2 sets are disjoint, so their pair is ineligible once
+    dmin is positive."""
+    base = random_colouring(m, 3, seed)
+
+    def colour(u, v):
+        if u // 2 == v // 2:
+            return 0
+        b = base.colour(u // 2, v // 2)
+        return b if b == 1 or (u + v) % 2 == 0 else 2 - b
+
+    return from_pair_function(2 * m, 3, colour)
+
+
+def engine_embedding(c):
+    """alphas and the embedding of X = Y_i = V at engine alphas (delta = 1/16, t = 2)."""
+    full = c.vertices
+    densities = [min_density(c, full, full, i) for i in range(c.r)]
+    alphas = [(p - min(densities) + F(1, 16)) / 2 for p in densities]
+    return alphas, build_embedding(c, full, [full] * c.r, alphas)
+
+
 def reference_lowest_bits(mask, count):
     """The one-bit-per-iteration loop _lowest_bits replaced."""
     out = 0
@@ -503,6 +536,8 @@ class TestWitnessRecount:
     @settings(max_examples=150, deadline=None)
     @given(small_embeddings())
     def test_integer_count_matches_fraction_recount(self, drawn):
+        # the recount counts each unordered pair twice, so an even offset is
+        # what a doubled count could hide
         c, xset, ysets, alphas, emb = drawn
         count = fraction_recounter(emb)
         total = emb.npoints ** 2
@@ -513,8 +548,9 @@ class TestWitnessRecount:
                 # beta = 0 makes the bound 0, so only the recount is checked
                 rep = WitnessReport(colour, v, F(cnt, total), F(0), cnt, total)
                 verify_witness(c, xset, ysets, alphas, rep, beta=0)
-                with pytest.raises(LemmaViolation, match="recount mismatch"):
-                    verify_witness(c, xset, ysets, alphas, replace(rep, pair_count=cnt + 1), beta=0)
+                for delta in (-2, -1, 1, 2):
+                    with pytest.raises(LemmaViolation, match="recount mismatch"):
+                        verify_witness(c, xset, ysets, alphas, replace(rep, pair_count=cnt + delta), beta=0)
 
     def witness(self):
         c = random_colouring(16, 2, 0)
@@ -535,6 +571,11 @@ class TestWitnessRecount:
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_rejects_pair_count_off_by_one(self, delta):
+        rep = self.witness()[3]
+        self.rejects(replace(rep, pair_count=rep.pair_count + delta), "recount mismatch")
+
+    @pytest.mark.parametrize("delta", [-2, 2])
+    def test_rejects_pair_count_off_by_two(self, delta):
         rep = self.witness()[3]
         self.rejects(replace(rep, pair_count=rep.pair_count + delta), "recount mismatch")
 
@@ -724,6 +765,107 @@ class TestWitnessChoice:
             assert (rep.lam, rep.colour, rep.q, rep.pair_count) == want[0]
             assert (res.lam, res.colour, res.q, res.q * emb.npoints**2,
                     res.pivot, res.x_prime, res.met_size_bound) == want[1]
+
+
+class TestDiagonalRule:
+    """A colour's diagonal threshold, decided from equal trimmed sets before
+    any codegree maximum is built, against tables whose maxima were built
+    first and against the reference scan."""
+
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("computed codegrees off the diagonal rule")
+
+    @staticmethod
+    def build_maxima_first(mp):
+        init = _PairTables.__init__
+
+        def eager_init(self, emb):
+            init(self, emb)
+            self._build_maxima()
+
+        mp.setattr(_PairTables, "__init__", eager_init)
+
+    @staticmethod
+    def observe(c, alphas, emb):
+        """Candidates, then per candidate the partner counts and every point's
+        X' from a fresh table, then the witness and the key step."""
+        cands = list(_PairTables(emb).candidates())
+        counts, masks = [], []
+        for _lam, i, d in cands:
+            counts.append(_PairTables(emb).partner_counts(i, d))
+            tables = _PairTables(emb)
+            masks.append([tables.x_prime_mask(i, d, a) for a in range(emb.npoints)])
+        full = [c.vertices] * c.r
+        return cands, counts, masks, find_lambda_witness(emb), key_lemma_step(c, c.vertices, full, alphas)
+
+    def check(self, c, monkeypatch):
+        """observe() agrees with tables whose maxima were built first, with
+        the per-pair popcount, and with the reference scan; returns the
+        embedding and the dmin thresholds."""
+        alphas, emb = engine_embedding(c)
+        got = self.observe(c, alphas, emb)
+        with monkeypatch.context() as mp:
+            self.build_maxima_first(mp)
+            assert self.observe(c, alphas, emb) == got
+        TestBulkBuilders.check_tables(emb)
+        rep, res = got[3:]
+        first, step = TestWitnessChoice.reference(emb, default_beta(c.r))
+        assert (rep.lam, rep.colour, rep.q, rep.pair_count) == first
+        assert (res.lam, res.colour, res.q, res.q * emb.npoints**2,
+                res.pivot, res.x_prime, res.met_size_bound) == step
+        return emb, _PairTables(emb).dmin
+
+    @pytest.mark.parametrize("m, r, seed", [(15, 2, 1), (12, 2, 4), (12, 3, 0), (16, 3, 2)])
+    def test_twin_corpus_matches_maxima_built_first(self, m, r, seed, monkeypatch):
+        self.check(twin_colouring(m, r, seed), monkeypatch)
+
+    @pytest.mark.parametrize("m, seed", [(12, 0), (12, 2), (15, 2)])
+    def test_ineligible_equal_sets_are_left_out(self, m, seed, monkeypatch):
+        emb, dmin = self.check(swapped_twin_colouring(m, seed), monkeypatch)
+        t = emb.trimmed
+        assert any(t[1][a] == t[1][a + 1] and (t[0][a] & t[0][a + 1]).bit_count() < dmin[0]
+                   for a in range(0, emb.npoints, 2))
+
+    def test_twin_diagonal_has_partners(self, monkeypatch):
+        c = twin_colouring(15, 2, 1)
+        alphas, emb = engine_embedding(c)
+        full = [c.vertices] * 2
+        monkeypatch.setattr(_PairTables, "_build_maxima", self.refuse)
+        rep = find_lambda_witness(emb)
+        assert rep.lam == emb.inner_from_codegree(rep.colour, emb.trimmed_sizes()[rep.colour])
+        assert rep.pair_count == 76 > emb.npoints
+        res = key_lemma_step(c, c.vertices, full, alphas)
+        assert res.met_size_bound and (res.lam, res.colour) == (rep.lam, rep.colour)
+        verify_witness(c, c.vertices, full, alphas, rep)
+        assert verify_key_step(c, c.vertices, full, alphas, res).all_ok
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_desk_scale_witness_reads_no_codegree_row(self, seed, monkeypatch):
+        # 2 beta |X| <= 1, so the top diagonal (q >= 1/|X|) is the witness
+        c = random_colouring(300, 3, seed)
+        alphas, emb = engine_embedding(c)
+        full = [c.vertices] * 3
+        with monkeypatch.context() as mp:
+            self.build_maxima_first(mp)
+            want = find_lambda_witness(emb), key_lemma_step(c, c.vertices, full, alphas)
+        with monkeypatch.context() as mp:
+            mp.setattr(_PairTables, "_build_maxima", self.refuse)
+            mp.setattr(_PairTables, "_check_row", self.refuse)
+            rep = find_lambda_witness(emb)
+        assert rep == want[0]
+        assert rep.lam == emb.inner_from_codegree(rep.colour, emb.trimmed_sizes()[rep.colour])
+
+        builds = []
+        build = _PairTables._build_maxima
+
+        def counting(self):
+            builds.append(self)
+            build(self)
+
+        monkeypatch.setattr(_PairTables, "_build_maxima", counting)
+        assert key_lemma_step(c, c.vertices, full, alphas) == want[1]
+        assert len(builds) == 1
 
 
 class TestKeyStep:
