@@ -62,7 +62,7 @@ def _format_frac(q: Fraction) -> str:
 
 def _parse_frac(s) -> Fraction:
     """Read a rational as the engine writes it, reduced and with a positive
-    denominator; any other spelling is rejected, so each trace has one text."""
+    denominator; any other spelling is rejected, so each rational has one text."""
     try:
         num, den = _expect(str, s).split("/")
         q = Fraction(int(num), int(den))
@@ -162,6 +162,8 @@ def write_trace(trace: Trace, path) -> None:
 
 def _parse_line(line: str, lineno: int, build):
     """Decode one trace line with ``build``; every defect is a ParseError naming the line."""
+    if not line:
+        raise ParseError("empty line", line=lineno)
     try:
         d = json.loads(line)
         if not isinstance(d, dict):
@@ -223,8 +225,14 @@ def _read_record(h: TraceHeader, s: int, d: dict) -> StepRecord:
 
 
 def parse_trace(text: str) -> Trace:
-    """Parse a JSON-lines trace, rejecting any line the engine could not have written."""
-    lines = [ln for ln in text.split("\n") if ln]
+    """Parse a JSON-lines trace, rejecting any line the engine could not have written.
+
+    Every line ends with a newline, the last one included, and no line is
+    empty; a ParseError names the line as the text numbers it.
+    """
+    *lines, tail = text.split("\n")
+    if tail:
+        raise ParseError("the trace must end with a newline", line=len(lines) + 1)
     if not lines:
         raise ParseError("empty trace")
     h = _parse_line(lines[0], 1, _read_header)

@@ -294,16 +294,19 @@ class _PairTables:
     and the pairs that reach it are those with equal colour-i sets: rows are
     grouped by set in O(n), with no codegree computed.  Only a threshold below
     some colour's diagonal needs ``_build_maxima``, which keeps, per colour,
-    ``row_max[i][a]``, the largest codegree of the pairs (a, b > a), and
-    ``values[i]``, every codegree attained by some pair; no row is stored.
-    The first time a scan reaches row a (``_rows_reaching``), ``_check_row``
-    computes it in every colour, marks its ineligible pairs -1 and re-takes
-    its row maxima: ``checked[a][i][j]`` is then the colour-i codegree of the
-    pair (a, a + 1 + j).  A row checked before the maxima are built keeps its
-    -1 marks and maxima in them.  Scans skip the rows whose maximum cannot
-    reach a threshold, so a row no scan reached has no pair at any threshold
-    read so far.  The n diagonal pairs have codegree ``diag[i]``, which is at
-    least every candidate threshold, so they are in every event.
+    ``row_max[i][a]``, the largest raw codegree of the pairs (a, b > a), and
+    ``values[i]``, every raw codegree of such pairs; no row is stored.  The
+    first time a scan reaches row a (``_rows_reaching``), ``_check_row``
+    stores it in every colour with its ineligible pairs marked -1:
+    ``checked[a][i][j]`` is then the colour-i codegree of the pair
+    (a, a + 1 + j), and ``checked_max[a][i]`` the largest of them.
+
+    The tables are a pure cache of the embedding: every entry is a function
+    of the trimmed sets alone, so no call order changes what they hold.
+    Scans skip the rows whose raw maximum cannot reach a threshold, so a row
+    no scan reached has no pair at any threshold read so far.  The n diagonal
+    pairs have codegree ``diag[i]``, which is at least every candidate
+    threshold, so they are in every event.
     """
 
     def __init__(self, emb: Embedding):
@@ -315,62 +318,55 @@ class _PairTables:
         self.row_max: list[list[int]] | None = None  # with ``values``, set by _build_maxima
         self.values: list[set[int]] | None = None
         self.checked: dict[int, list[list[int]]] = {}
+        self.checked_max: dict[int, list[int]] = {}
 
     def _build_maxima(self) -> None:
-        """Per colour, every row's largest codegree and the set of codegrees attained: r n^2 / 2 popcounts."""
-        checked = self.checked
+        """Per colour, every row's largest raw codegree and the set of raw codegrees: r n^2 / 2 popcounts."""
         self.row_max, self.values = [], []
-        for i, t in enumerate(self.emb.trimmed):
+        for t in self.emb.trimmed:
             row_max_i = []
             values_i = set()
             for a, ta in enumerate(t):
-                row = set(checked[a][i]) if a in checked else {(ta & tb).bit_count() for tb in t[a + 1 :]}
+                row = {(ta & tb).bit_count() for tb in t[a + 1 :]}
                 row_max_i.append(max(row, default=-1))
                 values_i |= row
             self.row_max.append(row_max_i)
             self.values.append(values_i)
 
     def _check_row(self, a: int) -> None:
-        """Compute row a in every colour, mark its ineligible pairs -1, and re-take its row maxima."""
+        """Set ``checked[a]``, row a in every colour with its ineligible pairs
+        marked -1, and ``checked_max[a]``; nothing else is written."""
         row = [[(t[a] & tb).bit_count() for tb in t[a + 1 :]] for t in self.emb.trimmed]
-        self.checked[a] = row
         bad = set()
         for codeg, dmin in zip(row, self.dmin):
             if codeg and min(codeg) < dmin:
                 bad.update(compress(range(len(codeg)), map(dmin.__gt__, codeg)))
-        if bad:
-            for codeg in row:
-                for j in bad:
-                    codeg[j] = -1
-            if self.row_max is not None:
-                for codeg, row_max_i in zip(row, self.row_max):
-                    row_max_i[a] = max(codeg)
+        for codeg in row:
+            for j in bad:
+                codeg[j] = -1
+        self.checked[a] = row
+        self.checked_max[a] = [max(codeg, default=-1) for codeg in row]
 
-    def _rows_reaching(self, colour: int, d: int, stop: int | None = None):
-        """The rows a < stop (default n) with an eligible codegree >= d in ``colour``, each checked first.
+    def _rows_reaching(self, colour: int, d: int):
+        """The rows with an eligible codegree >= d in ``colour``, each checked first.
 
-        At d = ``diag[colour]`` these are the rows whose trimmed set recurs
-        later; below it, the rows whose maximum reaches d.
+        The rows to look at come from the trimmed sets alone: at
+        d = ``diag[colour]`` the rows whose set recurs later, below it the
+        rows whose raw maximum reaches d.  Each is yielded when its own
+        eligible maximum reaches d.
         """
-        stop = self.n if stop is None else stop
-        checked = self.checked
         if d == self.diag[colour]:
             t = self.emb.trimmed[colour]
             last = {ta: a for a, ta in enumerate(t)}
-            for a in range(stop):
-                if last[t[a]] != a:
-                    if a not in checked:
-                        self._check_row(a)
-                    if d in checked[a][colour]:
-                        yield a
-            return
-        if self.row_max is None:
-            self._build_maxima()
-        row_max = self.row_max[colour]
-        for a in compress(range(stop), map(d.__le__, row_max)):
-            if a not in checked:
+            rows = (a for a, ta in enumerate(t) if last[ta] != a)
+        else:
+            if self.row_max is None:
+                self._build_maxima()
+            rows = compress(range(self.n), map(d.__le__, self.row_max[colour]))
+        for a in rows:
+            if a not in self.checked:
                 self._check_row(a)
-            if row_max[a] >= d:
+            if self.checked_max[a][colour] >= d:
                 yield a
 
     def candidates(self):
@@ -417,8 +413,9 @@ class _PairTables:
 
     def x_prime_mask(self, colour: int, d: int, pivot_idx: int) -> int:
         checked = self.checked
-        # reaching the pivot row checks it; a row that cannot reach d has no partner after it
-        reached = list(self._rows_reaching(colour, d, pivot_idx + 1))
+        # a row that cannot reach d has no partner after it; in the key step,
+        # partner_counts has already checked every row that reaches d
+        reached = [a for a in self._rows_reaching(colour, d) if a <= pivot_idx]
         before = [a for a in reached if a < pivot_idx and checked[a][colour][pivot_idx - a - 1] >= d]
         after = self._partners_after(colour, d, pivot_idx) if reached[-1:] == [pivot_idx] else ()
         points = self.emb.points
@@ -429,9 +426,7 @@ class _PairTables:
         probability q satisfies q >= beta e^(-C sqrt(lam+1)).
 
         The event holds the n diagonal pairs and each counted partner, so its
-        size is n + sum(counts).  The right side is at most the exact cap
-        2 beta, so q >= cap accepts at once; otherwise q is compared with the
-        right side rounded up, so acceptance is conservative either way.
+        size is n + sum(counts); ``_Witness.meets`` decides the inequality.
         """
         r = self.emb.r
         beta = default_beta(r) if beta is None else Fraction(beta)
@@ -440,7 +435,7 @@ class _PairTables:
         for lam, colour, d in self.candidates():
             counts = self.partner_counts(colour, d)
             w = _Witness(lam, colour, d, counts, Fraction(self.n + sum(counts), total), r, beta, cap)
-            if w.q >= cap or w.q >= w.bound():
+            if w.meets(w.q):
                 yield w
 
 
@@ -468,6 +463,11 @@ class _Witness:
             # looked up at call time, so a wrapper installed on the module sees the call
             self.cached_bound = witness_bound_upper(self.lam, self.r, self.beta)
         return self.cached_bound
+
+    def meets(self, x: Fraction) -> bool:
+        """Whether x >= beta e^(-C sqrt(lam + 1)): at or above the cap at once,
+        else against the bound rounded up, which is positive when beta > 0."""
+        return x >= self.cap or (x > 0 and x >= self.bound())
 
     def report(self) -> WitnessReport:
         n = len(self.counts)
@@ -515,7 +515,7 @@ def key_lemma_step(c: EdgeColouring, xset: int, ysets, alphas, beta=None) -> Key
     chosen = None
     for w in tables.witnesses(beta):
         best = max(w.counts)
-        met = best >= w.cap * n or (best > 0 and best >= w.bound() * n)
+        met = w.meets(Fraction(best, n))
         if chosen is None or met:
             chosen = w, w.counts.index(best), met
         if met:

@@ -180,10 +180,10 @@ def check_lemma_45_46(trace: Trace) -> list[MonitorReport]:
 def validate_trace_structure(trace: Trace) -> MonitorReport:
     """Structural soundness of a trace, independent of the colouring.
 
-    Checks the colour/boost dichotomy against lambda_0, that exactly one Y
-    set changes per round and shrinks to exactly p_j(s)|Y_j(s)|, that X
-    strictly shrinks, and that exactly the stepped spine grows by one on
-    colour steps.
+    Checks the colour/boost dichotomy against lambda_0, that a colour step
+    names a chosen colour and a boost step none, that exactly one Y set
+    changes per round and shrinks to exactly p_j(s)|Y_j(s)|, that X strictly
+    shrinks, and that exactly the stepped spine grows by one on colour steps.
     """
     h = trace.header
     rep = MonitorReport("structure", True)
@@ -202,6 +202,8 @@ def validate_trace_structure(trace: Trace) -> MonitorReport:
             bad("boost step with lambda <= lambda0")
         if x2 >= x_size:
             bad("X did not strictly shrink")
+        if rec.kind == KIND_BOOST and rec.chosen_colour is not None:
+            bad("boost step with a chosen colour")
         target = rec.chosen_colour if rec.kind == KIND_COLOUR else rec.witness_colour
         if target is None:
             bad("colour step without a chosen colour")

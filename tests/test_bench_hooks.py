@@ -4,15 +4,20 @@ The tracer replaces names in ``ramseybook`` with timing wrappers
 (``bench/tracing.py``'s ``WRAPS``); deleting or renaming one of those names in
 ``src/`` breaks ``Tracer.install()``.  Each workload's digest covers the
 outputs (traces and report texts) of its first pass; a change that alters any
-output changes the digest, so the tiny passes' digests are pinned here."""
+output changes the digest, so the tiny passes' digests are pinned here.  The
+import itself must load no numpy, whose memory every workload's peak RSS would
+carry."""
 
 import hashlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = BENCH.parent / "src"
 
 
 def _load(name):
@@ -47,3 +52,17 @@ def test_tiny_pass_outputs_unchanged(workload):
         assert ok
         h.update(b"" if output is None else output.encode("ascii"))
     assert h.hexdigest() == TINY_DIGESTS[workload]
+
+
+def test_import_loads_no_numpy():
+    # importing numpy alone raises ru_maxrss by 8-13.5 MiB, and every
+    # workload's peak_rss_mb includes the import
+    probe = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import ramseybook\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, str(SRC)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

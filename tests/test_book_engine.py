@@ -195,23 +195,32 @@ class TestTraceIO:
         c = random_colouring(30, 2, 14)
         head, step = run_full(c, EngineParams(t=2, lambda0=F(10), delta=F(1, 8))).trace.to_lines()[:2]
         assert '"lambda0":"10/1"' in head and '"initial_y_sizes":[' in head and '"lambda":"' in step
+        # (whole text, the line as the text numbers it)
         malformed = [
-            ("[1,2]", 1),                                                     # header is not an object
-            (head + "\n[]", 2),                                              # step is not an object
-            (head.replace('"lambda0":"10/1"', '"lambda0":10'), 1),           # rational as a number
-            (head.replace('"initial_y_sizes":[', '"initial_y_sizes":5,"_":['), 1),
-            (head + "\n" + step.replace('"lambda":"', '"lambda":[],"_":"'), 2),
-            (head + "\n" + step.replace('"densities":[', '"densities":7,"_":['), 2),
-            (head + "\n" + "[" * 100_000, 2),                                # too deep for the decoder
+            ("[1,2]\n", 1),                                                   # header is not an object
+            (head + "\n[]\n", 2),                                            # step is not an object
+            (head.replace('"lambda0":"10/1"', '"lambda0":10') + "\n", 1),    # rational as a number
+            (head.replace('"initial_y_sizes":[', '"initial_y_sizes":5,"_":[') + "\n", 1),
+            (head + "\n" + step.replace('"lambda":"', '"lambda":[],"_":"') + "\n", 2),
+            (head + "\n" + step.replace('"densities":[', '"densities":7,"_":[') + "\n", 2),
+            (head + "\n" + "[" * 100_000 + "\n", 2),                          # too deep for the decoder
+            # every line, the last included, ends with a newline, and none is empty
+            (head, 1),
+            (head + "\n" + step, 2),
+            ("\n" + head + "\n" + step + "\n", 1),
+            (head + "\n\n" + step + "\n", 2),
+            (head + "\n" + step + "\n\n", 3),
+            # the first empty line is named, not the bad kind on line 5
+            (head + "\n\n\n" + step.replace('"kind":"colour"', '"kind":"other"') + "\n", 2),
         ]
 
         def spoil_head(old, new):
             assert old in head
-            return head.replace(old, new, 1) + "\n" + step, 1
+            return head.replace(old, new, 1) + "\n" + step + "\n", 1
 
         def spoil_step(old, new):
             assert old in step
-            return head + "\n" + step.replace(old, new, 1), 2
+            return head + "\n" + step.replace(old, new, 1) + "\n", 2
 
         malformed += [
             # wrongly typed fields
@@ -248,7 +257,7 @@ class TestTraceIO:
         ]
         for text, line in malformed:
             with pytest.raises(ParseError) as info:
-                parse_trace(text + "\n")
+                parse_trace(text)
             assert info.value.line == line, text
 
     def test_non_ascii_file_is_parse_error(self, tmp_path):
@@ -416,6 +425,12 @@ class TestMonitorsNegative:
         assert structure.lemma == "structure" and not structure.ok
         assert structure.violations == [{"s": 0, "problem": "colour step without a chosen colour"}]
         assert validate_trace_structure(bad).violations == structure.violations
+
+    def test_structure_reports_boost_step_with_colour(self):
+        trace = _engine_trace(n=30, seed=8, t=4, lam0=F(1), delta=F(1, 4))
+        assert trace.records[0].kind == "boost" and trace.records[0].chosen_colour is None
+        bad = Trace(trace.header, (replace(trace.records[0], chosen_colour=1),) + trace.records[1:])
+        assert validate_trace_structure(bad).violations == [{"s": 0, "problem": "boost step with a chosen colour"}]
 
     def test_run_all_reports_every_monitor_and_every_violation(self):
         # a colour step without a colour breaks the structure check, and the

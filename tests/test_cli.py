@@ -216,8 +216,10 @@ class TestRunAndVerify:
             ("4", ["--t", "2", "--lambda0", "5", "--delta", "1/8"], 3, '"chosen_colour":0', '"chosen_colour":null'),
             # a boost with -1 <= lambda < 0 under lambda0 > 0: 4.6's hypothesis fails
             ("8", ["--t", "4", "--lambda0", "1", "--delta", "1/4"], 2, '"lambda":"424/45"', '"lambda":"-1/2"'),
+            # a boost step that names a chosen colour
+            ("8", ["--t", "4", "--lambda0", "1", "--delta", "1/4"], 2, '"chosen_colour":null', '"chosen_colour":1'),
         ],
-        ids=["colour-step-without-colour", "negative-boost-lambda"],
+        ids=["colour-step-without-colour", "negative-boost-lambda", "boost-step-with-colour"],
     )
     def test_verify_reports_violation_as_json(self, tmp_path, capsys, seed, params, line, old, new):
         rcg = tmp_path / "c.rcg"

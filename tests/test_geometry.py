@@ -620,7 +620,8 @@ class TestBulkBuilders:
         A row is checked for eligibility only when a scan reaches it, so the
         candidates and partner counts are read from one fresh table and the X'
         masks from a second one, each through its own row checks; then every
-        row of the first table is checked and read directly.
+        row of the first table is checked and read directly.  ``row_max``
+        holds the raw row maxima and ``checked_max`` the eligible ones.
         """
         n, r = emb.npoints, emb.r
         t = emb.trimmed
@@ -648,7 +649,9 @@ class TestBulkBuilders:
             for a in range(n):
                 row = [codeg[i, a, b] if (a, b) in eligible else -1 for b in range(a + 1, n)]
                 assert tables.checked[a][i] == row
-                assert tables.row_max[i][a] == max(row, default=-1)
+                assert tables.checked_max[a][i] == max(row, default=-1)
+                assert tables.row_max[i][a] == max((codeg[i, a, b] for b in range(a + 1, n)), default=-1)
+            assert tables.values[i] == {codeg[i, a, b] for a in range(n) for b in range(a + 1, n)}
         return n * (n - 1) - len(eligible - {(a, a) for a in range(n)})
 
     @settings(max_examples=150, deadline=None)
@@ -767,6 +770,10 @@ class TestWitnessChoice:
                     res.pivot, res.x_prime, res.met_size_bound) == want[1]
 
 
+TWIN_CASES = [(15, 2, 1), (12, 2, 4), (12, 3, 0), (16, 3, 2)]  # (m, r, seed)
+SWAPPED_TWIN_CASES = [(12, 0), (12, 2), (15, 2)]  # (m, seed)
+
+
 class TestDiagonalRule:
     """A colour's diagonal threshold, decided from equal trimmed sets before
     any codegree maximum is built, against tables whose maxima were built
@@ -816,11 +823,11 @@ class TestDiagonalRule:
                 res.pivot, res.x_prime, res.met_size_bound) == step
         return emb, _PairTables(emb).dmin
 
-    @pytest.mark.parametrize("m, r, seed", [(15, 2, 1), (12, 2, 4), (12, 3, 0), (16, 3, 2)])
+    @pytest.mark.parametrize("m, r, seed", TWIN_CASES)
     def test_twin_corpus_matches_maxima_built_first(self, m, r, seed, monkeypatch):
         self.check(twin_colouring(m, r, seed), monkeypatch)
 
-    @pytest.mark.parametrize("m, seed", [(12, 0), (12, 2), (15, 2)])
+    @pytest.mark.parametrize("m, seed", SWAPPED_TWIN_CASES)
     def test_ineligible_equal_sets_are_left_out(self, m, seed, monkeypatch):
         emb, dmin = self.check(swapped_twin_colouring(m, seed), monkeypatch)
         t = emb.trimmed
@@ -866,6 +873,35 @@ class TestDiagonalRule:
         monkeypatch.setattr(_PairTables, "_build_maxima", counting)
         assert key_lemma_step(c, c.vertices, full, alphas) == want[1]
         assert len(builds) == 1
+
+
+ORDER_CORPUS = [
+    *[(random_colouring, (60, 3, seed)) for seed in range(3)],
+    *[(twin_colouring, args) for args in TWIN_CASES],
+    *[(swapped_twin_colouring, args) for args in SWAPPED_TWIN_CASES],
+]
+
+
+class TestCallOrder:
+    """The tables are a pure cache of the embedding: what they hold does not
+    depend on whether the rows are checked before or after the maxima are
+    built."""
+
+    @staticmethod
+    def state(emb, maxima_first):
+        tables = _PairTables(emb)
+        if maxima_first:
+            tables._build_maxima()
+        for a in range(tables.n):
+            tables._check_row(a)
+        if not maxima_first:
+            tables._build_maxima()
+        return tables.row_max, tables.values, tables.checked, tables.checked_max
+
+    @pytest.mark.parametrize("make, args", ORDER_CORPUS, ids=lambda x: getattr(x, "__name__", str(x)))
+    def test_state_is_independent_of_call_order(self, make, args):
+        _alphas, emb = engine_embedding(make(*args))
+        assert self.state(emb, maxima_first=False) == self.state(emb, maxima_first=True)
 
 
 class TestKeyStep:
