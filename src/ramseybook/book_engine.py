@@ -42,8 +42,8 @@ class EngineParams:
     def __post_init__(self):
         object.__setattr__(self, "lambda0", Fraction(self.lambda0))
         object.__setattr__(self, "delta", Fraction(self.delta))
-        if self.t < 1:
-            raise InvalidInput("t must be >= 1")
+        if type(self.t) is not int or self.t < 1:
+            raise InvalidInput(f"t must be an int >= 1, got {self.t!r}")
         if self.lambda0 < -1:
             raise InvalidInput("lambda0 must be >= -1")
         if not 0 < self.delta <= Fraction(1, 4):
@@ -312,7 +312,7 @@ def run(c: EdgeColouring, xset: int, ysets, params: EngineParams, on_state=None)
             )
 
         alphas = [(densities[i] - p0 + params.delta) / params.t for i in range(r)]
-        ks = key_lemma_step(c, xset, ysets, alphas)
+        ks = key_lemma_step(c, xset, ysets, alphas, header.beta)
 
         if ks.lam <= params.lambda0:
             kind = KIND_COLOUR

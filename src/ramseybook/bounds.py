@@ -34,10 +34,14 @@ def precision() -> int:
     return mp.prec
 
 
+# the text of a rejected RF_PRECISION_BITS, read once at import; it leaves
+# the default in force, and cli.main reports it and exits 2
+REJECTED_PRECISION = None
 try:
     set_precision(int(os.environ.get(PRECISION_ENV, DEFAULT_PRECISION_BITS)))
 except (ValueError, InvalidInput):
-    set_precision(DEFAULT_PRECISION_BITS)  # cli.main reports the bad value and exits 2
+    set_precision(DEFAULT_PRECISION_BITS)
+    REJECTED_PRECISION = os.environ[PRECISION_ENV]
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,15 @@ bounds | oracle.
 
 Machine-readable JSON goes to stdout, human summaries to stderr.  Exit codes:
 0 success, 1 verification failure, 2 usage error, 3 undecided at the working
-precision.  RF_PRECISION_BITS overrides the working precision (default 128
-bits).
+precision.  RF_PRECISION_BITS, read once when the package is imported,
+overrides the working precision (default 128 bits); a bad value is a usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -275,13 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    env_bits = os.environ.get(bounds_mod.PRECISION_ENV)
-    if env_bits is not None:
-        try:
-            bounds_mod.set_precision(int(env_bits))
-        except (ValueError, InvalidInput):
-            _note(f"bad {bounds_mod.PRECISION_ENV} value {env_bits!r}")
-            return EXIT_USAGE
+    if bounds_mod.REJECTED_PRECISION is not None:
+        _note(f"bad {bounds_mod.PRECISION_ENV} value {bounds_mod.REJECTED_PRECISION!r}")
+        return EXIT_USAGE
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -12,9 +12,13 @@ computed, and its pair eligibility checked, when a scan first reaches that
 row, and only the thresholds a scan reaches become Fractions.  The witness
 recount tests each unordered pair once and each diagonal pair explicitly.
 
-The special-function and witness decay bounds run on mpmath's raw interval
-endpoint pairs (``mpmath.libmp.mpi_*``) at ``iv.prec``, read at each call, in
-the order the ``iv`` operators take, so their enclosures are those of ``iv``.
+The key lemma's constants are beta = 3^(-4r) (``default_beta``) and
+C = 4 r^(3/2) (``c_interval``).  Every decay factor coef e^(-C x) comes from
+one kernel, ``decay_enclosure``: the witness bound beta e^(-C sqrt(lam + 1))
+here, and both factors of Lemma 4.5 in ``monitors``.  The special-function
+bound and that kernel run on mpmath's raw interval endpoint pairs
+(``mpmath.libmp.mpi_*``) at ``iv.prec``, read at each call, in the order the
+``iv`` operators take, so their enclosures are those of ``iv``.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ from .errors import (
 
 
 def default_beta(r: int) -> Fraction:
+    """The key lemma's beta = 3^(-4r); a run writes it into its trace header,
+    and its key steps and monitors take it from there."""
     return Fraction(1, 3 ** (4 * r))
 
 
@@ -62,6 +68,14 @@ def _c_enclosure(r: int, prec: int):
     return 4 * iv.sqrt(iv_from_int(r**3))
 
 
+def decay_enclosure(coef: Fraction, r: int, x):
+    """Enclosure of coef * e^(-C x), C = 4 r^(3/2), as a raw endpoint pair,
+    for the raw endpoint pair ``x`` enclosing x."""
+    prec = iv.prec
+    expo = mpi_mul(mpi_neg(c_interval(r)._mpi_, prec), x, prec)
+    return mpi_mul(mpi_from_fraction(coef), mpi_exp(expo, prec), prec)
+
+
 def witness_bound_upper(lam: Fraction, r: int, beta: Fraction) -> Fraction:
     """Certified upper bound on beta * e^(-C sqrt(lam + 1)).
 
@@ -71,9 +85,7 @@ def witness_bound_upper(lam: Fraction, r: int, beta: Fraction) -> Fraction:
     """
     if lam < -1:
         raise InvalidInput("threshold below -1")
-    prec = iv.prec
-    expo = mpi_mul(mpi_neg(c_interval(r)._mpi_, prec), mpi_sqrt(mpi_from_fraction(lam + 1), prec), prec)
-    return endpoint_fraction(mpi_mul(mpi_from_fraction(beta), mpi_exp(expo, prec), prec)[1])
+    return endpoint_fraction(decay_enclosure(beta, r, mpi_sqrt(mpi_from_fraction(lam + 1), iv.prec))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +214,10 @@ class SpecialBranch(Enum):
 
 
 def _exact(x) -> Fraction:
-    if isinstance(x, (int, Fraction)):
+    """x as an exact rational: an int, a Fraction or a finite float (an exact binary rational)."""
+    if isinstance(x, (int, Fraction)) or (isinstance(x, float) and math.isfinite(x)):
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)  # floats are exact binary rationals
-    raise InvalidInput(f"need an exact int/float/Fraction input, got {type(x).__name__}")
+    raise InvalidInput(f"need a finite int/float/Fraction input, got {x!r}")
 
 
 def check_special_bounds(xs) -> SpecialBranch:
@@ -430,11 +441,10 @@ class _PairTables:
         """
         r = self.emb.r
         beta = default_beta(r) if beta is None else Fraction(beta)
-        cap = 2 * beta
         total = self.n * self.n
         for lam, colour, d in self.candidates():
             counts = self.partner_counts(colour, d)
-            w = _Witness(lam, colour, d, counts, Fraction(self.n + sum(counts), total), r, beta, cap)
+            w = _Witness(lam, colour, d, counts, Fraction(self.n + sum(counts), total), r, beta)
             if w.meets(w.q):
                 yield w
 
@@ -443,9 +453,10 @@ class _PairTables:
 class _Witness:
     """A candidate the scan accepted, with the partner counts of its event.
 
-    ``bound()`` evaluates witness_bound_upper on its first call only; ``cap``
-    = 2 beta is an exact rational that is never below that bound when
-    beta > 0 (when beta <= 0, every test the cap decides passes either way).
+    ``bound()`` evaluates witness_bound_upper on its first call only.
+    ``meets`` first compares against the cap 2 beta, an exact rational that
+    is never below that bound when beta > 0 (when beta <= 0, every test the
+    cap decides passes either way).
     """
 
     lam: Fraction
@@ -455,7 +466,6 @@ class _Witness:
     q: Fraction
     r: int
     beta: Fraction
-    cap: Fraction
     cached_bound: Fraction | None = None
 
     def bound(self) -> Fraction:
@@ -467,7 +477,7 @@ class _Witness:
     def meets(self, x: Fraction) -> bool:
         """Whether x >= beta e^(-C sqrt(lam + 1)): at or above the cap at once,
         else against the bound rounded up, which is positive when beta > 0."""
-        return x >= self.cap or (x > 0 and x >= self.bound())
+        return x >= 2 * self.beta or (x > 0 and x >= self.bound())
 
     def report(self) -> WitnessReport:
         n = len(self.counts)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from mpmath import iv
 
 from .book_engine import KIND_BOOST, KIND_COLOUR, Trace
-from .geometry import c_interval
+from .geometry import decay_enclosure
 from .bounds import (
     certify_interval_ge,
     interval_endpoints,
@@ -140,11 +140,16 @@ def check_lemma_44(trace: Trace) -> MonitorReport:
 def check_lemma_45_46(trace: Trace) -> list[MonitorReport]:
     """The reservoir-size lower bound (4.5, unconditional) and the boost
     lambda-sum bound (4.6, needs t >= lambda0/delta > 0, delta <= 1/4 and
-    lambda > lambda0 at every boost)."""
+    lambda > lambda0 at every boost).
+
+    Lemma 4.5's right side is eps^(rt + b) e^(-C sum sqrt(lam + 1)) |X(0)| - rt
+    over the b boosts so far, with eps = (beta/r) e^(-C sqrt(lambda0 + 1)) and
+    beta read from the header; both decay factors come from
+    ``geometry.decay_enclosure``.
+    """
     h = trace.header
     rep45 = MonitorReport("4.5", True)
-    c_iv = c_interval(h.r)
-    eps = iv_from_fraction(h.beta / h.r) * iv.exp(-c_iv * iv.sqrt(iv_from_fraction(h.lambda0 + 1)))
+    eps = iv.make_mpf(decay_enclosure(h.beta / h.r, h.r, iv.sqrt(iv_from_fraction(h.lambda0 + 1))._mpi_))
     rt = h.r * h.t
     boosts = 0
     root_sum = iv.mpf(0)
@@ -154,7 +159,8 @@ def check_lemma_45_46(trace: Trace) -> list[MonitorReport]:
             boosts += 1
             root_sum += iv.sqrt(iv_from_fraction(boost.lam + 1))
         if rhs is None or boost is not None:  # the right side moves only at a boost
-            rhs = eps ** (rt + boosts) * iv.exp(-c_iv * root_sum) * h.initial_x_size - rt
+            decay = iv.make_mpf(decay_enclosure(1, h.r, root_sum._mpi_))
+            rhs = eps ** (rt + boosts) * decay * h.initial_x_size - rt
         rep45.checked += 1
         if not certify_interval_ge(iv_from_int(x_size), rhs):
             _lo, hi = interval_endpoints(rhs)

@@ -133,18 +133,18 @@ class Lemma53Report:
 def lemma53_check(r: int, k: int, eps, ss) -> Lemma53Report:
     """Certify r^(rk-s) <= e^(-eps^3 k/2) ((1+eps)/r)^s r^(rk) for s = sum ss.
 
-    Requires k, r >= 2, eps in (0,1), 0 <= s_i <= k and s >= eps^2 k.  The
-    chain reduces to (1+eps)^s >= e^(eps^3 k / 2), which is also certified
-    and reported separately.
+    Requires k, r >= 2, eps in (0,1), integers 0 <= s_i <= k and
+    s >= eps^2 k.  The chain reduces to (1+eps)^s >= e^(eps^3 k / 2), which
+    is also certified and reported separately.
     """
     eps = Fraction(eps)
-    ss = [int(x) for x in ss]
+    ss = list(ss)
     if r < 2 or k < 2:
         raise InvalidInput("need k, r >= 2")
     if not 0 < eps < 1:
         raise InvalidInput("eps must lie in (0, 1)")
-    if len(ss) != r or any(not 0 <= x <= k for x in ss):
-        raise InvalidInput("each s_i must lie in [0, k]")
+    if len(ss) != r or any(type(x) is not int or not 0 <= x <= k for x in ss):
+        raise InvalidInput(f"each s_i must be an int in [0, k], got {ss!r}")
     s = sum(ss)
     if s < eps * eps * k:
         raise InvalidInput(f"sum s_i = {s} below eps^2 k = {float(eps * eps * k)}")

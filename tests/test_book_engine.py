@@ -1,3 +1,4 @@
+import inspect
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -5,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from mpmath import iv
 
+from ramseybook import book_engine, geometry
 from ramseybook.book_engine import (
     EngineParams,
     StepRecord,
@@ -44,6 +46,12 @@ class TestParams:
             EngineParams(t=1, lambda0=F(1), delta=F(1, 2))
         with pytest.raises(InvalidInput):
             EngineParams(t=1, lambda0=F(1), delta=F(0))
+
+    @pytest.mark.parametrize("t", [2.0, True, 2.5])
+    def test_t_must_be_an_int(self, t):
+        # such a t used to run and write a trace that parse_trace rejects
+        with pytest.raises(InvalidInput, match="t must be an int"):
+            EngineParams(t=t, lambda0=F(10), delta=F(1, 16))
 
 
 class TestRun:
@@ -96,6 +104,24 @@ class TestRun:
         c = from_pair_function(4, 2, lambda u, v: 0)  # colour 1 never used
         with pytest.raises(InvalidInput):
             run(c, c.vertices, [c.vertices] * 2, EngineParams(t=1, lambda0=F(1), delta=F(1, 8)))
+
+    def test_key_steps_take_beta_from_the_header(self, monkeypatch):
+        # the header is the one source of a run's beta: with a non-default
+        # beta there, every key step must receive that beta
+        monkeypatch.setattr(book_engine, "default_beta", lambda r: F(1, 4))
+        signature = inspect.signature(geometry.key_lemma_step)
+        betas = []
+
+        def recording(*args, **kwargs):
+            betas.append(signature.bind(*args, **kwargs).arguments.get("beta"))
+            return geometry.key_lemma_step(*args, **kwargs)
+
+        monkeypatch.setattr(book_engine, "key_lemma_step", recording)
+        for n, r, seed in [(30, 2, 1), (40, 3, 2), (50, 2, 3)]:
+            betas.clear()
+            out = run_full(random_colouring(n, r, seed), EngineParams(t=3, lambda0=F(10), delta=F(1, 16)))
+            assert out.trace.header.beta == F(1, 4)
+            assert betas == [F(1, 4)] * len(out.trace.records) and betas
 
     def test_determinism_byte_identical(self):
         c = random_colouring(40, 3, 77)

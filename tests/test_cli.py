@@ -421,6 +421,13 @@ class TestUsageErrors:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("bits, want", [("abc", "128 'abc'"), ("8", "128 '8'"), ("64", "64 None")])
+    def test_precision_env_is_parsed_once_on_import(self, bits, want):
+        # bounds keeps the rejected text; cli.main only reports it
+        probe = "from ramseybook import bounds; print(bounds.precision(), repr(bounds.REJECTED_PRECISION))"
+        proc = fresh_python("-c", probe, RF_PRECISION_BITS=bits)
+        assert proc.returncode == 0 and proc.stdout.strip() == want
+
     @pytest.mark.parametrize("bits", ["abc", "8"])
     def test_bad_precision_env_keeps_default_on_import(self, bits):
         proc = fresh_python("-c", "from ramseybook import bounds; print(bounds.precision())",

@@ -7,10 +7,17 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import iv, mp
 
 from ramseybook import geometry
-from ramseybook.bounds import interval_endpoints, mpi_from_fraction, mpi_from_int, precision, set_precision
+from ramseybook.bounds import (
+    interval_endpoints,
+    iv_from_fraction,
+    mpi_from_fraction,
+    mpi_from_int,
+    precision,
+    set_precision,
+)
 from ramseybook.colouring import from_pair_function, iter_vertices, mask_of, random_colouring
 from ramseybook.errors import (
     DegenerateDensity,
@@ -28,6 +35,7 @@ from ramseybook.geometry import (
     build_embedding,
     c_interval,
     check_special_bounds,
+    decay_enclosure,
     default_beta,
     find_lambda_witness,
     key_lemma_step,
@@ -311,6 +319,12 @@ class TestSpecialBounds:
 
     def test_float_inputs(self):
         assert check_special_bounds([-10.5, 2.25]) is SpecialBranch.NEGATIVE_CASE_HOLDS
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_rejected(self, x):
+        # these used to escape as a bare ValueError or OverflowError from Fraction
+        with pytest.raises(InvalidInput, match="finite"):
+            check_special_bounds([F(0), x])
 
     def test_random_grid(self):
         rng = random.Random(13)
@@ -1213,3 +1227,24 @@ class TestWitnessCap:
         finally:
             set_precision(old)
         assert widths[24] > widths[128] > 0
+
+    @pytest.mark.parametrize("bits", [24, 53, 128])
+    def test_decay_kernel_is_the_iv_operator_enclosure(self, bits):
+        # the witness bound and both factors of Lemma 4.5 come from this one
+        # kernel, so it must give exactly the iv operators' coef e^(-C x),
+        # for x a square root (eps, the witness bound) or a sum of them
+        rng = random.Random(bits)
+        old = precision()
+        try:
+            set_precision(bits)
+            for _ in range(300):
+                r = rng.randint(1, 6)
+                coef = rng.choice([default_beta(r) / r, F(1), F(1, 4),
+                                   F(rng.getrandbits(80) | 1, rng.getrandbits(90) | 1)])
+                x = iv.mpf(0)
+                for _ in range(rng.randint(1, 4)):
+                    x += iv.sqrt(iv_from_fraction(F(rng.randint(0, 6400), 64)))
+                want = iv_from_fraction(coef) * iv.exp(-c_interval(r) * x)
+                assert decay_enclosure(coef, r, x._mpi_) == want._mpi_
+        finally:
+            set_precision(old)

@@ -90,6 +90,12 @@ class TestLemma53:
         with pytest.raises(InvalidInput):
             lemma53_check(2, 10, F(1, 2), [11, 0])
 
+    @pytest.mark.parametrize("ss", [[F(11, 2), 0], ["5", 0], [5.0, 0], [True, 1]])
+    def test_non_integer_si_rejected(self, ss):
+        # such s_i used to be truncated by int() and certified as [5, 0]
+        with pytest.raises(InvalidInput, match="must be an int"):
+            lemma53_check(2, 10, F(1, 2), ss)
+
     def test_grid(self):
         for r in (2, 3, 6):
             for k in (8, 50, 200):
