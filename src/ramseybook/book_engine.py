@@ -22,7 +22,7 @@ from mpmath import iv
 from .bounds import iv_from_fraction, upper_fraction
 from .colouring import EdgeColouring, read_ascii
 from .errors import DegenerateDensity, InvalidInput, LemmaViolation, ParseError
-from .geometry import c_interval, default_beta, key_lemma_step, min_density
+from .geometry import _exact, c_interval, default_beta, key_lemma_step, min_density
 
 KIND_COLOUR = "colour"
 KIND_BOOST = "boost"
@@ -40,8 +40,8 @@ class EngineParams:
     delta: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda0", Fraction(self.lambda0))
-        object.__setattr__(self, "delta", Fraction(self.delta))
+        object.__setattr__(self, "lambda0", _exact(self.lambda0))
+        object.__setattr__(self, "delta", _exact(self.delta))
         if type(self.t) is not int or self.t < 1:
             raise InvalidInput(f"t must be an int >= 1, got {self.t!r}")
         if self.lambda0 < -1:

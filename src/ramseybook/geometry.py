@@ -58,6 +58,11 @@ def default_beta(r: int) -> Fraction:
     return Fraction(1, 3 ** (4 * r))
 
 
+def _beta(beta, r: int) -> Fraction:
+    """A caller's beta as an exact rational (``_exact``), or the default when None."""
+    return default_beta(r) if beta is None else _exact(beta)
+
+
 def c_interval(r: int):
     """Enclosure of the decay coefficient C = 4 r^(3/2) at the working precision."""
     return _c_enclosure(r, iv.prec)
@@ -166,7 +171,7 @@ def build_embedding(c: EdgeColouring, xset: int, ysets, alphas) -> Embedding:
     rounding ever happens.  p_i = 0 for any colour is DegenerateDensity.
     """
     ysets = tuple(ysets)
-    alphas = tuple(Fraction(a) for a in alphas)
+    alphas = tuple(_exact(a) for a in alphas)
     if len(ysets) != c.r or len(alphas) != c.r:
         raise InvalidInput(f"need one Y set and one alpha per colour ({c.r})")
     if xset == 0:
@@ -438,9 +443,12 @@ class _PairTables:
 
         The event holds the n diagonal pairs and each counted partner, so its
         size is n + sum(counts); ``_Witness.meets`` decides the inequality.
+        A beta <= 0 is InvalidInput, as the trace reader rejects it.
         """
         r = self.emb.r
-        beta = default_beta(r) if beta is None else Fraction(beta)
+        beta = _beta(beta, r)
+        if beta <= 0:
+            raise InvalidInput(f"beta must be positive, got {beta}")
         total = self.n * self.n
         for lam, colour, d in self.candidates():
             counts = self.partner_counts(colour, d)
@@ -455,8 +463,7 @@ class _Witness:
 
     ``bound()`` evaluates witness_bound_upper on its first call only.
     ``meets`` first compares against the cap 2 beta, an exact rational that
-    is never below that bound when beta > 0 (when beta <= 0, every test the
-    cap decides passes either way).
+    is never below that bound, since the scan takes only beta > 0.
     """
 
     lam: Fraction
@@ -572,11 +579,11 @@ def verify_key_step(c, xset, ysets, alphas, res: KeyStepResult, beta=None) -> Ke
     size bound compares the exact |X'| against an upper-rounded right side.
     """
     ysets = tuple(ysets)
-    alphas = tuple(Fraction(a) for a in alphas)
+    alphas = tuple(_exact(a) for a in alphas)
     r = c.r
     if len(ysets) != r or len(alphas) != r:
         raise InvalidInput(f"need one Y set and one alpha per colour ({r})")
-    beta = default_beta(r) if beta is None else Fraction(beta)
+    beta = _beta(beta, r)
     xsize = xset.bit_count()
 
     in_x = res.pivot >= 0 and (xset >> res.pivot) & 1 == 1
@@ -628,7 +635,7 @@ def verify_witness(c, xset, ysets, alphas, rep: WitnessReport, beta=None) -> Non
     r = emb.r
     if not 0 <= rep.colour < r:
         raise LemmaViolation(f"witness colour {rep.colour} out of range [0, {r})")
-    beta = default_beta(r) if beta is None else Fraction(beta)
+    beta = _beta(beta, r)
     n = emb.npoints
     need = []
     for i in range(r):

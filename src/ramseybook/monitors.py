@@ -1,10 +1,19 @@
 """Per-step invariant monitors over engine traces.
 
-Every monitor re-derives its inequality from the recorded exact rationals
-(or, where a side is irrational, from a directed interval enclosure rounded
-against the inequality), checks it at every state of the trace, and reports
-every failure.  Monitors whose stated hypotheses fail report themselves as
-skipped instead of guessing.
+Each lemma monitor states only two things: the hypotheses it needs, each
+with the reason it gives when that one fails, and, per check, the sides
+(lhs, relation, rhs) of its inequalities as the lemma writes them, relation
+">=" or "<=", re-derived from the trace's exact rationals.  One runner,
+``_report``, makes every lemma's report.  A lemma whose hypotheses fail is
+reported as skipped, with the first failing reason, instead of guessed.
+Otherwise each check counts once and each inequality is decided: exactly
+when both sides are rational (int or Fraction), else by
+``bounds.certify_interval_ge`` on directed interval enclosures, a rational
+side enclosed first.  Every failing inequality is reported, never only the
+first: a rational side as its exact value, an enclosure as the float of its
+endpoint facing the other side (the lower endpoint of the side that should
+be larger, the upper endpoint of the side that should be smaller).  The
+structural validator keeps its own {"s", "problem"} violations.
 """
 
 from __future__ import annotations
@@ -22,6 +31,10 @@ from .bounds import (
     iv_from_fraction,
     iv_from_int,
 )
+
+
+# the exact side types, each with its enclosure; any other side is an iv enclosure already
+_EXACT = {int: iv_from_int, Fraction: iv_from_fraction}
 
 
 @dataclass
@@ -51,90 +64,107 @@ def _boosts(trace: Trace) -> list:
     return [rec for rec in trace.records if rec.kind == KIND_BOOST]
 
 
-def _violation(s: int, colour, lhs, rhs, report: MonitorReport):
-    report.ok = False
-    report.violations.append({"s": s, "colour": colour, "lhs": str(lhs), "rhs": str(rhs)})
+def _report(lemma: str, hypotheses, checks) -> MonitorReport:
+    """Run one lemma's checks into its report.
+
+    ``hypotheses`` holds (holds, reason) pairs; the first that fails skips
+    the lemma with its reason, and ``checks`` is not consumed.  Otherwise
+    each item (s, colour, sides) of ``checks`` counts as one check, and each
+    inequality (lhs, relation, rhs) of its sides, relation ">=" or "<=", that
+    is not certified is one violation.
+    """
+    reason = next((why for holds, why in hypotheses if not holds), None)
+    rep = MonitorReport(lemma, True, skipped=reason is not None, reason=reason)
+    for s, colour, sides in () if rep.skipped else checks:
+        rep.checked += 1
+        for lhs, relation, rhs in sides:
+            small, big = (lhs, rhs) if relation == "<=" else (rhs, lhs)
+            if not _certified_ge(big, small):
+                shown = _shown(small, 1), _shown(big, 0)  # each enclosure's endpoint facing the other side
+                lhs_text, rhs_text = shown if relation == "<=" else shown[::-1]
+                rep.ok = False
+                rep.violations.append({"s": s, "colour": colour, "lhs": lhs_text, "rhs": rhs_text})
+    return rep
+
+
+def _certified_ge(big, small) -> bool:
+    """big >= small: exactly between rationals, else by directed enclosures."""
+    if type(big) in _EXACT and type(small) in _EXACT:
+        return big >= small
+    return certify_interval_ge(_enclosure(big), _enclosure(small))
+
+
+def _enclosure(side):
+    enclose = _EXACT.get(type(side))
+    return side if enclose is None else enclose(side)
+
+
+def _shown(side, endpoint: int) -> str:
+    """A rational side exactly; an enclosure as the float of its lower (0) or upper (1) endpoint."""
+    return str(side) if type(side) in _EXACT else str(float(interval_endpoints(side)[endpoint]))
 
 
 def check_lemma_41(trace: Trace) -> MonitorReport:
     """p_i(s) - p_0 + delta >= delta (1 - 1/t)^t prod_{boosts j in colour i} (1 + lam(j)/t)."""
     h = trace.header
-    rep = MonitorReport("4.1", True)
-    rhs = [h.delta * (1 - Fraction(1, h.t)) ** h.t] * h.r
-    for s, _x, _ys, _ts, dens, boost in _states(trace):
-        if boost is not None:
-            rhs[boost.witness_colour] *= 1 + boost.lam / h.t
-        if dens is None:
-            continue
-        for i in range(h.r):
-            lhs = dens[i] - h.p0 + h.delta
-            rep.checked += 1
-            if lhs < rhs[i]:
-                _violation(s, i, lhs, rhs[i], rep)
-    return rep
+
+    def checks():
+        rhs = [h.delta * (1 - Fraction(1, h.t)) ** h.t] * h.r
+        for s, _x, _ys, _ts, dens, boost in _states(trace):
+            if boost is not None:
+                rhs[boost.witness_colour] *= 1 + boost.lam / h.t
+            if dens is not None:
+                yield from ((s, i, [(dens[i] - h.p0 + h.delta, ">=", rhs[i])]) for i in range(h.r))
+
+    return _report("4.1", (), checks())
 
 
 def check_lemma_42(trace: Trace) -> MonitorReport:
-    """p_i(s) >= p_0 - 3 delta/4 and alpha_i(s) >= delta/4t; needs t >= 2."""
+    """p_i(s) >= p_0 - 3 delta/4 and alpha_i(s) >= delta/4t; needs t >= 2.
+    Both inequalities of one state and colour make one check."""
     h = trace.header
-    rep = MonitorReport("4.2", True)
-    if h.t < 2:
-        rep.skipped = True
-        rep.reason = "requires t >= 2"
-        return rep
     p_floor = h.p0 - Fraction(3, 4) * h.delta
     a_floor = h.delta / (4 * h.t)
-    for s, _x, _ys, _ts, dens, _boost in _states(trace):
-        if dens is None:
-            continue
-        for i in range(h.r):
-            rep.checked += 1
-            if dens[i] < p_floor:
-                _violation(s, i, dens[i], p_floor, rep)
-            alpha = (dens[i] - h.p0 + h.delta) / h.t
-            if alpha < a_floor:
-                _violation(s, i, alpha, a_floor, rep)
-    return rep
+    checks = (
+        (s, i, [(dens[i], ">=", p_floor), ((dens[i] - h.p0 + h.delta) / h.t, ">=", a_floor)])
+        for s, _x, _ys, _ts, dens, _boost in _states(trace) if dens is not None
+        for i in range(h.r)
+    )
+    return _report("4.2", [(h.t >= 2, "requires t >= 2")], checks)
 
 
 def check_lemma_43(trace: Trace) -> MonitorReport:
     """|B_i(s)| <= (4 log(1/delta)/lambda_0) t; needs t >= lambda_0 > 0, delta <= 1/4."""
     h = trace.header
-    rep = MonitorReport("4.3", True)
-    if h.lambda0 <= 0 or h.t < h.lambda0 or h.delta > Fraction(1, 4):
-        rep.skipped = True
-        rep.reason = "requires t >= lambda0 > 0 and delta <= 1/4"
-        return rep
-    bound = 4 * (-iv.log(iv_from_fraction(h.delta))) * h.t / iv_from_fraction(h.lambda0)
-    colours = [rec.witness_colour for rec in _boosts(trace)]
-    for i in range(h.r):
-        count = colours.count(i)
-        rep.checked += 1
-        if not certify_interval_ge(bound, iv_from_int(count)):
-            lo, _hi = interval_endpoints(bound)
-            _violation(len(trace.records), i, count, float(lo), rep)
-    return rep
+
+    def checks():
+        bound = 4 * (-iv.log(iv_from_fraction(h.delta))) * h.t / iv_from_fraction(h.lambda0)
+        colours = [rec.witness_colour for rec in _boosts(trace)]
+        for i in range(h.r):
+            yield len(trace.records), i, [(colours.count(i), "<=", bound)]
+
+    hypotheses = [(0 < h.lambda0 <= h.t and h.delta <= Fraction(1, 4), "requires t >= lambda0 > 0 and delta <= 1/4")]
+    return _report("4.3", hypotheses, checks())
 
 
 def check_lemma_44(trace: Trace) -> MonitorReport:
-    """|Y_i(s)| >= (p_0 - 3 delta/4)^(t + |B_i(s)|) |Y_i(0)|; needs t >= 2, p_0 > 3 delta/4."""
+    """|Y_i(s)| >= (p_0 - 3 delta/4)^(t + |B_i(s)|) |Y_i(0)|; needs t >= 2, p_0 > 3 delta/4.
+
+    The right side starts at (p_0 - 3 delta/4)^t |Y_i(0)| and is multiplied
+    by the base at each boost in colour i.
+    """
     h = trace.header
-    rep = MonitorReport("4.4", True)
     base = h.p0 - Fraction(3, 4) * h.delta
-    if h.t < 2 or base <= 0:
-        rep.skipped = True
-        rep.reason = "requires t >= 2 and p0 > 3 delta/4"
-        return rep
-    boosts = [0] * h.r
-    for s, _x, ys, _ts, _dens, boost in _states(trace):
-        if boost is not None:
-            boosts[boost.witness_colour] += 1
-        for i in range(h.r):
-            rhs = base ** (h.t + boosts[i]) * h.initial_y_sizes[i]
-            rep.checked += 1
-            if ys[i] < rhs:
-                _violation(s, i, ys[i], rhs, rep)
-    return rep
+
+    def checks():
+        power = base ** h.t
+        rhs = [power * y for y in h.initial_y_sizes]
+        for s, _x, ys, _ts, _dens, boost in _states(trace):
+            if boost is not None:
+                rhs[boost.witness_colour] *= base
+            yield from ((s, i, [(ys[i], ">=", rhs[i])]) for i in range(h.r))
+
+    return _report("4.4", [(h.t >= 2 and base > 0, "requires t >= 2 and p0 > 3 delta/4")], checks())
 
 
 def check_lemma_45_46(trace: Trace) -> list[MonitorReport]:
@@ -148,39 +178,33 @@ def check_lemma_45_46(trace: Trace) -> list[MonitorReport]:
     ``geometry.decay_enclosure``.
     """
     h = trace.header
-    rep45 = MonitorReport("4.5", True)
-    eps = iv.make_mpf(decay_enclosure(h.beta / h.r, h.r, iv.sqrt(iv_from_fraction(h.lambda0 + 1))._mpi_))
     rt = h.r * h.t
-    boosts = 0
-    root_sum = iv.mpf(0)
-    rhs = None
-    for s, x_size, _ys, _ts, _dens, boost in _states(trace):
-        if boost is not None:
-            boosts += 1
-            root_sum += iv.sqrt(iv_from_fraction(boost.lam + 1))
-        if rhs is None or boost is not None:  # the right side moves only at a boost
-            decay = iv.make_mpf(decay_enclosure(1, h.r, root_sum._mpi_))
-            rhs = eps ** (rt + boosts) * decay * h.initial_x_size - rt
-        rep45.checked += 1
-        if not certify_interval_ge(iv_from_int(x_size), rhs):
-            _lo, hi = interval_endpoints(rhs)
-            _violation(s, None, x_size, float(hi), rep45)
-    rep46 = MonitorReport("4.6", True)
-    if h.lambda0 <= 0 or h.delta > Fraction(1, 4) or h.t < h.lambda0 / h.delta:
-        rep46.skipped = True
-        rep46.reason = "requires t >= lambda0/delta > 0 and delta <= 1/4"
-    elif any(rec.lam <= h.lambda0 for rec in _boosts(trace)):
-        rep46.skipped = True
-        rep46.reason = "requires lambda > lambda0 at every boost step"
-    else:
+
+    def checks_45():
+        eps = iv.make_mpf(decay_enclosure(h.beta / h.r, h.r, iv.sqrt(iv_from_fraction(h.lambda0 + 1))._mpi_))
+        boosts = 0
+        root_sum = iv.mpf(0)
+        rhs = None
+        for s, x_size, _ys, _ts, _dens, boost in _states(trace):
+            if boost is not None:
+                boosts += 1
+                root_sum += iv.sqrt(iv_from_fraction(boost.lam + 1))
+            if rhs is None or boost is not None:  # the right side moves only at a boost
+                decay = iv.make_mpf(decay_enclosure(1, h.r, root_sum._mpi_))
+                rhs = eps ** (rt + boosts) * decay * h.initial_x_size - rt
+            yield s, None, [(x_size, ">=", rhs)]
+
+    def checks_46():
         bound = 7 * h.r * (-iv.log(iv_from_fraction(h.delta))) * h.t / iv.sqrt(iv_from_fraction(h.lambda0))
         total = sum((iv.sqrt(iv_from_fraction(rec.lam)) for rec in _boosts(trace)), iv.mpf(0))
-        rep46.checked += 1
-        if not certify_interval_ge(bound, total):
-            lo, _hi = interval_endpoints(bound)
-            _lo2, hi2 = interval_endpoints(total)
-            _violation(len(trace.records), None, float(hi2), float(lo), rep46)
-    return [rep45, rep46]
+        yield len(trace.records), None, [(total, "<=", bound)]
+
+    hypotheses_46 = [
+        (h.lambda0 > 0 and h.delta <= Fraction(1, 4) and h.t >= h.lambda0 / h.delta,
+         "requires t >= lambda0/delta > 0 and delta <= 1/4"),
+        (all(rec.lam > h.lambda0 for rec in _boosts(trace)), "requires lambda > lambda0 at every boost step"),
+    ]
+    return [_report("4.5", (), checks_45()), _report("4.6", hypotheses_46, checks_46())]
 
 
 def validate_trace_structure(trace: Trace) -> MonitorReport:

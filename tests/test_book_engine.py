@@ -53,6 +53,14 @@ class TestParams:
         with pytest.raises(InvalidInput, match="t must be an int"):
             EngineParams(t=t, lambda0=F(10), delta=F(1, 16))
 
+    @pytest.mark.parametrize("field", ["lambda0", "delta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "abc"])
+    def test_lambda0_and_delta_must_be_finite_rationals(self, field, value):
+        # these used to escape as a bare ValueError or OverflowError from Fraction
+        kw = {"lambda0": F(10), "delta": F(1, 16), field: value}
+        with pytest.raises(InvalidInput, match="finite"):
+            EngineParams(t=2, **kw)
+
 
 class TestRun:
     def test_pentagon_single_page_book(self, c5):

@@ -1248,3 +1248,36 @@ class TestWitnessCap:
                 assert decay_enclosure(coef, r, x._mpi_) == want._mpi_
         finally:
             set_precision(old)
+
+
+class TestRationalInputs:
+    """alphas and beta go through the one rational-input rule, _exact."""
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_alpha_rejected(self, x, c5):
+        # these used to escape as a bare ValueError or OverflowError from Fraction
+        full = [c5.vertices] * 2
+        with pytest.raises(InvalidInput, match="finite"):
+            build_embedding(c5, c5.vertices, full, [F(1, 10), x])
+        res = key_lemma_step(c5, c5.vertices, full, [F(1, 10)] * 2)
+        with pytest.raises(InvalidInput, match="finite"):
+            verify_key_step(c5, c5.vertices, full, [x, F(1, 10)], res)
+
+    @pytest.mark.parametrize("beta", [F(-1), F(0), float("nan")], ids=["-1", "0", "nan"])
+    def test_witness_search_rejects_beta_not_positive(self, beta):
+        # beta = -1 used to give lam = 8/3 with met_size_bound and a negative
+        # bound, beta = 0 a bound of 0, and NaN a bare ValueError
+        c = random_colouring(30, 2, 1)
+        full, alphas = [c.vertices] * 2, [F(1, 4)] * 2
+        with pytest.raises(InvalidInput):
+            key_lemma_step(c, c.vertices, full, alphas, beta=beta)
+        with pytest.raises(InvalidInput):
+            find_lambda_witness(build_embedding(c, c.vertices, full, alphas), beta=beta)
+
+    def test_key_step_check_still_takes_beta_zero(self):
+        # a check decides its inequality at the beta given: at beta = 0 the
+        # size bound is |X'| >= 0 (TestWitnessRecount runs verify_witness there)
+        c = random_colouring(30, 2, 1)
+        full, alphas = [c.vertices] * 2, [F(1, 4)] * 2
+        res = key_lemma_step(c, c.vertices, full, alphas)
+        assert verify_key_step(c, c.vertices, full, alphas, res, beta=0).size_bound_ok
