@@ -19,10 +19,10 @@ from typing import ClassVar, get_args, get_origin, get_type_hints
 
 from mpmath import iv
 
-from .bounds import iv_from_fraction, upper_fraction
+from .bounds import exact_rational, iv_from_fraction, upper_fraction
 from .colouring import EdgeColouring, read_ascii
 from .errors import DegenerateDensity, InvalidInput, LemmaViolation, ParseError
-from .geometry import _exact, c_interval, default_beta, key_lemma_step, min_density
+from .geometry import c_interval, default_beta, key_lemma_step, min_density
 
 KIND_COLOUR = "colour"
 KIND_BOOST = "boost"
@@ -40,8 +40,8 @@ class EngineParams:
     delta: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda0", _exact(self.lambda0))
-        object.__setattr__(self, "delta", _exact(self.delta))
+        object.__setattr__(self, "lambda0", exact_rational(self.lambda0))
+        object.__setattr__(self, "delta", exact_rational(self.delta))
         if type(self.t) is not int or self.t < 1:
             raise InvalidInput(f"t must be an int >= 1, got {self.t!r}")
         if self.lambda0 < -1:
@@ -363,8 +363,8 @@ def derive_boost_threshold(mu: Fraction, p: Fraction, r: int) -> tuple[Fraction,
     lambda0 is irrational in general; it is returned as the exact rational
     upper endpoint of its interval enclosure so traces stay byte-exact.
     """
-    mu = Fraction(mu)
-    p = Fraction(p)
+    mu = exact_rational(mu)
+    p = exact_rational(p)
     if mu <= 0 or not 0 < p <= 1:
         raise InvalidInput("need mu > 0 and p in (0, 1]")
     delta = p / mu**2

@@ -5,19 +5,21 @@ sides are rational, and interval enclosures of natural logs elsewhere (a
 product's log is a sum of ``iv_ln`` enclosures, a power's a multiple of one).
 Every interval comparison is directed: a reported "pass" means the inequality
 holds for the true real values, no matter how the enclosures were rounded.
+Every report is a ``Report``, whose JSON is its fields in order, by one rule.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cache
 
 from mpmath import iv, mp
 from mpmath.libmp import from_int, mpi_div, round_ceiling, round_floor, to_str
 
-from .errors import InvalidInput, NonFiniteEndpoint, PrecisionExhausted
+from .errors import InvalidInput, NonFiniteEndpoint, PrecisionExhausted, ScaleError
 
 PRECISION_ENV = "RF_PRECISION_BITS"
 DEFAULT_PRECISION_BITS = 128
@@ -42,6 +44,17 @@ try:
 except (ValueError, InvalidInput):
     set_precision(DEFAULT_PRECISION_BITS)
     REJECTED_PRECISION = os.environ[PRECISION_ENV]
+
+
+def exact_rational(x) -> Fraction:
+    """x as an exact rational: an int, a Fraction or a finite float (an exact binary rational).
+
+    Every rational input of the package goes through this one rule, so NaN,
+    an infinity or a string is an InvalidInput, never a bare ValueError.
+    """
+    if isinstance(x, (int, Fraction)) or (isinstance(x, float) and math.isfinite(x)):
+        return Fraction(x)
+    raise InvalidInput(f"need a finite int/float/Fraction input, got {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +127,16 @@ def iv_ln(q):
 
 
 def iv_mid(x) -> float:
-    """The midpoint of an interval, as a float for reports."""
+    """The midpoint of an interval, as a float for reports.
+
+    A midpoint beyond float range raises ScaleError (an InvalidInput): the
+    verdict may be decided, but a report's strict JSON cannot hold the value.
+    """
     lo, hi = interval_endpoints(x)
-    return float((lo + hi) / 2)
+    try:
+        return float((lo + hi) / 2)
+    except OverflowError:
+        raise ScaleError(f"report value {to_str(x._mpi_[1], 5)} is beyond float range") from None
 
 
 def iv_log10(log) -> float | None:
@@ -155,26 +175,39 @@ def es_upper(r: int, ks) -> int:
 # inequality reports
 # ---------------------------------------------------------------------------
 
+class Report:
+    """A dataclass report whose JSON is its fields in declaration order.
+
+    A field's JSON key is its metadata "key" (as the trace codec keys ``lam``
+    as "lambda"), else its name; a field keyed None is left out.  A tuple
+    field holds reports and becomes the list of their JSON.
+    """
+
+    def to_json(self) -> dict:
+        return {key: _json_value(getattr(self, name)) for key, name in _json_keys(type(self))}
+
+
+@cache
+def _json_keys(cls) -> list[tuple[str, str]]:
+    """(JSON key, attribute) for each field of a report class that its JSON shows, in order."""
+    keyed = ((f.metadata.get("key", f.name), f.name) for f in fields(cls))
+    return [(key, name) for key, name in keyed if key is not None]
+
+
+def _json_value(value):
+    """A tuple of reports as the list of their JSON; any other field value as it is."""
+    return [item.to_json() for item in value] if isinstance(value, tuple) else value
+
+
 @dataclass(frozen=True)
-class InequalityLink:
+class InequalityLink(Report):
     label: str
     description: str
-    passes: bool
+    passes: bool = field(metadata={"key": "pass"})
     exact: bool
     lhs_log10: float | None  # None where the side is 0 (log undefined)
     rhs_log10: float | None
-    log_gap: float | None    # ln(lhs) - ln(rhs); None where undefined
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "description": self.description,
-            "pass": self.passes,
-            "exact": self.exact,
-            "lhs_log10": self.lhs_log10,
-            "rhs_log10": self.rhs_log10,
-            "slack_log": self.log_gap,
-        }
+    log_gap: float | None = field(metadata={"key": "slack_log"})  # ln(lhs) - ln(rhs); None where undefined
 
 
 def _rational_link(label: str, desc: str, lhs: Fraction, rhs: Fraction) -> InequalityLink:
@@ -201,25 +234,15 @@ def _log_link(label: str, desc: str, lhs, rhs) -> InequalityLink:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AppendixReport:
+class AppendixReport(Report):
     k: int
     t: int
     r: int
-    passes: bool
+    passes: bool = field(metadata={"key": "pass"})
     identity_ok: bool
-    lhs: int
+    lhs: int = field(metadata={"key": None})
+    lhs_log10: float
     rhs_log10: float
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "t": self.t,
-            "r": self.r,
-            "pass": self.passes,
-            "identity_ok": self.identity_ok,
-            "lhs_log10": iv_log10(iv_ln(self.lhs)),
-            "rhs_log10": self.rhs_log10,
-        }
 
 
 def appendix_check(k: int, t: int, r: int) -> AppendixReport:
@@ -242,7 +265,7 @@ def appendix_check(k: int, t: int, r: int) -> AppendixReport:
     exponent = -Fraction((r - 1) * t * t, 3 * r * k)
     rhs_log = iv_from_fraction(exponent) + (r * k - t) * iv_ln(r)
     passes = certify_interval_ge(rhs_log, iv_ln(lhs))
-    return AppendixReport(k, t, r, passes, identity_ok, lhs, iv_log10(rhs_log))
+    return AppendixReport(k, t, r, passes, identity_ok, lhs, iv_log10(iv_ln(lhs)), iv_log10(rhs_log))
 
 
 # ---------------------------------------------------------------------------
@@ -250,21 +273,15 @@ def appendix_check(k: int, t: int, r: int) -> AppendixReport:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ThmBookReport:
-    links: tuple[InequalityLink, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(l.passes for l in self.links)
-
-    def to_json(self) -> dict:
-        return {"all_pass": self.all_pass, "hypotheses": [l.to_json() for l in self.links]}
+class ThmBookReport(Report):
+    all_pass: bool
+    links: tuple[InequalityLink, ...] = field(metadata={"key": "hypotheses"})
 
 
 def thm_book_hypotheses(p, mu, t: int, m: int, r: int, size_x, size_ys) -> ThmBookReport:
     """Evaluate the four entry hypotheses of the book theorem in log space."""
-    p = Fraction(p)
-    mu = Fraction(mu)
+    p = exact_rational(p)
+    mu = exact_rational(mu)
     if not 0 < p <= 1:
         raise InvalidInput("p must be in (0, 1]")
     if mu <= 0:
@@ -289,7 +306,7 @@ def thm_book_hypotheses(p, mu, t: int, m: int, r: int, size_x, size_ys) -> ThmBo
         links.append(
             _log_link(f"Y{i}", "|Y_i| >= (e^(2^13 r^3/mu^2)/p)^t m", iv_ln(sy) if sy else None, y_need)
         )
-    return ThmBookReport(tuple(links))
+    return ThmBookReport(all(l.passes for l in links), tuple(links))
 
 
 # ---------------------------------------------------------------------------
@@ -302,24 +319,12 @@ def _delta51(r: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class Thm51Report:
+class Thm51Report(Report):
     r: int
     k: int
     t: int
+    all_pass: bool
     links: tuple[InequalityLink, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(l.passes for l in self.links)
-
-    def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "k": self.k,
-            "t": self.t,
-            "all_pass": self.all_pass,
-            "links": [l.to_json() for l in self.links],
-        }
 
 
 def thm51_chain(r: int, k: int | None = None) -> Thm51Report:
@@ -434,5 +439,5 @@ def thm51_chain(r: int, k: int | None = None) -> Thm51Report:
         )
     )
 
-    return Thm51Report(r, k, t, tuple(links))
+    return Thm51Report(r, k, t, all(l.passes for l in links), tuple(links))
 

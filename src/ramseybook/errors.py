@@ -61,7 +61,8 @@ class BudgetExceeded(RamseyBookError):
 
 
 class ScaleError(InvalidInput):
-    """Requested instance is beyond desk-scale oracle reach."""
+    """Requested instance is beyond desk-scale reach: past the oracle's cap, or
+    with a report value beyond float range, which strict JSON cannot print."""
 
 
 class PrecisionExhausted(RamseyBookError):

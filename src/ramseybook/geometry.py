@@ -37,6 +37,7 @@ from mpmath.libmp import mpi_add, mpi_cos, mpi_div, mpi_exp, mpi_mul, mpi_neg, m
 from .bounds import (
     certify_interval_ge,
     endpoint_fraction,
+    exact_rational,
     iv_from_int,
     mpi_from_fraction,
     mpi_from_int,
@@ -59,8 +60,8 @@ def default_beta(r: int) -> Fraction:
 
 
 def _beta(beta, r: int) -> Fraction:
-    """A caller's beta as an exact rational (``_exact``), or the default when None."""
-    return default_beta(r) if beta is None else _exact(beta)
+    """A caller's beta as an exact rational (``bounds.exact_rational``), or the default when None."""
+    return default_beta(r) if beta is None else exact_rational(beta)
 
 
 def c_interval(r: int):
@@ -171,7 +172,7 @@ def build_embedding(c: EdgeColouring, xset: int, ysets, alphas) -> Embedding:
     rounding ever happens.  p_i = 0 for any colour is DegenerateDensity.
     """
     ysets = tuple(ysets)
-    alphas = tuple(_exact(a) for a in alphas)
+    alphas = tuple(exact_rational(a) for a in alphas)
     if len(ysets) != c.r or len(alphas) != c.r:
         raise InvalidInput(f"need one Y set and one alpha per colour ({c.r})")
     if xset == 0:
@@ -218,13 +219,6 @@ class SpecialBranch(Enum):
     NEGATIVE_CASE_HOLDS = "NegativeCaseHolds"
 
 
-def _exact(x) -> Fraction:
-    """x as an exact rational: an int, a Fraction or a finite float (an exact binary rational)."""
-    if isinstance(x, (int, Fraction)) or (isinstance(x, float) and math.isfinite(x)):
-        return Fraction(x)
-    raise InvalidInput(f"need a finite int/float/Fraction input, got {x!r}")
-
-
 def check_special_bounds(xs) -> SpecialBranch:
     """Certify the two-branch upper bound on f with adverse rounding.
 
@@ -235,7 +229,7 @@ def check_special_bounds(xs) -> SpecialBranch:
     a lower bound of the target, so a pass is rigorous.  A failure raises
     LemmaViolation, signalling an implementation bug.
     """
-    qs = [_exact(x) for x in xs]
+    qs = [exact_rational(x) for x in xs]
     r = len(qs)
     if r < 1:
         raise InvalidInput("need at least one coordinate")
@@ -579,7 +573,7 @@ def verify_key_step(c, xset, ysets, alphas, res: KeyStepResult, beta=None) -> Ke
     size bound compares the exact |X'| against an upper-rounded right side.
     """
     ysets = tuple(ysets)
-    alphas = tuple(_exact(a) for a in alphas)
+    alphas = tuple(exact_rational(a) for a in alphas)
     r = c.r
     if len(ysets) != r or len(alphas) != r:
         raise InvalidInput(f"need one Y set and one alpha per colour ({r})")

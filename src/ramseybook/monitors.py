@@ -18,14 +18,16 @@ structural validator keeps its own {"s", "problem"} violations.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import iv
+from mpmath.libmp import to_str
 
 from .book_engine import KIND_BOOST, KIND_COLOUR, Trace
 from .geometry import decay_enclosure
 from .bounds import (
+    Report,
     certify_interval_ge,
     interval_endpoints,
     iv_from_fraction,
@@ -38,16 +40,13 @@ _EXACT = {int: iv_from_int, Fraction: iv_from_fraction}
 
 
 @dataclass
-class MonitorReport:
+class MonitorReport(Report):
     lemma: str
     ok: bool
     skipped: bool = False
     reason: str | None = None
     checked: int = 0
     violations: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def _states(trace: Trace):
@@ -100,8 +99,14 @@ def _enclosure(side):
 
 
 def _shown(side, endpoint: int) -> str:
-    """A rational side exactly; an enclosure as the float of its lower (0) or upper (1) endpoint."""
-    return str(side) if type(side) in _EXACT else str(float(interval_endpoints(side)[endpoint]))
+    """A rational side exactly; an enclosure as the float of its lower (0) or upper (1)
+    endpoint, or, when that endpoint is beyond float range, as 17-digit decimal text of it."""
+    if type(side) in _EXACT:
+        return str(side)
+    try:
+        return str(float(interval_endpoints(side)[endpoint]))
+    except OverflowError:
+        return to_str(side._mpi_[endpoint], 17)
 
 
 def check_lemma_41(trace: Trace) -> MonitorReport:

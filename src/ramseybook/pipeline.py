@@ -5,13 +5,13 @@ for a clique inside the pages with the brute-force oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import iv
 
 from .book_engine import EngineParams, run
-from .bounds import certify_interval_ge, iv_from_fraction, iv_ln, iv_log10
+from .bounds import Report, certify_interval_ge, exact_rational, iv_from_fraction, iv_ln, iv_log10
 from .colouring import EdgeColouring, iter_vertices, mask_of, vertex_list
 from .errors import (
     DegenerateDensity,
@@ -54,7 +54,7 @@ def regularise(c: EdgeColouring, eps) -> RegularisationResult:
     Output always satisfies the three regularity invariants, which are
     re-verified before returning.
     """
-    eps = Fraction(eps)
+    eps = exact_rational(eps)
     if not 0 < eps < 1:
         raise InvalidInput("eps must lie in (0, 1)")
     r = c.r
@@ -115,19 +115,11 @@ def verify_regularisation(c: EdgeColouring, res: RegularisationResult) -> None:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Lemma53Report:
-    passes: bool
-    reduced_passes: bool
+class Lemma53Report(Report):
+    passes: bool = field(metadata={"key": "pass"})
+    reduced_passes: bool = field(metadata={"key": "reduced_pass"})
     lhs_log10: float
     rhs_log10: float
-
-    def to_json(self) -> dict:
-        return {
-            "pass": self.passes,
-            "reduced_pass": self.reduced_passes,
-            "lhs_log10": self.lhs_log10,
-            "rhs_log10": self.rhs_log10,
-        }
 
 
 def lemma53_check(r: int, k: int, eps, ss) -> Lemma53Report:
@@ -137,7 +129,7 @@ def lemma53_check(r: int, k: int, eps, ss) -> Lemma53Report:
     s >= eps^2 k.  The chain reduces to (1+eps)^s >= e^(eps^3 k / 2), which
     is also certified and reported separately.
     """
-    eps = Fraction(eps)
+    eps = exact_rational(eps)
     ss = list(ss)
     if r < 2 or k < 2:
         raise InvalidInput("need k, r >= 2")
@@ -147,7 +139,7 @@ def lemma53_check(r: int, k: int, eps, ss) -> Lemma53Report:
         raise InvalidInput(f"each s_i must be an int in [0, k], got {ss!r}")
     s = sum(ss)
     if s < eps * eps * k:
-        raise InvalidInput(f"sum s_i = {s} below eps^2 k = {float(eps * eps * k)}")
+        raise InvalidInput(f"sum s_i = {s} below eps^2 k = {eps * eps * k}")
 
     # natural logs of both sides
     lhs = iv_ln(r) * iv_from_fraction(Fraction(r * k - s))
@@ -230,9 +222,8 @@ def desk_ramsey_driver(c: EdgeColouring, k: int, config: DriverConfig | None = N
     escape_at = config.escape_sum if config.escape_sum is not None else k
     if reg.total_spine >= escape_at:
         report["branch"] = "escape"
-        eps2k = config.eps * config.eps * k
-        if reg.total_spine >= eps2k:
-            report["escape_bound"] = lemma53_check(c.r, k, config.eps, reg.s_sizes).to_json()
+        if reg.total_spine >= reg.eps * reg.eps * k:
+            report["escape_bound"] = lemma53_check(c.r, k, reg.eps, reg.s_sizes).to_json()
         return BookPhaseReport(report)
 
     params = EngineParams(t=config.t, lambda0=Fraction(10), delta=Fraction(1, 16))

@@ -236,6 +236,24 @@ class TestRunAndVerify:
         assert [rep["lemma"] for rep in payload["monitors"] if not rep["ok"]] == ["structure"]
         assert "Traceback" not in err
 
+    def test_violation_beyond_float_range_is_reported(self, tmp_path, capsys):
+        # beta = 10^40 and t = 50 put Lemma 4.5's right side near 10^2341; its
+        # text used to go through float() and crash with an OverflowError
+        rcg, trace = tmp_path / "c.rcg", tmp_path / "t.jsonl"
+        invoke(capsys, "generate", "--n", "30", "--r", "2", "--seed", "7", "-o", str(rcg))
+        invoke(capsys, "run-book", "-i", str(rcg), "--t", "2", "--lambda0", "10", "--delta", "1/8",
+               "--trace", str(trace))
+        lines = trace.read_text().split("\n")
+        header = json.loads(lines[0])
+        header.update(beta=f"{10**40}/1", t=50)
+        lines[0] = json.dumps(header, separators=(",", ":"))
+        trace.write_text("\n".join(lines))
+        code, out, err = invoke(capsys, "verify-trace", "--trace", str(trace))
+        assert code == 1 and "Traceback" not in err
+        lemma45 = next(rep for rep in json.loads(out)["monitors"] if rep["lemma"] == "4.5")
+        want = {"s": 0, "colour": None, "lhs": "30", "rhs": "5.7118373188931501e+2341"}
+        assert lemma45["violations"][0] == want
+
     def test_run_book_non_ascii_colouring_is_usage_error(self, tmp_path, capsys):
         rcg = tmp_path / "c.rcg"
         rcg.write_bytes(b"3 2\n0 1\n\xff\n")
@@ -309,6 +327,23 @@ class TestBoundsCmd:
         payload = json.loads(out)
         assert not payload["all_pass"]  # t is far below mu^5/p here
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the |X| hypothesis is decided, but its log slack is near -3e335
+            ["thm-book", "--p", "1/2", "--mu", "8192", "--t", str(10**330), "--m", "1", "--r", "2",
+             "--size-x", "10", "--size-ys", "10,10"],
+            # link ii-a's left side has a log near 1e318
+            ["thm51", "--r", str(10**13)],
+        ],
+        ids=["thm-book", "thm51"],
+    )
+    def test_value_beyond_float_range_is_usage_error(self, capsys, argv):
+        # strict JSON cannot print such a value; it used to crash with an OverflowError
+        code, out, err = invoke(capsys, "bounds", *argv)
+        assert code == 2
+        assert out == "" and "beyond float range" in err
+
     def test_thm_book_empty_sets_print_strict_json(self, capsys):
         # |X| = |Y_i| = 0: the logs and slacks that do not exist are null, not -Infinity or NaN
         code, out, _ = invoke(
@@ -322,6 +357,90 @@ class TestBoundsCmd:
             assert not by_label[label]["pass"]
             assert by_label[label]["lhs_log10"] is None and by_label[label]["slack_log"] is None
             assert by_label[label]["rhs_log10"] > 0
+
+
+def json_keys(text):
+    """Every object key of a JSON text, in the order the text has them."""
+    def walk(value):
+        if isinstance(value, tuple):  # an object, as its (key, value) pairs
+            for key, item in value:
+                yield key
+                yield from walk(item)
+        elif isinstance(value, list):
+            for item in value:
+                yield from walk(item)
+
+    return list(walk(json.loads(text, object_pairs_hook=tuple)))
+
+
+def verify_trace_argv(tmp_path, capsys, spoil_densities):
+    rcg, trace = tmp_path / "c.rcg", tmp_path / "t.jsonl"
+    invoke(capsys, "generate", "--n", "30", "--r", "2", "--seed", "4", "-o", str(rcg))
+    invoke(capsys, "run-book", "-i", str(rcg), "--t", "2", "--lambda0", "5", "--delta", "1/8",
+           "--trace", str(trace))
+    if spoil_densities:  # every density of the last step set to 0
+        lines = trace.read_text().splitlines()
+        rec = json.loads(lines[-1])
+        rec["densities"] = ["0/1", "0/1"]
+        lines[-1] = json.dumps(rec, separators=(",", ":"))
+        trace.write_text("\n".join(lines) + "\n")
+    return ["verify-trace", "--trace", str(trace)]
+
+
+class TestJsonKeyOrder:
+    """The CLI prints each report's keys in a fixed order (``_emit`` does not
+    sort them); this pins the exact stdout and exit code of the report commands."""
+
+    THM_BOOK = ["bounds", "thm-book", "--m", "476", "--r", "2", "--t", "30", "--mu"]
+    LINK = ["label", "description", "pass", "exact", "lhs_log10", "rhs_log10", "slack_log"]
+
+    @pytest.mark.parametrize(
+        "argv, code, keys, digest",
+        [
+            (["bounds", "thm51", "--r", "2"], 0,
+             ["r", "k", "t", "all_pass", "links", *7 * LINK],
+             "47706e1300f52a8f7b8dae75c7971a3ec87ca846edc57a2bed8fdbbde4692ae2"),
+            (["bounds", "appendix", "--k", "12", "--t", "4", "--r", "3"], 0,
+             ["k", "t", "r", "pass", "identity_ok", "lhs_log10", "rhs_log10"],
+             "b1424b2dc913e0d4696d63752125337fe272fa913a640ac9bce299d6f7c30e26"),
+            # mu and both Y_i hold, t and X fail
+            ([*THM_BOOK, "8192", "--p", "1", "--size-x", "174233214",
+              "--size-ys", "993596360619,65327533428"], 0,
+             ["all_pass", "hypotheses", *5 * LINK],
+             "3db95e76eb67140e35f4e1a84a390f93203de9f3ce3489eb02bc6e16c9f0e79e"),
+            # every hypothesis fails
+            ([*THM_BOOK, "100", "--p", "1/2", "--size-x", "10", "--size-ys", "10,10"], 0,
+             ["all_pass", "hypotheses", *5 * LINK],
+             "fc05198636f823a48e19f062f8b605a5c3328f7cb0be40f24644cd0cab27887c"),
+        ],
+        ids=["thm51", "appendix", "thm-book-some-hold", "thm-book-none-hold"],
+    )
+    def test_bounds(self, capsys, argv, code, keys, digest):
+        got, out, _ = invoke(capsys, *argv)
+        assert (got, json_keys(out)) == (code, keys)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    MONITOR = ["lemma", "ok", "skipped", "reason", "checked", "violations"]
+    VIOLATION = ["s", "colour", "lhs", "rhs"]
+
+    @pytest.mark.parametrize(
+        "spoil, code, keys, digest",
+        [
+            (False, 0, ["trace", "monitors", *7 * MONITOR, "ok"],
+             "dab33662a94a1ffe8d899dadfb7a2ccd8a2defcdbc554d50b3339bf95111a715"),
+            # structure, 4.1 and 4.2 fail: the structure violation first, then 4.1's two and 4.2's four
+            (True, 1, ["trace", "monitors", *MONITOR, "s", "problem", *MONITOR, *2 * VIOLATION,
+                       *MONITOR, *4 * VIOLATION, *4 * MONITOR, "ok"],
+             "d8fbcd0e7695c053aafa3c063121d8624a22283b1b7f66fc55a0353ec40fc02a"),
+        ],
+        ids=["engine-trace", "zeroed-densities"],
+    )
+    def test_verify_trace(self, tmp_path, capsys, spoil, code, keys, digest):
+        argv = verify_trace_argv(tmp_path, capsys, spoil)
+        got, out, _ = invoke(capsys, *argv)
+        assert (got, json_keys(out)) == (code, keys)
+        out = out.replace(argv[-1], "TRACE")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestOracleCmd:

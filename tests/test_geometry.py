@@ -1251,7 +1251,7 @@ class TestWitnessCap:
 
 
 class TestRationalInputs:
-    """alphas and beta go through the one rational-input rule, _exact."""
+    """alphas and beta go through the one rational-input rule, bounds.exact_rational."""
 
     @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_alpha_rejected(self, x, c5):

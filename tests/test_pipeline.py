@@ -1,7 +1,10 @@
+import re
 from fractions import Fraction as F
 
 import pytest
 
+from ramseybook.book_engine import derive_boost_threshold
+from ramseybook.bounds import thm_book_hypotheses
 from ramseybook.colouring import from_pair_function, random_colouring
 from ramseybook.errors import InvalidInput, ScaleError
 from ramseybook.pipeline import (
@@ -90,6 +93,11 @@ class TestLemma53:
         with pytest.raises(InvalidInput):
             lemma53_check(2, 10, F(1, 2), [11, 0])
 
+    def test_below_threshold_message_is_exact(self):
+        # eps^2 k = 10^400 / 4 used to be formatted as a float, an OverflowError
+        with pytest.raises(InvalidInput, match=re.escape(f"below eps^2 k = {F(10**400, 4)}")):
+            lemma53_check(2, 10**400, F(1, 2), [0, 0])
+
     @pytest.mark.parametrize("ss", [[F(11, 2), 0], ["5", 0], [5.0, 0], [True, 1]])
     def test_non_integer_si_rejected(self, ss):
         # such s_i used to be truncated by int() and certified as [5, 0]
@@ -115,6 +123,26 @@ class TestLemma53:
                             continue
                         rep = lemma53_check(r, k, eps, ss)
                         assert rep.passes, (r, k, eps, s)
+
+
+# every rational input outside the engine, with each other argument valid
+RATIONAL_ENTRY_POINTS = {
+    "regularise": lambda x: regularise(random_colouring(12, 2, 0), x),
+    "lemma53": lambda x: lemma53_check(2, 10, x, [5, 5]),
+    "thm-book-p": lambda x: thm_book_hypotheses(x, F(8192), 10, 1, 2, 10, [10, 10]),
+    "thm-book-mu": lambda x: thm_book_hypotheses(F(1, 2), x, 10, 1, 2, 10, [10, 10]),
+    "boost-threshold-mu": lambda x: derive_boost_threshold(x, F(1, 4), 2),
+    "boost-threshold-p": lambda x: derive_boost_threshold(F(4), x, 2),
+    "driver": lambda x: desk_ramsey_driver(random_colouring(12, 2, 0), 4, DriverConfig(eps=x)),
+}
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf"), "abc"])
+@pytest.mark.parametrize("entry", RATIONAL_ENTRY_POINTS)
+def test_rational_inputs_must_be_finite(entry, x):
+    # these used to escape as a bare ValueError (NaN, "abc") or OverflowError (+-inf)
+    with pytest.raises(InvalidInput, match="finite"):
+        RATIONAL_ENTRY_POINTS[entry](x)
 
 
 class TestDriver:
