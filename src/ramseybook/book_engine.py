@@ -6,12 +6,21 @@ and one Y set to force the density up (boost step, lam > lambda_0).  Exactly
 one Y set changes per round, densities and alphas are re-derived from the
 colouring every round, and every round is appended to a JSON-lines trace that
 is byte-identical across runs and platforms.
+
+Each trace line is ``{"type": tag, **to_json()}`` of a ``TraceHeader`` or a
+``StepRecord``, written compactly by ``bounds.Report``'s encoder, the one that
+writes every report.  The reader decodes each field with its annotation's
+plain constructor and accepts a line only if encoding the decoded value gives
+that line back byte for byte, so every trace has exactly one text: no CRLF
+line ends (``verify-trace`` does not map ``\r\n`` to ``\n``), no spaces, no
+other key order or extra keys, no escapes the encoder does not write.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from pathlib import Path
@@ -19,7 +28,7 @@ from typing import ClassVar, get_args, get_origin, get_type_hints
 
 from mpmath import iv
 
-from .bounds import exact_rational, iv_from_fraction, upper_fraction
+from .bounds import Report, exact_rational, interval_endpoints, iv_from_fraction, json_keys
 from .colouring import EdgeColouring, read_ascii
 from .errors import DegenerateDensity, InvalidInput, LemmaViolation, ParseError
 from .geometry import c_interval, default_beta, key_lemma_step, min_density
@@ -48,33 +57,22 @@ class EngineParams:
             raise InvalidInput("lambda0 must be >= -1")
         if not 0 < self.delta <= Fraction(1, 4):
             raise InvalidInput("delta must lie in (0, 1/4]")
-
-
-def _expect(tp, v):
-    if type(v) is not tp:
-        raise ParseError(f"expected {tp.__name__}, got {type(v).__name__}")
-    return v
-
-
-def _format_frac(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+        try:  # spell them as the trace header will: a ValueError beyond the int-to-str digit limit
+            " ".join(map(str, (self.t, self.lambda0, self.delta)))
+        except ValueError:
+            digits = f"at most {sys.get_int_max_str_digits()} digits"
+            raise InvalidInput(f"t, lambda0 and delta take {digits} per numerator and denominator") from None
 
 
 def _parse_frac(s) -> Fraction:
-    """Read a rational as the engine writes it, reduced and with a positive
-    denominator; any other spelling is rejected, so each rational has one text."""
-    try:
-        num, den = _expect(str, s).split("/")
-        q = Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational {s!r}") from None
-    if _format_frac(q) != s:
-        raise ParseError(f"non-canonical rational {s!r}; the engine writes {_format_frac(q)!r}")
-    return q
+    """A rational from "num/den" by int() on each part; never Fraction(str), which
+    spends seconds expanding an exponent spelling such as "1e10000000"."""
+    num, den = str.split(s, "/")
+    return Fraction(int(num), int(den))
 
 
 @dataclass(frozen=True)
-class StepRecord:
+class StepRecord(Report):
     tag: ClassVar[str] = "step"  # the line's "type"
 
     s: int
@@ -90,7 +88,7 @@ class StepRecord:
 
 
 @dataclass(frozen=True)
-class TraceHeader:
+class TraceHeader(Report):
     tag: ClassVar[str] = "header"  # the line's "type"
 
     n: int
@@ -106,40 +104,38 @@ class TraceHeader:
     colouring_sha256: str
 
 
-def _field_codec(tp) -> tuple:
-    """(encode, decode) between a value of annotation ``tp`` and its JSON form; the
-    annotations are int, str, Fraction ("num/den"), tuple[X, ...] (a list) and X | None."""
+def _decoder(tp):
+    """The decoder of a field annotated ``tp``: int and str are their own, a Fraction
+    is read by _parse_frac, tuple[X, ...] item by item, and X | None keeps None."""
     if tp is Fraction:
-        return _format_frac, _parse_frac
+        return _parse_frac
     if tp is int or tp is str:
-        return (lambda v: v), partial(_expect, tp)
-    enc, dec = _field_codec(get_args(tp)[0])
+        return tp
+    dec = _decoder(get_args(tp)[0])
     if get_origin(tp) is tuple:
-        return (lambda v: [enc(x) for x in v]), (lambda v: tuple(map(dec, _expect(list, v))))
-    return (lambda v: None if v is None else enc(v)), (lambda v: None if v is None else dec(v))
+        return lambda v: tuple(map(dec, v))
+    return lambda v: None if v is None else dec(v)
 
 
 @cache
-def _codec(cls) -> list[tuple]:
-    """(JSON key, attribute, encode, decode) for each field of a trace line class, in order."""
+def _decoders(cls) -> list[tuple]:
+    """(JSON key, attribute, decode) for each field of a trace line class, in order."""
     hints = get_type_hints(cls)
-    return [(f.metadata.get("key", f.name), f.name, *_field_codec(hints[f.name])) for f in fields(cls)]
+    return [(key, name, _decoder(hints[name])) for key, name in json_keys(cls)]
 
 
-def _encode(obj) -> str:
-    d = {"type": obj.tag}
-    d.update((key, enc(getattr(obj, name))) for key, name, enc, _ in _codec(type(obj)))
-    return json.dumps(d, separators=(",", ":"))
+def _encode(obj: Report) -> str:
+    return json.dumps({"type": obj.tag, **obj.to_json()}, separators=(",", ":"))
 
 
 def _decode(cls, d: dict):
     if d.get("type") != cls.tag:
         raise ParseError(f"expected a {cls.tag} line")
     values = {}
-    for key, name, _, dec in _codec(cls):
+    for key, name, dec in _decoders(cls):
         try:
             values[name] = dec(d[key])
-        except ParseError as e:
+        except (TypeError, ValueError, ArithmeticError) as e:
             raise ParseError(f"field {key!r}: {e}") from None
     return cls(**values)
 
@@ -161,14 +157,18 @@ def write_trace(trace: Trace, path) -> None:
 
 
 def _parse_line(line: str, lineno: int, build):
-    """Decode one trace line with ``build``; every defect is a ParseError naming the line."""
+    """Decode one trace line with ``build`` and accept it only as ``_encode`` writes the
+    value decoded; every defect is a ParseError naming the line."""
     if not line:
         raise ParseError("empty line", line=lineno)
     try:
         d = json.loads(line)
         if not isinstance(d, dict):
             raise ParseError("a trace line must be a JSON object")
-        return build(d)
+        value = build(d)
+        if _encode(value) != line:
+            raise ParseError(f"not as the engine writes this line: {_encode(value)}")
+        return value
     except RecursionError:
         raise ParseError("JSON nested too deeply", line=lineno) from None
     except KeyError as e:
@@ -225,7 +225,8 @@ def _read_record(h: TraceHeader, s: int, d: dict) -> StepRecord:
 
 
 def parse_trace(text: str) -> Trace:
-    """Parse a JSON-lines trace, rejecting any line the engine could not have written.
+    """Parse a JSON-lines trace, rejecting any line the engine could not have written
+    or would have written otherwise.
 
     Every line ends with a newline, the last one included, and no line is
     empty; a ParseError names the line as the text numbers it.
@@ -370,4 +371,4 @@ def derive_boost_threshold(mu: Fraction, p: Fraction, r: int) -> tuple[Fraction,
     delta = p / mu**2
     log_inv_delta = -iv.log(iv_from_fraction(delta))
     lam0 = (iv_from_fraction(mu) * log_inv_delta / (8 * c_interval(r))) ** 2
-    return delta, upper_fraction(lam0)
+    return delta, interval_endpoints(lam0)[1]

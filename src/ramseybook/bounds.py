@@ -5,7 +5,8 @@ sides are rational, and interval enclosures of natural logs elsewhere (a
 product's log is a sum of ``iv_ln`` enclosures, a power's a multiple of one).
 Every interval comparison is directed: a reported "pass" means the inequality
 holds for the true real values, no matter how the enclosures were rounded.
-Every report is a ``Report``, whose JSON is its fields in order, by one rule.
+Every report is a ``Report``, whose JSON is its fields in order, by one rule;
+the engine writes its trace lines with the same encoder.
 """
 
 from __future__ import annotations
@@ -98,10 +99,6 @@ def interval_endpoints(x) -> tuple[Fraction, Fraction]:
     return endpoint_fraction(a), endpoint_fraction(b)
 
 
-def upper_fraction(x) -> Fraction:
-    return interval_endpoints(x)[1]
-
-
 def certify_interval_ge(a, b) -> bool:
     """Decide ``a >= b`` rigorously for two interval values.
 
@@ -176,27 +173,33 @@ def es_upper(r: int, ks) -> int:
 # ---------------------------------------------------------------------------
 
 class Report:
-    """A dataclass report whose JSON is its fields in declaration order.
+    """A dataclass whose JSON is its fields in declaration order, by the one
+    encoder of the package: reports and engine trace lines alike.
 
-    A field's JSON key is its metadata "key" (as the trace codec keys ``lam``
-    as "lambda"), else its name; a field keyed None is left out.  A tuple
-    field holds reports and becomes the list of their JSON.
+    A field's JSON key is its metadata "key" (as a trace step keys ``lam``
+    as "lambda"), else its name; a field keyed None is left out.  A
+    ``Fraction`` is written "num/den", a tuple item by item, a nested report
+    as its JSON, and any other value as it is.
     """
 
     def to_json(self) -> dict:
-        return {key: _json_value(getattr(self, name)) for key, name in _json_keys(type(self))}
+        return {key: _json_value(getattr(self, name)) for key, name in json_keys(type(self))}
 
 
 @cache
-def _json_keys(cls) -> list[tuple[str, str]]:
+def json_keys(cls) -> list[tuple[str, str]]:
     """(JSON key, attribute) for each field of a report class that its JSON shows, in order."""
     keyed = ((f.metadata.get("key", f.name), f.name) for f in fields(cls))
     return [(key, name) for key, name in keyed if key is not None]
 
 
 def _json_value(value):
-    """A tuple of reports as the list of their JSON; any other field value as it is."""
-    return [item.to_json() for item in value] if isinstance(value, tuple) else value
+    kind = type(value)  # not isinstance: Fraction's ABC check costs ten times as much
+    if kind is Fraction:
+        return f"{value.numerator}/{value.denominator}"
+    if kind is tuple:
+        return [_json_value(item) for item in value]
+    return value.to_json() if isinstance(value, Report) else value
 
 
 @dataclass(frozen=True)

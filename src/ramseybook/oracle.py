@@ -11,7 +11,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .colouring import EdgeColouring, full_mask, iter_vertices
-from .errors import BudgetExceeded, InvalidColour, InvalidInput
+from .errors import BudgetExceeded, InvalidColour, InvalidInput, InvalidVertex
 
 __all__ = [
     "SearchBudget",
@@ -41,12 +41,14 @@ def max_mono_clique(c: EdgeColouring, colour: int, budget: SearchBudget | None =
     """Exact maximum clique in the colour-`colour` graph, with witness mask.
 
     Branch and bound on bitsets with a greedy-colouring upper bound.
-    ``within`` restricts the search to an induced subgraph.
+    ``within`` restricts the search to an induced subgraph; its vertices must lie in [0, n).
     """
     if not 0 <= colour < c.r:
         raise InvalidColour(f"colour {colour} out of range [0, {c.r})")
+    if within is not None and within >> c.n:
+        raise InvalidVertex(f"within contains vertices out of range [0, {c.n})")
     budget = budget or DEFAULT_BUDGET
-    pool = c.vertices if within is None else (within & c.vertices)
+    pool = c.vertices if within is None else within
     if pool.bit_count() > budget.n_cap:
         raise BudgetExceeded(f"{pool.bit_count()} vertices exceeds n_cap={budget.n_cap}")
     adj = c._neigh[colour]

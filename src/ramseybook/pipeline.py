@@ -242,9 +242,8 @@ def desk_ramsey_driver(c: EdgeColouring, k: int, config: DriverConfig | None = N
     if not outcome.found:
         return BookPhaseReport(report)
 
+    # run checked the book (it raises LemmaViolation rather than return an invalid one)
     spine, pages, colour = outcome.spine, outcome.pages, outcome.book_colour
-    if not c.is_mono_book(spine, pages, colour):
-        raise LemmaViolation("driver received an invalid book")
     report["book_phase"].update(
         {
             "colour": colour,

@@ -1,5 +1,6 @@
 import inspect
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -32,6 +33,10 @@ from ramseybook.monitors import (
 )
 
 
+# the least int with more digits than the int-to-str limit, under which traces are written
+BEYOND = 10 ** sys.get_int_max_str_digits()
+
+
 def run_full(c, params, **kw):
     return run(c, c.vertices, [c.vertices] * c.r, params, **kw)
 
@@ -60,6 +65,19 @@ class TestParams:
         kw = {"lambda0": F(10), "delta": F(1, 16), field: value}
         with pytest.raises(InvalidInput, match="finite"):
             EngineParams(t=2, **kw)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{"t": BEYOND}, {"lambda0": F(BEYOND)}, {"lambda0": F(1, BEYOND)}, {"delta": F(1, BEYOND)}],
+        ids=["t", "lambda0-num", "lambda0-den", "delta-den"],
+    )
+    def test_parts_beyond_the_digit_limit_rejected(self, kw):
+        # no trace can spell such a part: the run used to end in a ValueError
+        # from to_text, or an OverflowError in the key step, with no trace written
+        top = BEYOND - 1  # the largest int within the limit
+        EngineParams(t=top, lambda0=F(top), delta=F(1, top))
+        with pytest.raises(InvalidInput, match=f"at most {sys.get_int_max_str_digits()} digits"):
+            EngineParams(**{"t": 2, "lambda0": F(10), "delta": F(1, 16), **kw})
 
 
 class TestRun:
@@ -288,6 +306,13 @@ class TestTraceIO:
             spoil_head('"delta":"1/8"', '"delta":" 1/8"'),
             spoil_head('"delta":"1/8"', '"delta":"1/-8"'),
             spoil_step('"lambda":"344/45"', '"lambda":"-0/1"'),
+            # other spellings of a valid line: the reader accepts a line only as the engine writes it
+            (head + "\r\n" + step + "\r\n", 1),                             # CRLF line ends
+            spoil_step(',"pivot":', ', "pivot":'),                          # a space after a separator
+            spoil_head('"n":30,"r":2,', '"r":2,"n":30,'),                   # two keys swapped
+            spoil_step(',"x_size":', ',"extra":1,"x_size":'),               # an extra key
+            spoil_head('"type":"header"', '"type":"\\u0068eader"'),          # a \u escape for "h"
+            spoil_step('"s":0,', '"s":-0,'),                                # -0 for an integer
         ]
         for text, line in malformed:
             with pytest.raises(ParseError) as info:

@@ -185,6 +185,7 @@ class TestRunAndVerify:
             (2, lambda s: s.replace('"densities":["3/4","2/5"]', '"densities":null')),
             (2, lambda s: s.replace('"densities":["3/4","2/5"]', '"densities":["3/4","5/4"]')),
             (2, lambda s: s.replace('"densities":["3/4","2/5"]', '"densities":["-3/4","2/5"]')),
+            (1, lambda h: h + "\r"),  # verify-trace does not map \r\n to \n
         ],
         ids=["array", "numeric-rational", "numeric-sizes", "non-ascii", "string-int", "bool-int",
              "float-int", "numeric-hash", "string-sizes", "short-sizes", "chosen-colour-range",
@@ -192,7 +193,7 @@ class TestRunAndVerify:
              "unreduced-rational", "negative-beta", "zero-beta", "zero-p0", "p0-not-least",
              "density-above-one", "zero-density", "small-n", "zero-n", "initial-x-above-n",
              "zero-initial-y", "negative-pivot", "pivot-above-n", "x-size-above-n", "y-size-above-n",
-             "negative-t-size", "null-densities", "step-density-above-one", "negative-density"],
+             "negative-t-size", "null-densities", "step-density-above-one", "negative-density", "crlf"],
     )
     def test_verify_malformed_trace_is_usage_error(self, tmp_path, capsys, line, spoil):
         rcg = tmp_path / "c.rcg"
@@ -253,6 +254,19 @@ class TestRunAndVerify:
         lemma45 = next(rep for rep in json.loads(out)["monitors"] if rep["lemma"] == "4.5")
         want = {"s": 0, "colour": None, "lhs": "30", "rhs": "5.7118373188931501e+2341"}
         assert lemma45["violations"][0] == want
+
+    @pytest.mark.parametrize("params", [("--lambda0", "1e5000", "--delta", "1/16"),
+                                        ("--lambda0", "10", "--delta", "1e-5000")], ids=["lambda0", "delta"])
+    def test_run_book_refuses_params_no_trace_can_spell(self, tmp_path, capsys, params):
+        # these used to run and then fail with a traceback (a ValueError from
+        # writing the trace, or an OverflowError in the key step), writing no trace
+        rcg = tmp_path / "c.rcg"
+        trace = tmp_path / "t.jsonl"
+        invoke(capsys, "generate", "--n", "30", "--r", "2", "--seed", "1", "-o", str(rcg))
+        code, out, err = invoke(capsys, "run-book", "-i", str(rcg), "--t", "2", *params, "--trace", str(trace))
+        assert code == 2
+        assert out == "" and "Traceback" not in err and "digits" in err
+        assert not trace.exists()
 
     def test_run_book_non_ascii_colouring_is_usage_error(self, tmp_path, capsys):
         rcg = tmp_path / "c.rcg"

@@ -84,7 +84,7 @@ class TestTraceFuzz:
             trace = parse_trace(text)
         except ParseError:
             return
-        assert parse_trace(trace.to_text()) == trace
+        assert trace.to_text() == text  # the reader accepts a trace only in the engine's spelling
         try:
             run_all_monitors(trace)
         except RamseyBookError:

@@ -17,7 +17,8 @@ from ramseybook.colouring import (
     random_colouring,
     vertex_list,
 )
-from ramseybook.errors import BudgetExceeded, InvalidInput
+from ramseybook.errors import BudgetExceeded, InvalidInput, InvalidVertex
+from ramseybook.geometry import min_density
 from ramseybook.oracle import (
     SearchBudget,
     _first_rows,
@@ -63,6 +64,17 @@ class TestMaxClique:
     def test_within_restriction(self, c5):
         size, witness = max_mono_clique(c5, 0, within=mask_of([0, 1]))
         assert size == 2 and witness == mask_of([0, 1])
+
+    @pytest.mark.parametrize("within", [-1, 1 << 40 | 0b111, 1 << 10], ids=["negative", "stray-high", "n"])
+    def test_within_out_of_range_rejected(self, within):
+        # -1 used to search every vertex, and a stray high bit was silently dropped;
+        # min_density rejects the same sets
+        c = random_colouring(10, 2, 1)
+        assert max_mono_clique(c, 0) == (4, 452) and max_mono_clique(c, 0, within=0b111)[0] == 3
+        with pytest.raises(InvalidVertex, match="out of range"):
+            max_mono_clique(c, 0, within=within)
+        with pytest.raises(InvalidVertex):
+            min_density(c, within, c.vertices, 0)
 
     def test_budget_node_limit(self):
         c = random_colouring(30, 2, 4)
