@@ -11,9 +11,11 @@ error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import book_engine, colouring, monitors, oracle, pipeline
@@ -74,9 +76,9 @@ def _cmd_generate(args) -> int:
         c1 = colouring.random_colouring(args.n, args.r, args.seed)
         c2 = colouring.random_colouring(args.n, args.r, args.seed + 1)
         c = colouring.product_colouring(c1, c2)
-    with open(args.output, "w", encoding="ascii") as fh:
-        fh.write(c.serialize())
-    _emit({"file": args.output, "n": c.n, "r": c.r, "sha256": c.sha256()})
+    data = c.serialize().encode("ascii")
+    Path(args.output).write_bytes(data)
+    _emit({"file": args.output, "n": c.n, "r": c.r, "sha256": hashlib.sha256(data).hexdigest()})
     _note(f"wrote {args.kind} colouring n={c.n} r={c.r} to {args.output}")
     return EXIT_OK
 

@@ -7,6 +7,11 @@ the neighbourhood ``N_i(v)`` as an int bitmask, so codegree queries cost one
 
 Vertex sets throughout the package are plain Python ints used as bitmasks
 over ``[0, n)``; the small helpers for building and unpacking them live here.
+
+Memory: a colouring holds its n(n-1)/2 colour bytes and r n-bit masks per
+vertex.  Building one takes a single n x n byte matrix besides them, and
+reading or writing the ``.rcg`` text (about n^2 bytes) peaks at about twice
+the text, because each step holds one text-sized buffer at a time.
 """
 
 from __future__ import annotations
@@ -103,12 +108,13 @@ class EdgeColouring:
             full[(u + 1) * n + u :: n] = row
         # reversed, and translated by a table that maps byte i to "1" and
         # every other byte to "0", the matrix holds N_i(v) in binary at row
-        # n - 1 - v
+        # n - 1 - v; each row is translated on its own, so no second n x n
+        # buffer is made
         full.reverse()
         self._neigh = []
         for i in range(r):
-            bits = full.translate(b"0" * i + b"1" + b"0" * (255 - i))
-            self._neigh.append([int(bits[k : k + n], 2) for k in range((n - 1) * n, -1, -n)])
+            table = b"0" * i + b"1" + b"0" * (255 - i)
+            self._neigh.append([int(full[k : k + n].translate(table), 2) for k in range((n - 1) * n, -1, -n)])
 
     @property
     def vertices(self) -> int:
@@ -163,32 +169,39 @@ class EdgeColouring:
 
     def serialize(self) -> str:
         """The ``.rcg`` text: the header ``n r``, then row u's colours of the
-        pairs {u, v}, v > u, separated by single spaces.
-
-        When every colour is a single digit, each field of the body takes two
-        bytes with its separator, so the body is the digits at the even offsets
-        and :func:`_separators` at the odd ones, written in one pass; any
-        colour of 10 or more is written row by row.
-        """
-        if not self._tri.translate(None, bytes(range(10))):  # no colour >= 10
-            body = bytearray(2 * len(self._tri))
-            body[0::2] = self._tri.translate(_DIGITS)
-            body[1::2] = _separators(self.n)
-            return f"{self.n} {self.r}\n" + body.decode("ascii")
-        names = [str(c) for c in range(self.r)]
-        lines = [f"{self.n} {self.r}"]
-        idx = 0
-        for u in range(self.n - 1):
-            row = self._tri[idx : idx + self.n - 1 - u]
-            idx += self.n - 1 - u
-            lines.append(" ".join(map(names.__getitem__, row)))
-        return "\n".join(lines) + "\n"
+        pairs {u, v}, v > u, separated by single spaces."""
+        return self._rcg().decode("ascii")
 
     def sha256(self) -> str:
         """SHA-256 of the colouring's one ``.rcg`` text, ``serialize()``."""
         if self._sha256 is None:
-            self._sha256 = hashlib.sha256(self.serialize().encode("ascii")).hexdigest()
+            self._sha256 = hashlib.sha256(self._rcg()).hexdigest()
         return self._sha256
+
+    def _rcg(self) -> bytearray:
+        """The ``.rcg`` text as ASCII bytes, written into one buffer.
+
+        When every colour is a single digit, each field of the body takes two
+        bytes with its separator, so the body is the digits at the even offsets
+        and :func:`_separators` at the odd ones; any colour of 10 or more is
+        written row by row.
+        """
+        n, tri = self.n, self._tri
+        head = f"{n} {self.r}\n".encode("ascii")
+        if not tri.translate(None, bytes(range(10))):  # no colour >= 10
+            out = bytearray(len(head) + 2 * len(tri))
+            out[: len(head)] = head
+            out[len(head) :: 2] = tri.translate(_DIGITS)
+            out[len(head) + 1 :: 2] = _separators(n)
+            return out
+        names = [str(c).encode("ascii") for c in range(self.r)]
+        out = bytearray(head)
+        idx = 0
+        for u in range(n - 1):
+            out += b" ".join(map(names.__getitem__, tri[idx : idx + n - 1 - u]))
+            out += b"\n"
+            idx += n - 1 - u
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EdgeColouring):
@@ -249,7 +262,9 @@ def random_colouring(n: int, r: int, seed: int) -> EdgeColouring:
         # at least half the words are accepted; 2^16 words bound the transient
         w = min(2 * (m - len(tri)), 1 << 16)
         tri += rng.getrandbits(32 * w).to_bytes(4 * w, "little")[3::4].translate(top_k, reject)
-    return EdgeColouring(n, r, tri[:m])
+    del tri[m:]
+    tri = bytes(tri)  # frees the bytearray before the n x n matrix is built
+    return EdgeColouring(n, r, tri)
 
 
 def product_colouring(c1: EdgeColouring, c2: EdgeColouring) -> EdgeColouring:
@@ -260,18 +275,29 @@ def product_colouring(c1: EdgeColouring, c2: EdgeColouring) -> EdgeColouring:
     first-block colour projects injectively to an equally large clique of c1,
     and likewise for second-block colours and c2.
     """
-    n1, n2 = c1.n, c2.n
-    if c1.r + c2.r > MAX_COLOURS:
+    n1, n2, r1 = c1.n, c2.n, c1.r
+    if r1 + c2.r > MAX_COLOURS:
         raise InvalidInput("product would exceed the colour-count cap")
-
-    def col(x, y):
-        a, b = divmod(x, n2)
-        a2, b2 = divmod(y, n2)
-        if a != a2:
-            return c1.colour(a, a2)
-        return c1.r + c2.colour(b, b2)
-
-    return from_pair_function(n1 * n2, c1.r + c2.r, col)
+    # row (a, b) of the product's triangle is row b of c2, shifted by r1,
+    # followed by row a of c1 with each colour repeated n2 times
+    shifted = c2._tri.translate(bytes.maketrans(bytes(range(c2.r)), bytes(range(r1, r1 + c2.r))))
+    rows2 = []
+    idx = 0
+    for b in range(n2):
+        rows2.append(shifted[idx : idx + n2 - 1 - b])
+        idx += n2 - 1 - b
+    tri = bytearray()
+    idx = 0
+    for a in range(n1):
+        row1 = c1._tri[idx : idx + n1 - 1 - a]
+        idx += n1 - 1 - a
+        later = bytearray(len(row1) * n2)
+        for j in range(n2):
+            later[j::n2] = row1
+        for row2 in rows2:
+            tri += row2
+            tri += later
+    return EdgeColouring(n1 * n2, r1 + c2.r, tri)
 
 
 def read_ascii(path) -> str:
@@ -292,15 +318,14 @@ def parse_colouring(text: str) -> EdgeColouring:
 
     A body in the single-digit layout that ``serialize`` writes (digits below
     r at the even offsets, its separators at the odd ones) is checked and read
-    in one pass; any other body, with two-digit colours or an error, is read
-    row by row, which names the first bad row and field.
+    on strided slices of the text's bytes; any other body, with two-digit
+    colours or an error, is split into lines and read row by row, which names
+    the first bad row and field.
     """
     if not text.endswith("\n"):
         raise ParseError("missing trailing newline")
-    lines = text.split("\n")[:-1]
-    if not lines:
-        raise ParseError("empty input", line=1)
-    head = lines[0].split(" ")
+    header = text[: text.index("\n")]
+    head = header.split(" ")
     if len(head) != 2:
         raise ParseError("header must be 'n r'", line=1)
     try:
@@ -309,25 +334,34 @@ def parse_colouring(text: str) -> EdgeColouring:
         raise ParseError("header must contain two integers", line=1) from None
     if n < 1 or not 1 <= r <= MAX_COLOURS:
         raise ParseError(f"invalid header values n={n} r={r}", line=1)
-    if lines[0] != f"{n} {r}":
-        raise ParseError(f"header {lines[0]!r} is not written as {f'{n} {r}'!r}", line=1)
-    if len(lines) != n:
-        raise ParseError(f"expected {n - 1} rows after the header, got {len(lines) - 1}", line=len(lines))
-    tri = None
+    if header != f"{n} {r}":
+        raise ParseError(f"header {header!r} is not written as {f'{n} {r}'!r}", line=1)
+    lines = text.count("\n")
+    if lines != n:
+        raise ParseError(f"expected {n - 1} rows after the header, got {lines - 1}", line=lines)
+    tri, digest = _read_body(text, len(header) + 1, n, r)
+    c = EdgeColouring(n, r, tri)
+    c._sha256 = digest
+    return c
+
+
+def _read_body(text: str, start: int, n: int, r: int) -> tuple[bytes, str]:
+    """The colours of the rows of ``text``, whose body begins at ``start``,
+    and the SHA-256 of the text, taken from the one encoding the body is
+    checked on.  Every part of the text is checked to be canonical, so the
+    digest is that of ``serialize()``."""
+    data = None
     # isascii() first: encode() would reject a non-ASCII digit that the row
     # loop reports with its line
     if text.isascii():
-        body = text[len(lines[0]) + 1 :].encode("ascii")
-        if (
-            len(body) == n * (n - 1)
-            and body[1::2] == _separators(n)
-            and not body[0::2].translate(None, b"0123456789"[: min(r, 10)])
-        ):
-            tri = body[0::2].translate(_VALUES)
-    c = EdgeColouring(n, r, _read_rows(lines, r) if tri is None else tri)
-    # every part of the text was checked to be canonical, so it is serialize()
-    c._sha256 = hashlib.sha256(text.encode("ascii")).hexdigest()
-    return c
+        data = text.encode("ascii")
+        if len(data) - start == n * (n - 1) and data[start + 1 :: 2] == _separators(n):
+            digits = data[start::2]
+            if not digits.translate(None, b"0123456789"[: min(r, 10)]):
+                return digits.translate(_VALUES), hashlib.sha256(data).hexdigest()
+    # a non-ASCII character lies in some field, which _read_rows then rejects
+    tri = _read_rows(text.split("\n")[:-1], r)
+    return tri, hashlib.sha256(data).hexdigest()
 
 
 def _read_rows(lines: list[str], r: int) -> bytearray:

@@ -11,7 +11,7 @@ import ramseybook
 from ramseybook import bounds as bounds_mod
 from ramseybook.book_engine import read_trace
 from ramseybook.cli import EXIT_USAGE, main
-from ramseybook.colouring import pentagon_colouring
+from ramseybook.colouring import EdgeColouring, pentagon_colouring
 
 
 def invoke(capsys, *argv):
@@ -46,6 +46,17 @@ class TestGenerate:
         invoke(capsys, "generate", "--n", "20", "--r", "3", "--seed", "9", "-o", str(f1))
         invoke(capsys, "generate", "--n", "20", "--r", "3", "--seed", "9", "-o", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_writes_the_text_once(self, tmp_path, capsys, monkeypatch):
+        # the printed digest is taken from the bytes written, not from a
+        # second serialisation inside sha256()
+        calls = []
+        write = EdgeColouring._rcg
+        monkeypatch.setattr(EdgeColouring, "_rcg", lambda c: calls.append(c) or write(c))
+        out_file = tmp_path / "c.rcg"
+        code, out, _ = invoke(capsys, "generate", "--n", "30", "--r", "2", "--seed", "3", "-o", str(out_file))
+        assert code == 0 and len(calls) == 1
+        assert json.loads(out)["sha256"] == hashlib.sha256(out_file.read_bytes()).hexdigest()
 
     def test_product_kind(self, tmp_path, capsys):
         out_file = tmp_path / "p.rcg"

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -76,6 +77,31 @@ def reference_serialize(n, r, tri):
         lines.append(" ".join(map(str, tri[idx : idx + n - 1 - u])))
         idx += n - 1 - u
     return "\n".join(lines) + "\n"
+
+
+def reference_product(c1, c2):
+    """The product colouring built with one ``c1.colour`` or ``c2.colour`` call
+    per pair (the callback product_colouring's row copies replaced)."""
+    n2 = c2.n
+
+    def col(x, y):
+        a, b = divmod(x, n2)
+        a2, b2 = divmod(y, n2)
+        if a != a2:
+            return c1.colour(a, a2)
+        return c1.r + c2.colour(b, b2)
+
+    return from_pair_function(c1.n * n2, c1.r + c2.r, col)
+
+
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of the allocations ``call()`` makes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def reference_parse(text):
@@ -170,7 +196,19 @@ class TestNeighbourhood:
         c = EdgeColouring(n, r, tri)
         want = reference_neighbourhoods(n, r, tri)
         assert [[c.neighbourhood(v, i) for v in range(n)] for i in range(r)] == want
-        assert parse_colouring(c.serialize()) == c
+        parsed = parse_colouring(c.serialize())
+        assert parsed == c and parsed.sha256() == c.sha256()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("r", [1, 2, 10, 11])
+    def test_smallest_round_trips(self, n, r):
+        # r = 10 is the largest r whose text is all single digits; r = 11 is
+        # written and read row by row
+        tri = bytes((r - 1 - j) % r for j in range(n * (n - 1) // 2))
+        c = EdgeColouring(n, r, tri)
+        assert [[c.neighbourhood(v, i) for v in range(n)] for i in range(r)] == reference_neighbourhoods(n, r, tri)
+        parsed = parse_colouring(c.serialize())
+        assert parsed == c and parsed.sha256() == c.sha256()
 
 
 class TestMonoPredicates:
@@ -298,6 +336,21 @@ class TestProductColouring:
                             c2.colour(u, v) == colour - c1.r
                             for u, v in itertools.combinations(sorted(proj), 2)
                         )
+
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 8),
+        st.integers(1, MAX_COLOURS - 1).flatmap(lambda r1: st.tuples(st.just(r1), st.integers(1, MAX_COLOURS - r1))),
+        st.integers(0, 2**32),
+    )
+    @example(1, 1, (1, 1), 0)
+    @example(1, 7, (40, 24), 3)
+    @example(6, 1, (63, 1), 5)
+    @example(8, 8, (32, 32), 9)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_pair_build(self, n1, n2, rs, seed):
+        c1, c2 = random_colouring(n1, rs[0], seed), random_colouring(n2, rs[1], seed + 1)
+        assert product_colouring(c1, c2) == reference_product(c1, c2)
 
 
 class TestSerialization:
@@ -460,6 +513,19 @@ class TestSerialization:
         with pytest.raises(ParseError) as ei:
             parse_colouring("0 02\n")
         assert str(ei.value) == "line 1: invalid header values n=0 r=2"
+
+
+class TestMemory:
+    def test_one_quadratic_buffer_at_a_time(self):
+        # reading, building and writing each hold at most one buffer the size
+        # of the text or of the n x n matrix besides their input and output;
+        # an extra copy of either breaks its bound
+        n, r = 600, 3
+        c = random_colouring(n, r, 1)
+        text = c.serialize()
+        assert traced_peak(lambda: parse_colouring(text)) < 3.0 * len(text)
+        assert traced_peak(lambda: EdgeColouring(n, r, c._tri)) < 2.0 * n * n
+        assert traced_peak(c.serialize) < 2.5 * len(text)
 
 
 class TestValidation:
