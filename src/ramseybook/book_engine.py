@@ -244,7 +244,7 @@ def parse_trace(text: str) -> Trace:
 
 
 def read_trace(path) -> Trace:
-    return parse_trace(read_ascii(path))
+    return parse_trace(read_ascii(path).decode("ascii"))
 
 
 @dataclass(frozen=True)

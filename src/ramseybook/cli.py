@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -35,8 +36,20 @@ EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 
 
+# the exponent of a decimal spelling, as Fraction reads it
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def _fraction(text: str) -> Fraction:
+    """A rational option as Fraction(text) reads it, refusing first an exponent
+    whose power of ten has more digits than the int-to-str limit (Fraction
+    would expand it in full before any range check)."""
+    exponent = _EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()
     try:
+        # int() refuses at once an exponent itself beyond the limit, as Fraction would
+        if exponent and limit and abs(int(exponent[1])) >= limit:
+            raise argparse.ArgumentTypeError(f"{text!r} spells a power of ten with more than {limit} digits")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
@@ -58,9 +71,9 @@ def _note(msg: str) -> None:
 
 
 def _load_colouring(path: str) -> colouring.EdgeColouring:
-    text = colouring.read_ascii(path)
-    # universal newlines, as a text-mode read gives
-    return colouring.parse_colouring(text.replace("\r\n", "\n").replace("\r", "\n"))
+    # universal newlines, as a text-mode read gives; no name keeps the bytes,
+    # so that parse_colouring frees them before it builds the colouring
+    return colouring.parse_colouring(colouring.read_ascii(path).replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ MAX_COLOURS = 64
 # byte c <-> the digit that writes colour c, for the colours 0-9
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 _VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+_ASCII = bytes(range(128))
 
 
 def full_mask(n: int) -> int:
@@ -300,31 +301,43 @@ def product_colouring(c1: EdgeColouring, c2: EdgeColouring) -> EdgeColouring:
     return EdgeColouring(n1 * n2, r1 + c2.r, tri)
 
 
-def read_ascii(path) -> str:
-    """The text of an ASCII file; a non-ASCII byte is a ParseError naming its line."""
+def read_ascii(path) -> bytes:
+    """The bytes of a file, checked to be ASCII; a non-ASCII byte is a ParseError naming its line."""
     data = Path(path).read_bytes()
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as e:
-        raise ParseError(f"non-ASCII byte {data[e.start]:#04x}", line=data.count(b"\n", 0, e.start) + 1) from None
+    _check_ascii(data)
+    return data
 
 
-def parse_colouring(text: str) -> EdgeColouring:
-    """Parse the ``.rcg`` text format.  Raises ParseError with the offending line.
+def _check_ascii(data: bytes) -> None:
+    if not data.isascii():
+        start = len(data) - len(data.lstrip(_ASCII))
+        raise ParseError(f"non-ASCII byte {data[start]:#04x}", line=data.count(b"\n", 0, start) + 1)
+
+
+def parse_colouring(text: str | bytes) -> EdgeColouring:
+    """Parse the ``.rcg`` text format, given as a str or as its ASCII bytes.
+    Raises ParseError with the offending line.
 
     Every number must be written as ``str`` writes it (no sign, leading zero,
     underscore or stray whitespace), so each colouring has exactly one text,
     and the colouring's ``sha256()`` is taken from the text read.
 
-    A body in the single-digit layout that ``serialize`` writes (digits below
-    r at the even offsets, its separators at the odd ones) is checked and read
-    on strided slices of the text's bytes; any other body, with two-digit
-    colours or an error, is split into lines and read row by row, which names
+    A str is encoded once, as UTF-8, so that a non-ASCII character stays
+    whole for the error that names it; bytes are read as they are.  A body in
+    the single-digit layout that ``serialize`` writes (digits below r at the
+    even offsets, its separators at the odd ones) is checked and read on
+    strided slices of those bytes; any other body, with two-digit colours or
+    an error, is decoded, split into lines and read row by row, which names
     the first bad row and field.
     """
-    if not text.endswith("\n"):
+    if isinstance(text, str):
+        data = text.encode("utf-8", "surrogatepass")
+    else:
+        _check_ascii(text)
+        data = text
+    if not data.endswith(b"\n"):
         raise ParseError("missing trailing newline")
-    header = text[: text.index("\n")]
+    header = data[: data.index(b"\n")].decode("utf-8", "surrogatepass")
     head = header.split(" ")
     if len(head) != 2:
         raise ParseError("header must be 'n r'", line=1)
@@ -336,32 +349,28 @@ def parse_colouring(text: str) -> EdgeColouring:
         raise ParseError(f"invalid header values n={n} r={r}", line=1)
     if header != f"{n} {r}":
         raise ParseError(f"header {header!r} is not written as {f'{n} {r}'!r}", line=1)
-    lines = text.count("\n")
+    lines = data.count(b"\n")
     if lines != n:
         raise ParseError(f"expected {n - 1} rows after the header, got {lines - 1}", line=lines)
-    tri, digest = _read_body(text, len(header) + 1, n, r)
+    tri = _read_body(data, len(header) + 1, n, r)
+    digest = hashlib.sha256(data).hexdigest()
+    del text, data  # the bytes, and bytes passed in that no caller keeps, go before the n x n matrix is built
     c = EdgeColouring(n, r, tri)
     c._sha256 = digest
     return c
 
 
-def _read_body(text: str, start: int, n: int, r: int) -> tuple[bytes, str]:
-    """The colours of the rows of ``text``, whose body begins at ``start``,
-    and the SHA-256 of the text, taken from the one encoding the body is
-    checked on.  Every part of the text is checked to be canonical, so the
-    digest is that of ``serialize()``."""
-    data = None
-    # isascii() first: encode() would reject a non-ASCII digit that the row
-    # loop reports with its line
-    if text.isascii():
-        data = text.encode("ascii")
-        if len(data) - start == n * (n - 1) and data[start + 1 :: 2] == _separators(n):
-            digits = data[start::2]
-            if not digits.translate(None, b"0123456789"[: min(r, 10)]):
-                return digits.translate(_VALUES), hashlib.sha256(data).hexdigest()
-    # a non-ASCII character lies in some field, which _read_rows then rejects
-    tri = _read_rows(text.split("\n")[:-1], r)
-    return tri, hashlib.sha256(data).hexdigest()
+def _read_body(data: bytes, start: int, n: int, r: int) -> bytes:
+    """The colours of the rows of ``data``, whose body begins at ``start``.
+    Every part of the text is checked to be canonical, so the SHA-256 of
+    ``data`` is that of ``serialize()``."""
+    # a byte above 0x7f, part of a non-ASCII character, is neither a digit nor
+    # a separator, so such a body always takes the row loop, which rejects it
+    if len(data) - start == n * (n - 1) and data[start + 1 :: 2] == _separators(n):
+        digits = data[start::2]
+        if not digits.translate(None, b"0123456789"[: min(r, 10)]):
+            return digits.translate(_VALUES)
+    return _read_rows(data.decode("utf-8", "surrogatepass").split("\n")[:-1], r)
 
 
 def _read_rows(lines: list[str], r: int) -> bytearray:

@@ -14,6 +14,13 @@ first: a rational side as its exact value, an enclosure as the float of its
 endpoint facing the other side (the lower endpoint of the side that should
 be larger, the upper endpoint of the side that should be smaller).  The
 structural validator keeps its own {"s", "problem"} violations.
+
+Exact first: Lemma 4.5's right side, eps^(rt + b) e^(-C sum sqrt(lam + 1))
+|X(0)| - rt, is at most the rational cap (beta/r) |X(0)| - rt whenever
+beta <= r (each decay factor is at most 1, so eps <= beta/r <= 1), so a
+state with |X(s)| at or above the cap is decided exactly against it; the
+interval right side is built only for a state below the cap, or for every
+state when beta > r (``check_lemma_45_46``).
 """
 
 from __future__ import annotations
@@ -179,22 +186,42 @@ def check_lemma_45_46(trace: Trace) -> list[MonitorReport]:
 
     Lemma 4.5's right side is eps^(rt + b) e^(-C sum sqrt(lam + 1)) |X(0)| - rt
     over the b boosts so far, with eps = (beta/r) e^(-C sqrt(lambda0 + 1)) and
-    beta read from the header; both decay factors come from
-    ``geometry.decay_enclosure``.
+    beta read from the header.  While 0 < beta <= r, lambda0 >= -1 and every
+    boost so far has lambda >= -1 (all but beta <= r are enforced by the
+    trace reader), the exact rational cap (beta/r) |X(0)| - rt bounds it from
+    above: both decay factors are at most 1, so 0 < eps <= beta/r <= 1, and
+    rt + b >= 1 gives eps^(rt + b) <= beta/r.  A state with |X(s)| at least
+    the cap is checked against the cap, exactly.  Only a state below the cap,
+    or any state when beta > r, is checked against the interval right side;
+    it is built when first needed and again after each later boost, its
+    decay factors from ``geometry.decay_enclosure`` and the root sum added
+    boost by boost, so that it is the same enclosure wherever it is built.
     """
     h = trace.header
     rt = h.r * h.t
 
     def checks_45():
-        eps = iv.make_mpf(decay_enclosure(h.beta / h.r, h.r, iv.sqrt(iv_from_fraction(h.lambda0 + 1))._mpi_))
+        capped = 0 < h.beta <= h.r and h.lambda0 >= -1 and h.initial_x_size >= 0
+        cap = h.beta / h.r * h.initial_x_size - rt
+        eps = rhs = None
         boosts = 0
         root_sum = iv.mpf(0)
-        rhs = None
+        pending = []  # lambda + 1 of the boosts not yet in root_sum
         for s, x_size, _ys, _ts, _dens, boost in _states(trace):
             if boost is not None:
                 boosts += 1
-                root_sum += iv.sqrt(iv_from_fraction(boost.lam + 1))
-            if rhs is None or boost is not None:  # the right side moves only at a boost
+                pending.append(boost.lam + 1)
+                capped = capped and boost.lam >= -1
+                rhs = None  # the right side moves only at a boost
+            if capped and x_size >= cap:
+                yield s, None, [(x_size, ">=", cap)]
+                continue
+            if rhs is None:
+                if eps is None:
+                    eps = iv.make_mpf(decay_enclosure(h.beta / h.r, h.r, iv.sqrt(iv_from_fraction(h.lambda0 + 1))._mpi_))
+                for lam1 in pending:
+                    root_sum += iv.sqrt(iv_from_fraction(lam1))
+                pending.clear()
                 decay = iv.make_mpf(decay_enclosure(1, h.r, root_sum._mpi_))
                 rhs = eps ** (rt + boosts) * decay * h.initial_x_size - rt
             yield s, None, [(x_size, ">=", rhs)]

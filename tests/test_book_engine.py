@@ -1,25 +1,28 @@
 import inspect
+import itertools
 import random
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from mpmath import iv
 
-from ramseybook import book_engine, geometry
+from ramseybook import book_engine, geometry, monitors
 from ramseybook.book_engine import (
     EngineParams,
     StepRecord,
     Trace,
+    TraceHeader,
     parse_trace,
     read_trace,
     run,
     write_trace,
 )
 from ramseybook.bounds import certify_interval_ge, interval_endpoints, iv_from_fraction, iv_from_int
-from ramseybook.colouring import iter_vertices, mask_of, parse_colouring, random_colouring
-from ramseybook.errors import InvalidInput, InvalidVertex, ParseError
+from ramseybook.colouring import iter_vertices, mask_of, parse_colouring, product_colouring, random_colouring
+from ramseybook.errors import DegenerateDensity, InvalidInput, InvalidVertex, ParseError, PrecisionExhausted
 from ramseybook.geometry import c_interval
 from ramseybook.monitors import (
     MonitorReport,
@@ -557,7 +560,7 @@ class TestLemma45Reference:
         # bound and some do not
         rng = random.Random(seed)
         base = _engine_trace(n=30, seed=8, t=4, lam0=F(1), delta=F(1, 4))
-        h = replace(base.header, beta=rng.choice([base.header.beta, F(10**8), F(10**12)]),
+        h = replace(base.header, beta=rng.choice([base.header.beta, F(1), F(base.header.r), F(10**8), F(10**12)]),
                     initial_x_size=rng.choice([30, 10**6, 10**40]))
         recs = []
         for s in range(rng.randint(1, 40)):
@@ -573,3 +576,138 @@ class TestLemma45Reference:
         got = check_lemma_45_46(trace)[0].to_json()
         assert got == reference_lemma_45(trace)
         assert got["checked"] == len(recs) + 1
+
+
+def _reservoir_trace(r, t, beta, lam0, x0, steps):
+    """A trace whose header sets r, t, beta, lambda0 and |X(0)|, followed by
+    ``steps``, (lambda, |X(s + 1)|) pairs, a boost when lambda > lambda0; only
+    Lemma 4.5 reads it."""
+    header = TraceHeader(
+        n=x0, r=r, t=t, lambda0=lam0, delta=F(1, 8), beta=beta, p0=F(1), initial_x_size=x0,
+        initial_y_sizes=(x0,) * r, initial_densities=(F(1),) * r, colouring_sha256="0" * 64,
+    )
+    recs = tuple(
+        StepRecord(s=s, kind="boost" if lam > lam0 else "colour", pivot=0, witness_colour=0,
+                   chosen_colour=None if lam > lam0 else 0, lam=lam, x_size=x_size,
+                   y_sizes=(x0,) * r, t_sizes=(0,) * r, densities=(F(1),) * r)
+        for s, (lam, x_size) in enumerate(steps)
+    )
+    return Trace(header, recs)
+
+
+def _lemma45_outcome(check, trace):
+    """Lemma 4.5's report JSON from ``check``, or the name of the error it raised."""
+    try:
+        got = check(trace)
+    except PrecisionExhausted as e:
+        return type(e).__name__
+    return got[0].to_json() if isinstance(got, list) else got
+
+
+def _count_enclosures(monkeypatch) -> list:
+    """Record every decay enclosure that the monitors build, in a list returned."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return geometry.decay_enclosure(*args)
+
+    monkeypatch.setattr(monitors, "decay_enclosure", counted)
+    return calls
+
+
+class TestLemma45Cap:
+    """Lemma 4.5 against the exact cap (beta/r)|X(0)| - rt, valid while beta <= r."""
+
+    def test_grid_traces_build_no_enclosure(self, monkeypatch):
+        # engine runs in the shapes of the trace-audit benchmark: its
+        # (t, lambda0, delta) grid, random colourings with n in [20, 60] and
+        # r in {2, 3}, products of two 2-colourings (r = 4); at desk scale
+        # every state is at or above the cap, so none builds an enclosure
+        def refuse(*args):
+            raise AssertionError("Lemma 4.5 built an interval enclosure")
+
+        monkeypatch.setattr(monitors, "decay_enclosure", refuse)
+        grid = itertools.product((1, 2, 3, 4), (F(5), F(10), F(50)), (F(1, 16), F(1, 8)))
+        checked = 0
+        for i, (t, lam0, delta) in enumerate(grid):
+            makers = [lambda seed, i=i: random_colouring(20 + (7 * i) % 41, 2 + i % 2, seed),
+                      lambda seed, i=i: product_colouring(random_colouring(5 + i % 3, 2, seed),
+                                                          random_colouring(6 + i % 3, 2, seed + 1))]
+            for make in makers:
+                for seed in itertools.count(i):
+                    c = make(seed)
+                    try:
+                        trace = run_full(c, EngineParams(t=t, lambda0=lam0, delta=delta)).trace
+                    except DegenerateDensity as e:
+                        trace = e.trace
+                    except InvalidInput:  # some colour missing at some vertex: draw again
+                        continue
+                    break
+                lemma45 = run_all_monitors(trace)[5]
+                assert lemma45.lemma == "4.5" and lemma45.ok
+                assert lemma45.checked == len(trace.records) + 1
+                checked += lemma45.checked
+        assert checked > 100
+
+    @pytest.mark.parametrize("r, t, lam0", [(1, 1, F(-1)), (2, 3, F(10)), (3, 1, F(1, 2))])
+    @pytest.mark.parametrize("above", [F(0), F(1, 10**6)], ids=["beta=r", "beta>r"])
+    def test_boundaries_match_the_reference(self, monkeypatch, r, t, lam0, above):
+        # beta = r, where the cap still holds, and beta just above r, where
+        # it does not; states at the cap (an integer here), one above and one
+        # below it, before and after two boosts
+        beta = r + above
+        x0 = 10**6 * r
+        cap = beta / r * x0 - r * t
+        assert cap.denominator == 1 and cap > 0
+        below, at, over = int(cap) - 1, int(cap), int(cap) + 1
+        steps = [(lam0, over), (lam0, at), (lam0, below), (lam0 + 1, at), (lam0 + 1, below),
+                 (lam0, below), (lam0 + 2, below), (lam0, 0)]
+        trace = _reservoir_trace(r, t, beta, lam0, x0, steps)
+        calls = _count_enclosures(monkeypatch)
+        got = _lemma45_outcome(check_lemma_45_46, trace)
+        assert got == _lemma45_outcome(reference_lemma_45, trace)
+        if above:
+            assert calls  # no cap: the interval right side decides
+        else:
+            # eps once, then the decay factor at the first state below the cap
+            # and at each later boost before a state below it
+            assert len(calls) == 4
+
+    def test_at_an_integer_cap_builds_no_enclosure(self, monkeypatch):
+        r, t, x0 = 2, 4, 10**6
+        cap = F(1, 2) * x0 - r * t
+        trace = _reservoir_trace(r, t, F(1), F(10), x0, [(F(10), int(cap)), (F(20), int(cap)), (F(5), int(cap))])
+        calls = _count_enclosures(monkeypatch)
+        got = check_lemma_45_46(trace)[0]
+        assert got.ok and got.checked == 4 and not calls
+        assert got.to_json() == reference_lemma_45(trace)
+
+    def test_below_a_positive_cap_falls_back_to_the_enclosure(self, monkeypatch):
+        # beta = r and lambda0 = -1 make eps = 1, and a boost at lambda = -1
+        # keeps the decay factor 1, so the right side is the cap itself
+        r, t, x0 = 2, 2, 100
+        cap = x0 - r * t
+        trace = _reservoir_trace(r, t, F(r), F(-1), x0, [(F(-1), cap), (F(-1), cap - 1), (F(-1, 2), cap - 1)])
+        calls = _count_enclosures(monkeypatch)
+        got = check_lemma_45_46(trace)[0].to_json()
+        assert got == reference_lemma_45(trace)
+        assert [v["s"] for v in got["violations"]] == [2] and calls
+
+    def test_cap_decides_where_the_enclosure_cannot(self):
+        # r = t = 1, lambda0 = -1, no boost: the right side is beta |X(0)| - 1,
+        # here 9/3 - 1 = 2, equal to |X(1)|; the enclosure of beta = 1/3 is wider
+        # than a point, so the interval comparison cannot order the sides
+        trace = _reservoir_trace(1, 1, F(1, 3), F(-1), 9, [(F(-1), 2)])
+        got = check_lemma_45_46(trace)[0]
+        assert got.ok and got.checked == 2
+        with pytest.raises(PrecisionExhausted):
+            reference_lemma_45(trace)
+
+    def test_huge_t_is_decided_at_once(self):
+        trace = _engine_trace(n=30, seed=8, t=4, lam0=F(1), delta=F(1, 4))
+        trace = Trace(replace(trace.header, t=10**9), trace.records)
+        start = time.perf_counter()
+        got = check_lemma_45_46(trace)[0].to_json()
+        assert time.perf_counter() - start < 0.1
+        assert got["ok"] and got == reference_lemma_45(trace)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -278,6 +279,29 @@ class TestRunAndVerify:
         assert code == 2
         assert out == "" and "Traceback" not in err and "digits" in err
         assert not trace.exists()
+
+    @pytest.mark.parametrize("value", ["1e10000000", "1e-10000000"])
+    @pytest.mark.parametrize("command, option", [
+        ("run-book", "--lambda0"), ("run-book", "--delta"), ("run-book", "--mu"), ("run-book", "--p"),
+        ("regularise", "--eps"), ("thm-book", "--p"), ("thm-book", "--mu"),
+    ])
+    def test_rational_options_refuse_long_exponents_at_once(self, tmp_path, capsys, command, option, value):
+        # Fraction would expand such a power of ten in full first, which took seconds
+        rcg, trace = str(tmp_path / "c.rcg"), str(tmp_path / "t.jsonl")
+        argv = {
+            "run-book": ["run-book", "-i", rcg, "--t", "2", "--trace", trace,
+                         *(["--lambda0", "10", "--delta", "1/16"] if option in ("--lambda0", "--delta")
+                           else ["--mu", "4", "--p", "1/4"])],
+            "regularise": ["regularise", "-i", rcg, "--eps", "1/20"],
+            "thm-book": ["bounds", "thm-book", "--p", "1/2", "--mu", "8192", "--t", "100", "--m", "1",
+                         "--r", "2", "--size-x", "1", "--size-ys", "1,1"],
+        }[command]
+        argv[argv.index(option) + 1] = value
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 0.1
+        assert code == 2
+        assert out == "" and "digits" in err and "Traceback" not in err
 
     def test_run_book_non_ascii_colouring_is_usage_error(self, tmp_path, capsys):
         rcg = tmp_path / "c.rcg"

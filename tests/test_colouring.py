@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ramseybook.cli import _load_colouring
 from ramseybook.colouring import (
     MAX_COLOURS,
     EdgeColouring,
@@ -505,6 +506,21 @@ class TestSerialization:
                 parse_colouring(text)
             assert (ei.value.line, str(ei.value)) == (want[0], f"line {want[0]}: {want[1]}")
 
+    @pytest.mark.parametrize("text, line", [(b"3 2\n0 1\n\xff\n", 3), (b"\xc3\xa9 2\n", 1), (b"2 1\r0\x80\n", 1)])
+    def test_non_ascii_bytes_named_by_line(self, text, line):
+        with pytest.raises(ParseError) as ei:
+            parse_colouring(text)
+        byte = next(b for b in text if b > 0x7F)
+        assert str(ei.value) == f"line {line}: non-ASCII byte {byte:#04x}"
+
+    @pytest.mark.parametrize("field", ["\u00e9", "\udc80", "\U0001d7ce"])
+    def test_non_ascii_fields_named_where_they_stand(self, field):
+        # also a lone surrogate, which UTF-8 cannot encode strictly
+        text = f"3 2\n0 {field}\n0\n"
+        with pytest.raises(ParseError) as ei:
+            parse_colouring(text)
+        assert (ei.value.line, str(ei.value)) == (2, f"line 2: {reference_parse(text)[1]}")
+
     def test_canonical_check_keeps_old_messages(self):
         # out of range is reported as before, also next to a non-canonical field
         with pytest.raises(ParseError) as ei:
@@ -526,6 +542,15 @@ class TestMemory:
         assert traced_peak(lambda: parse_colouring(text)) < 3.0 * len(text)
         assert traced_peak(lambda: EdgeColouring(n, r, c._tri)) < 2.0 * n * n
         assert traced_peak(c.serialize) < 2.5 * len(text)
+
+    def test_cli_load_holds_no_copy_of_the_text(self, tmp_path):
+        # the file's bytes are checked and hashed as read, never decoded to a str
+        text = random_colouring(1000, 3, 1).serialize()
+        rcg = tmp_path / "c.rcg"
+        rcg.write_text(text, encoding="ascii")
+        assert traced_peak(lambda: _load_colouring(rcg)) <= traced_peak(lambda: parse_colouring(text))
+        loaded, parsed = _load_colouring(rcg), parse_colouring(text)
+        assert loaded == parsed and loaded.sha256() == parsed.sha256()
 
 
 class TestValidation:

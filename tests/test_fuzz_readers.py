@@ -5,7 +5,7 @@ without a crash."""
 import json
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramseybook.book_engine import EngineParams, parse_trace, run
@@ -99,3 +99,18 @@ class TestColouringFuzz:
             parse_colouring(text)
         except ParseError:
             pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.characters(max_codepoint=127), max_size=60) | st.text(alphabet="0123 \n", max_size=60))
+    @example("3 2\n0 1\n1\n")
+    @example("3 11\n10 1\n1\n")
+    def test_ascii_bytes_read_as_their_text(self, text):
+        # the same colouring and digest, or the same error, from the str and its bytes
+        def outcome(source):
+            try:
+                c = parse_colouring(source)
+            except ParseError as e:
+                return e.line, str(e)
+            return c, c.sha256()
+
+        assert outcome(text.encode("ascii")) == outcome(text)
