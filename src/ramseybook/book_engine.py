@@ -19,7 +19,6 @@ other key order or extra keys, no escapes the encoder does not write.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
@@ -28,7 +27,9 @@ from typing import ClassVar, get_args, get_origin, get_type_hints
 
 from mpmath import iv
 
-from .bounds import Report, exact_rational, interval_endpoints, iv_from_fraction, json_keys
+from .bounds import (
+    Report, check_digit_limit, exact_rational, interval_endpoints, iv_from_fraction, json_keys, read_rational
+)
 from .colouring import EdgeColouring, read_ascii
 from .errors import DegenerateDensity, InvalidInput, LemmaViolation, ParseError
 from .geometry import c_interval, default_beta, key_lemma_step, min_density
@@ -57,18 +58,7 @@ class EngineParams:
             raise InvalidInput("lambda0 must be >= -1")
         if not 0 < self.delta <= Fraction(1, 4):
             raise InvalidInput("delta must lie in (0, 1/4]")
-        try:  # spell them as the trace header will: a ValueError beyond the int-to-str digit limit
-            " ".join(map(str, (self.t, self.lambda0, self.delta)))
-        except ValueError:
-            digits = f"at most {sys.get_int_max_str_digits()} digits"
-            raise InvalidInput(f"t, lambda0 and delta take {digits} per numerator and denominator") from None
-
-
-def _parse_frac(s) -> Fraction:
-    """A rational from "num/den" by int() on each part; never Fraction(str), which
-    spends seconds expanding an exponent spelling such as "1e10000000"."""
-    num, den = str.split(s, "/")
-    return Fraction(int(num), int(den))
+        check_digit_limit("t, lambda0 and delta", self.t, self.lambda0, self.delta)  # as a trace header spells them
 
 
 @dataclass(frozen=True)
@@ -104,13 +94,15 @@ class TraceHeader(Report):
     colouring_sha256: str
 
 
+# int and str decode as themselves; a Fraction by the package's one reader of rational text
+_PLAIN = {int: int, str: str, Fraction: read_rational}
+
+
 def _decoder(tp):
-    """The decoder of a field annotated ``tp``: int and str are their own, a Fraction
-    is read by _parse_frac, tuple[X, ...] item by item, and X | None keeps None."""
-    if tp is Fraction:
-        return _parse_frac
-    if tp is int or tp is str:
-        return tp
+    """The decoder of a field annotated ``tp``: a plain type's own, tuple[X, ...] item
+    by item, and X | None keeps None."""
+    if tp in _PLAIN:
+        return _PLAIN[tp]
     dec = _decoder(get_args(tp)[0])
     if get_origin(tp) is tuple:
         return lambda v: tuple(map(dec, v))
@@ -135,7 +127,7 @@ def _decode(cls, d: dict):
     for key, name, dec in _decoders(cls):
         try:
             values[name] = dec(d[key])
-        except (TypeError, ValueError, ArithmeticError) as e:
+        except (TypeError, ValueError, ArithmeticError, InvalidInput) as e:
             raise ParseError(f"field {key!r}: {e}") from None
     return cls(**values)
 
@@ -173,7 +165,7 @@ def _parse_line(line: str, lineno: int, build):
         raise ParseError("JSON nested too deeply", line=lineno) from None
     except KeyError as e:
         raise ParseError(f"missing field {e}", line=lineno) from None
-    except ParseError as e:
+    except (ParseError, InvalidInput) as e:
         raise ParseError(str(e), line=lineno) from None
     except ValueError as e:  # bad JSON, or an integer beyond the decoder's digit limit
         raise ParseError(f"bad JSON: {e}", line=lineno) from None
@@ -181,10 +173,7 @@ def _parse_line(line: str, lineno: int, build):
 
 def _read_header(d: dict) -> TraceHeader:
     h = _decode(TraceHeader, d)
-    try:
-        EngineParams(h.t, h.lambda0, h.delta)
-    except InvalidInput as e:
-        raise ParseError(str(e)) from None
+    EngineParams(h.t, h.lambda0, h.delta)  # its InvalidInput is a ParseError on the line
     if h.n < 1 or h.r < 1:
         raise ParseError("n and r must be >= 1")
     if len(h.initial_y_sizes) != h.r or len(h.initial_densities) != h.r:

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import math
 import os
+import re
+import sys
 from dataclasses import dataclass, field, fields
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 
@@ -58,6 +61,50 @@ def exact_rational(x) -> Fraction:
     raise InvalidInput(f"need a finite int/float/Fraction input, got {x!r}")
 
 
+def check_digit_limit(what: str, *values) -> None:
+    """Refuse (InvalidInput) any int or Fraction in ``values`` that str() cannot
+    write: one whose numerator or denominator has more digits than
+    ``sys.get_int_max_str_digits()``.
+
+    This is the package's one digit rule.  A value that passes it can be
+    spelt in a report or a trace line; ``read_rational`` and ``EngineParams``
+    apply it.
+    """
+    try:
+        " ".join(map(str, values))
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise InvalidInput(f"{what} take at most {limit} digits per numerator and denominator") from None
+
+
+def read_rational(text) -> Fraction:
+    """The rational that ``text`` spells, as ``Fraction`` reads a string, under the digit rule.
+
+    "num/den" is read by int() on each part; int()'s own limit bounds the
+    digits of both parts.  Any other spelling is read as a Decimal.  Each of
+    its digit runs goes through int(), as Fraction puts it, so a misplaced
+    underscore, a run past the limit, Infinity and NaN are refused.  A value
+    whose exponent alone puts it past the limit is refused before it is
+    built.  Every refusal, and a ``text`` that is not a str, is an
+    InvalidInput.
+    """
+    try:
+        num, slash, den = (s := str.strip(text)).partition("/")
+        if slash and num[-1:].isdecimal() and den[:1].isdecimal():  # int() alone takes a sign or space by the slash
+            return Fraction(int(num), int(den))
+        for run in re.split("[.eE]", s.lstrip("+-")):
+            int(run or 0)
+        d = Decimal(s)
+        # a value 10^a <= |d| < 10^(a+1) has a numerator of more than a digits, or a denominator of at least -a
+        if not d or abs(d.adjusted()) <= (sys.get_int_max_str_digits() or math.inf):
+            q = Fraction(d)
+            check_digit_limit("rationals", q)
+            return q
+    except (TypeError, ValueError, ArithmeticError):  # Decimal's InvalidOperation is an ArithmeticError
+        pass
+    raise InvalidInput(f"not a rational of at most {sys.get_int_max_str_digits()} digits per numerator and denominator")
+
+
 # ---------------------------------------------------------------------------
 # interval helpers
 # ---------------------------------------------------------------------------
@@ -81,12 +128,18 @@ def iv_from_fraction(q: Fraction):
 
 
 def endpoint_fraction(raw) -> Fraction:
-    """The exact rational value of one raw interval endpoint."""
+    """The exact rational value of one raw interval endpoint.
+
+    An endpoint too large to hold as an int is a ScaleError (an InvalidInput).
+    """
     sign, man, exp, _bc = raw
     if not man and exp:  # mpmath tags +inf, -inf and nan with a zero mantissa
         raise NonFiniteEndpoint(f"interval endpoint {to_str(raw, 5)} is not finite")
     man, exp = -int(man) if sign else int(man), int(exp)
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    try:
+        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    except OverflowError:  # a shift past the largest int
+        raise ScaleError(f"an interval endpoint with a {exp.bit_length()}-bit exponent is too large to hold") from None
 
 
 def interval_endpoints(x) -> tuple[Fraction, Fraction]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -36,23 +35,12 @@ EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 
 
-# the exponent of a decimal spelling, as Fraction reads it
-_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
-
-
-def _fraction(text: str) -> Fraction:
-    """A rational option as Fraction(text) reads it, refusing first an exponent
-    whose power of ten has more digits than the int-to-str limit (Fraction
-    would expand it in full before any range check)."""
-    exponent = _EXPONENT.search(text)
-    limit = sys.get_int_max_str_digits()
+def _rational(text: str) -> Fraction:
+    """A rational option, by the package's one reader ``bounds.read_rational``."""
     try:
-        # int() refuses at once an exponent itself beyond the limit, as Fraction would
-        if exponent and limit and abs(int(exponent[1])) >= limit:
-            raise argparse.ArgumentTypeError(f"{text!r} spells a power of ten with more than {limit} digits")
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+        return bounds_mod.read_rational(text)
+    except InvalidInput as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _int_list(text: str) -> list[int]:
@@ -98,16 +86,12 @@ def _cmd_generate(args) -> int:
 
 def _cmd_run_book(args) -> int:
     c = _load_colouring(args.input)
-    if args.mu is not None or args.p is not None:
-        if args.mu is None or args.p is None:
-            raise InvalidInput("--mu and --p must be given together")
-        if args.lambda0 is not None or args.delta is not None:
-            raise InvalidInput("give either --lambda0/--delta or --mu/--p, not both")
+    if (args.mu, args.p) == (None, None) and None not in (args.lambda0, args.delta):
+        delta, lambda0 = args.delta, args.lambda0
+    elif (args.lambda0, args.delta) == (None, None) and None not in (args.mu, args.p):
         delta, lambda0 = book_engine.derive_boost_threshold(args.mu, args.p, c.r)
     else:
-        if args.lambda0 is None or args.delta is None:
-            raise InvalidInput("either --lambda0/--delta or --mu/--p is required")
-        delta, lambda0 = args.delta, args.lambda0
+        raise InvalidInput("give either --lambda0 and --delta or --mu and --p, not both")
     params = book_engine.EngineParams(t=args.t, lambda0=lambda0, delta=delta)
     full = c.vertices
     summary = {"n": c.n, "r": c.r, "t": args.t}
@@ -239,10 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     rb = sub.add_parser("run-book", help="run the book algorithm and write a trace")
     rb.add_argument("-i", "--input", required=True)
     rb.add_argument("--t", type=int, required=True)
-    rb.add_argument("--lambda0", type=_fraction)
-    rb.add_argument("--delta", type=_fraction)
-    rb.add_argument("--mu", type=_fraction)
-    rb.add_argument("--p", type=_fraction)
+    for option in ("--lambda0", "--delta", "--mu", "--p"):
+        rb.add_argument(option, type=_rational)
     rb.add_argument("--trace", required=True)
     rb.set_defaults(func=_cmd_run_book)
 
@@ -252,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rg = sub.add_parser("regularise", help="peel to a near-regular core")
     rg.add_argument("-i", "--input", required=True)
-    rg.add_argument("--eps", type=_fraction, required=True)
+    rg.add_argument("--eps", type=_rational, required=True)
     rg.set_defaults(func=_cmd_regularise)
 
     b = sub.add_parser("bounds", help="closed-form bound verification")
@@ -264,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     bap.add_argument("--t", type=int, required=True)
     bap.add_argument("--r", type=int, required=True)
     btb = bsub.add_parser("thm-book")
-    btb.add_argument("--p", type=_fraction, required=True)
-    btb.add_argument("--mu", type=_fraction, required=True)
+    btb.add_argument("--p", type=_rational, required=True)
+    btb.add_argument("--mu", type=_rational, required=True)
     btb.add_argument("--t", type=int, required=True)
     btb.add_argument("--m", type=int, required=True)
     btb.add_argument("--r", type=int, required=True)

@@ -308,6 +308,11 @@ class TestTraceIO:
             spoil_head('"delta":"1/8"', '"delta":"2/16"'),
             spoil_head('"delta":"1/8"', '"delta":" 1/8"'),
             spoil_head('"delta":"1/8"', '"delta":"1/-8"'),
+            spoil_head('"delta":"1/8"', '"delta":"0.125"'),                # a decimal the CLI reads
+            spoil_head('"delta":"1/8"', '"delta":"1e-1"'),
+            spoil_head('"delta":"1/8"', '"delta":"3/-4"'),
+            spoil_head('"delta":"1/8"', '"delta":"1e-5000"'),              # beyond the digit limit
+            spoil_head('"delta":"1/8"', '"delta":"1/' + "9" * 5000 + '"'),
             spoil_step('"lambda":"344/45"', '"lambda":"-0/1"'),
             # other spellings of a valid line: the reader accepts a line only as the engine writes it
             (head + "\r\n" + step + "\r\n", 1),                             # CRLF line ends

@@ -1,26 +1,32 @@
+import contextlib
 import json
 import math
 import random
+import sys
+import time
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
 from ramseybook.bounds import (
     appendix_check,
     certify_interval_ge,
+    endpoint_fraction,
     es_upper,
     interval_endpoints,
     iv_from_fraction,
     iv_ln,
     iv_log10,
     multinomial,
+    read_rational,
     thm51_chain,
     thm_book_hypotheses,
 )
-from ramseybook.errors import InvalidInput, NonFiniteEndpoint, PrecisionExhausted
+from ramseybook.errors import InvalidInput, NonFiniteEndpoint, PrecisionExhausted, ScaleError
 from ramseybook.pipeline import lemma53_check
 
 
@@ -235,6 +241,114 @@ class TestEndpoints:
             certify_interval_ge(iv.mpf(-5), iv.log(iv.mpf([0, 1])))
         with pytest.raises(PrecisionExhausted):
             certify_interval_ge(iv.mpf("nan"), iv.mpf(0))
+
+    @pytest.mark.parametrize("raw", [(0, 1, -(10**200), 1), (1, 3, 10**200, 2)], ids=["tiny", "huge"])
+    def test_endpoint_too_large_to_hold_is_scale_error(self, raw):
+        # the shift used to escape as a bare OverflowError
+        with pytest.raises(ScaleError, match="too large"):
+            endpoint_fraction(raw)
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def fraction_or_none(text):
+    try:
+        return F(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+DIGITS = "0123456789"
+# digit groups joined by underscores; an empty group puts an underscore where Fraction refuses one
+groups = st.lists(st.text(DIGITS, min_size=1, max_size=4), min_size=1, max_size=3).map("_".join)
+loose_groups = st.lists(st.text(DIGITS, max_size=4), min_size=1, max_size=3).map("_".join)
+# digit runs about as long as the lower limit drawn (640), leading zeros included
+long_numeral = st.builds(lambda k, tail: "0" * k + tail, st.integers(600, 700), st.text(DIGITS, max_size=2))
+numeral = groups | groups | loose_groups | long_numeral
+# exponents stay below 10^4, so that Fraction expands each in well under a millisecond
+exponent_digits = (
+    st.lists(st.text(DIGITS, max_size=2), min_size=1, max_size=2).map("_".join)
+    | long_numeral
+    | st.integers(600, 700).map(str)
+    | st.integers(4250, 4350).map(str)
+)
+sign = st.sampled_from(["", "+", "-"])
+space = st.sampled_from(["", " ", "\t\n", "\x1c", "\u3000"])
+ratio = st.builds("{}{}{}{}{}".format, sign, numeral, st.sampled_from(["/", "/", " /", "/ "]),
+                  st.sampled_from(["", "", "+", "-"]), numeral)
+fraction_part = st.just("") | numeral.map(".{}".format)
+exponent = st.just("") | st.builds("{}{}{}".format, st.sampled_from("eE"), sign, exponent_digits)
+decimal = st.builds("{}{}{}{}".format, sign, numeral, fraction_part, exponent)
+odd = st.sampled_from(["Infinity", "-inf", "NaN", "sNaN", "nan", ".", "e5", "1e", "abc", "", "0x10", "1.5/2",
+                       "1/2/3", "\u0663/\u0664", "\u0663.\u0665"]) | st.text(max_size=8)
+rational_text = st.builds("{}{}{}".format, space, ratio | decimal | odd, space)
+
+
+class TestReadRational:
+    """bounds.read_rational reads what Fraction(text) reads, to the same value, as
+    long as that value passes the digit rule; every other text is an InvalidInput."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(rational_text, st.sampled_from([640, 4300]))
+    @example("3/-4", 4300)
+    @example("3/+4", 4300)
+    @example("3 / 4", 4300)
+    @example("1__0", 4300)
+    @example("_1", 4300)
+    @example("1_", 4300)
+    @example("Infinity", 4300)
+    @example("NaN", 4300)
+    @example("\x1c3/4", 4300)
+    @example("0e9999", 640)
+    @example("1e-640", 640)
+    @example("1e-639", 640)
+    @example("5e-640", 640)                              # 1/(2*10^639): a denominator of 640 digits
+    @example("5e-641", 640)
+    @example("0." + "0" * 639 + "1e-1", 640)
+    @example("1" + "0" * 640 + "e-640", 640)            # the coefficient's run passes the limit
+    @example("0." + "0" * 641, 640)
+    @example("9" * 640 + "/" + "9" * 640, 640)
+    def test_agrees_with_fraction(self, text, limit):
+        with int_digit_limit(limit):
+            want = fraction_or_none(text)
+            if want is not None and max(abs(want.numerator), want.denominator) < 10**limit:
+                assert read_rational(text) == want
+            else:
+                with pytest.raises(InvalidInput, match="digits"):
+                    read_rational(text)
+
+    @pytest.mark.parametrize("value", [10, F(1, 2), 0.5, Decimal("0.5"), None, ["1/2"], b"1/2"])
+    def test_only_text_is_read(self, value):
+        with pytest.raises(InvalidInput):
+            read_rational(value)
+
+    @pytest.mark.parametrize("text", ["1e10000000", "-1e-10000000", "0.1e10000000", "1e99999999999999999999"])
+    def test_long_exponent_refused_before_it_is_expanded(self, text):
+        start = time.perf_counter()
+        with pytest.raises(InvalidInput, match="digits"):
+            read_rational(text)
+        assert time.perf_counter() - start < 0.1
+
+    def test_zero_with_a_long_exponent_is_zero(self):
+        start = time.perf_counter()
+        assert read_rational("0e10000000") == 0
+        assert time.perf_counter() - start < 0.1
+
+    def test_values_at_the_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert read_rational(f"1e-{limit - 1}") == F(1, 10 ** (limit - 1))
+        assert read_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+        for text in (f"1e-{limit}", f"1e{limit}", "0." + "0" * (limit - 2) + "1e-1"):
+            with pytest.raises(InvalidInput, match=f"at most {limit} digits"):
+                read_rational(text)
 
 
 # The reports' text, json.dumps(report.to_json(), sort_keys=True), as the

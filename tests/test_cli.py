@@ -280,7 +280,11 @@ class TestRunAndVerify:
         assert out == "" and "Traceback" not in err and "digits" in err
         assert not trace.exists()
 
-    @pytest.mark.parametrize("value", ["1e10000000", "1e-10000000"])
+    @pytest.mark.parametrize("value", [
+        "1e10000000", "1e-10000000",
+        # 10^-4300: the exponent is short, but the denominator has 4301 digits
+        pytest.param("0." + "0" * 4298 + "1e-1", id="long-decimal"),
+    ])
     @pytest.mark.parametrize("command, option", [
         ("run-book", "--lambda0"), ("run-book", "--delta"), ("run-book", "--mu"), ("run-book", "--p"),
         ("regularise", "--eps"), ("thm-book", "--p"), ("thm-book", "--mu"),
@@ -302,6 +306,17 @@ class TestRunAndVerify:
         assert time.perf_counter() - start < 0.1
         assert code == 2
         assert out == "" and "digits" in err and "Traceback" not in err
+
+    def test_run_book_endpoint_too_large_to_hold(self, tmp_path, capsys):
+        # delta = 10^-4299 is within the digit limit, but the key step's exact
+        # bound then needs a shift past any int: an OverflowError, exit 1, used to end the run
+        rcg, trace = tmp_path / "c.rcg", tmp_path / "t.jsonl"
+        invoke(capsys, "generate", "--n", "30", "--r", "2", "--seed", "1", "-o", str(rcg))
+        code, out, err = invoke(capsys, "run-book", "-i", str(rcg), "--t", "2", "--lambda0", "10",
+                                "--delta", "1e-4299", "--trace", str(trace))
+        assert code == 2
+        assert out == "" and "Traceback" not in err and "too large" in err
+        assert not trace.exists()
 
     def test_run_book_non_ascii_colouring_is_usage_error(self, tmp_path, capsys):
         rcg = tmp_path / "c.rcg"
