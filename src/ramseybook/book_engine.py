@@ -255,14 +255,13 @@ def run(c: EdgeColouring, xset: int, ysets, params: EngineParams, on_state=None)
     ``on_state``, if given, is called after every round with
     (s, x_mask, y_masks, t_masks) for independent state verification.
     Raises DegenerateDensity (with the partial trace attached) if some
-    density hits zero mid-run, and InvalidInput on bad starting sets.
+    density hits zero mid-run, and InvalidInput on bad starting sets: the
+    starting densities apply ``min_density``'s checks to X and each Y_i.
     """
     r = c.r
     ysets = list(ysets)
     if len(ysets) != r:
         raise InvalidInput(f"need one Y set per colour ({r})")
-    if xset == 0 or any(y == 0 for y in ysets):
-        raise InvalidInput("X and every Y_i must be non-empty")
 
     densities = [min_density(c, xset, ysets[i], i) for i in range(r)]
     if any(p == 0 for p in densities):

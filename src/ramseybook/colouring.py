@@ -6,7 +6,9 @@ the neighbourhood ``N_i(v)`` as an int bitmask, so codegree queries cost one
 ``&`` and one popcount.
 
 Vertex sets throughout the package are plain Python ints used as bitmasks
-over ``[0, n)``; the small helpers for building and unpacking them live here.
+over ``[0, n)``; the small helpers for building and unpacking them live here,
+and ``EdgeColouring.check_vertices`` and ``check_colour`` are the one vertex
+rule and the one colour rule that every public function applies to its inputs.
 
 Memory: a colouring holds its n(n-1)/2 colour bytes and r n-bit masks per
 vertex.  Building one takes a single n x n byte matrix besides them, and
@@ -43,15 +45,20 @@ def full_mask(n: int) -> int:
 
 
 def mask_of(vertices) -> int:
-    """Bitmask with exactly the given vertices set."""
+    """Bitmask with exactly the given vertices set; a negative vertex is InvalidVertex."""
     m = 0
     for v in vertices:
+        if v < 0:
+            raise InvalidVertex(f"vertex {v} is negative")
         m |= 1 << v
     return m
 
 
 def iter_vertices(mask: int):
-    """Yield the members of a bitmask in ascending order."""
+    """Yield the members of a bitmask in ascending order.  A negative int,
+    which has infinitely many bits set, is InvalidVertex."""
+    if mask < 0:
+        raise InvalidVertex(f"vertex set {mask} is negative")
     while mask:
         b = mask & -mask
         yield b.bit_length() - 1
@@ -121,9 +128,17 @@ class EdgeColouring:
     def vertices(self) -> int:
         return full_mask(self.n)
 
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise InvalidVertex(f"vertex {v} out of range [0, {self.n})")
+    def check_colour(self, i: int) -> None:
+        """The colour rule: a colour lies in [0, r), else InvalidColour."""
+        if not 0 <= i < self.r:
+            raise InvalidColour(f"colour {i} out of range [0, {self.r})")
+
+    def check_vertices(self, name: str, mask: int) -> None:
+        """The vertex rule: a vertex set has no vertex outside [0, n), else
+        InvalidVertex naming it.  Every negative int breaks it, since it
+        shifts to -1."""
+        if mask >> self.n:
+            raise InvalidVertex(f"{name} contains vertices out of range [0, {self.n})")
 
     def colour(self, u: int, v: int) -> int:
         """Colour of the edge {u, v}; symmetric in its arguments."""
@@ -137,17 +152,15 @@ class EdgeColouring:
 
     def neighbourhood(self, v: int, i: int) -> int:
         """Bitmask of N_i(v).  The r neighbourhoods of v are disjoint and cover V \\ {v}."""
-        self._check_vertex(v)
-        if not 0 <= i < self.r:
-            raise InvalidColour(f"colour {i} out of range [0, {self.r})")
+        if not 0 <= v < self.n:
+            raise InvalidVertex(f"vertex {v} out of range [0, {self.n})")
+        self.check_colour(i)
         return self._neigh[i][v]
 
     def is_mono_clique(self, subset: int, i: int) -> bool:
         """True iff every pair inside ``subset`` has colour i (vacuous for size <= 1)."""
-        if not 0 <= i < self.r:
-            raise InvalidColour(f"colour {i} out of range [0, {self.r})")
-        if subset >> self.n:
-            raise InvalidVertex("subset contains vertices out of range")
+        self.check_colour(i)
+        self.check_vertices("subset", subset)
         for v in iter_vertices(subset):
             if subset & ~self._neigh[i][v] & ~(1 << v):
                 return False
@@ -157,16 +170,13 @@ class EdgeColouring:
         """True iff ``spine`` is an i-clique and every spine-page edge has colour i.
 
         Edges inside ``pages`` are unconstrained.  Spine and pages must be
-        disjoint.
+        disjoint vertex sets.
         """
         if spine & pages:
             raise InvalidBook("spine and pages overlap")
-        if not self.is_mono_clique(spine, i):
-            return False
-        for v in iter_vertices(spine):
-            if pages & ~self._neigh[i][v]:
-                return False
-        return True
+        clique = self.is_mono_clique(spine, i)  # checks i and the spine
+        self.check_vertices("pages", pages)
+        return clique and not any(pages & ~self._neigh[i][v] for v in iter_vertices(spine))
 
     def serialize(self) -> str:
         """The ``.rcg`` text: the header ``n r``, then row u's colours of the

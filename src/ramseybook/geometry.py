@@ -43,14 +43,7 @@ from .bounds import (
     mpi_from_int,
 )
 from .colouring import EdgeColouring, iter_vertices, mask_of
-from .errors import (
-    DegenerateDensity,
-    EmptySet,
-    InvalidColour,
-    InvalidInput,
-    InvalidVertex,
-    LemmaViolation,
-)
+from .errors import DegenerateDensity, EmptySet, InvalidInput, LemmaViolation
 
 
 def default_beta(r: int) -> Fraction:
@@ -102,10 +95,8 @@ def min_density(c: EdgeColouring, xset: int, yset: int, colour: int) -> Fraction
     """min over x in X of |N_i(x) & Y| / |Y|, as an exact rational."""
     if xset == 0 or yset == 0:
         raise EmptySet("min_density needs non-empty X and Y")
-    if not 0 <= colour < c.r:
-        raise InvalidColour(f"colour {colour} out of range [0, {c.r})")
-    if (xset | yset) >> c.n:
-        raise InvalidVertex(f"X or Y contains vertices out of range [0, {c.n})")
+    c.check_colour(colour)
+    c.check_vertices("X or Y", xset | yset)
     ysize = yset.bit_count()
     neigh = c._neigh[colour]
     best = min((neigh[x] & yset).bit_count() for x in iter_vertices(xset))
@@ -134,7 +125,6 @@ class Embedding:
     """
 
     points: tuple[int, ...]
-    y_masks: tuple[int, ...]
     y_sizes: tuple[int, ...]
     densities: tuple[Fraction, ...]
     alphas: tuple[Fraction, ...]
@@ -142,7 +132,7 @@ class Embedding:
 
     @property
     def r(self) -> int:
-        return len(self.y_masks)
+        return len(self.y_sizes)
 
     @property
     def npoints(self) -> int:
@@ -160,9 +150,17 @@ class Embedding:
         offset, scale = self.inner_coefficients[colour]
         return (codeg - offset) / scale
 
-    def inner_by_index(self, colour: int, a: int, b: int) -> Fraction:
-        t = self.trimmed[colour]
-        return self.inner_from_codegree(colour, (t[a] & t[b]).bit_count())
+
+def _per_colour(r: int, ysets, alphas) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+    """The per-colour rule: one Y set and one positive exact alpha
+    (``bounds.exact_rational``) per colour, returned as tuples."""
+    ysets = tuple(ysets)
+    alphas = tuple(exact_rational(a) for a in alphas)
+    if len(ysets) != r or len(alphas) != r:
+        raise InvalidInput(f"need one Y set and one alpha per colour ({r})")
+    if any(a <= 0 for a in alphas):
+        raise InvalidInput("alphas must be positive")
+    return ysets, alphas
 
 
 def build_embedding(c: EdgeColouring, xset: int, ysets, alphas) -> Embedding:
@@ -171,16 +169,10 @@ def build_embedding(c: EdgeColouring, xset: int, ysets, alphas) -> Embedding:
     p_i|Y_i| = min_x |N_i(x) & Y_i| is automatically an integer, so no
     rounding ever happens.  p_i = 0 for any colour is DegenerateDensity.
     """
-    ysets = tuple(ysets)
-    alphas = tuple(exact_rational(a) for a in alphas)
-    if len(ysets) != c.r or len(alphas) != c.r:
-        raise InvalidInput(f"need one Y set and one alpha per colour ({c.r})")
     if xset == 0:
         raise EmptySet("X is empty")
-    if any(a <= 0 for a in alphas):
-        raise InvalidInput("alphas must be positive")
-    if xset >> c.n:
-        raise InvalidVertex("X contains vertices out of range")
+    ysets, alphas = _per_colour(c.r, ysets, alphas)
+    c.check_vertices("X", xset)
     points = tuple(iter_vertices(xset))
     y_sizes = []
     densities = []
@@ -188,8 +180,7 @@ def build_embedding(c: EdgeColouring, xset: int, ysets, alphas) -> Embedding:
     for i, yset in enumerate(ysets):
         if yset == 0:
             raise EmptySet(f"Y_{i} is empty")
-        if yset >> c.n:
-            raise InvalidVertex(f"Y_{i} contains vertices out of range")
+        c.check_vertices(f"Y_{i}", yset)
         ysize = yset.bit_count()
         neigh = c._neigh[i]
         masks = [neigh[x] & yset for x in points]
@@ -202,7 +193,6 @@ def build_embedding(c: EdgeColouring, xset: int, ysets, alphas) -> Embedding:
         trimmed.append(tuple(mm if size == m else _lowest_bits(mm, m) for mm, size in zip(masks, sizes)))
     return Embedding(
         points=points,
-        y_masks=ysets,
         y_sizes=tuple(y_sizes),
         densities=tuple(densities),
         alphas=alphas,
@@ -571,12 +561,13 @@ def verify_key_step(c, xset, ysets, alphas, res: KeyStepResult, beta=None) -> Ke
     the pivot's trimmed neighbourhood, of size exactly p_i |Y_i|.  Densities,
     trimmed sets and codegrees are all rebuilt from scratch; the exponential
     size bound compares the exact |X'| against an upper-rounded right side.
+
+    It takes ``build_embedding``'s inputs under the same rules: the
+    per-colour rule for the Y sets and alphas, and ``min_density``'s vertex
+    rule for X and each Y_i.
     """
-    ysets = tuple(ysets)
-    alphas = tuple(exact_rational(a) for a in alphas)
     r = c.r
-    if len(ysets) != r or len(alphas) != r:
-        raise InvalidInput(f"need one Y set and one alpha per colour ({r})")
+    ysets, alphas = _per_colour(r, ysets, alphas)
     beta = _beta(beta, r)
     xsize = xset.bit_count()
 

@@ -11,7 +11,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .colouring import EdgeColouring, full_mask, iter_vertices
-from .errors import BudgetExceeded, InvalidColour, InvalidInput, InvalidVertex
+from .errors import BudgetExceeded, InvalidInput
 
 __all__ = [
     "SearchBudget",
@@ -43,10 +43,9 @@ def max_mono_clique(c: EdgeColouring, colour: int, budget: SearchBudget | None =
     Branch and bound on bitsets with a greedy-colouring upper bound.
     ``within`` restricts the search to an induced subgraph; its vertices must lie in [0, n).
     """
-    if not 0 <= colour < c.r:
-        raise InvalidColour(f"colour {colour} out of range [0, {c.r})")
-    if within is not None and within >> c.n:
-        raise InvalidVertex(f"within contains vertices out of range [0, {c.n})")
+    c.check_colour(colour)
+    if within is not None:
+        c.check_vertices("within", within)
     budget = budget or DEFAULT_BUDGET
     pool = c.vertices if within is None else within
     if pool.bit_count() > budget.n_cap:

@@ -12,15 +12,11 @@ def c5():
 
 def naive_max_clique(c, colour):
     """Subset-enumeration maximum clique; only for tiny n."""
-    best = 0
     verts = list(range(c.n))
-    for size in range(c.n, 0, -1):
+    for size in range(c.n, 0, -1):  # size 1 always returns, since n >= 1
         for combo in itertools.combinations(verts, size):
             if all(c.colour(u, v) == colour for u, v in itertools.combinations(combo, 2)):
                 return size
-        if best:
-            break
-    return 1 if c.n else 0
 
 
 def members(mask):

@@ -2,6 +2,7 @@ import contextlib
 import json
 import math
 import random
+import re
 import sys
 import time
 from decimal import Decimal
@@ -259,11 +260,67 @@ def int_digit_limit(limit):
         sys.set_int_max_str_digits(old)
 
 
-def fraction_or_none(text):
+# Python 3.11's grammar for Fraction(text), copied with its construction from
+# that version's fractions.py, so that the oracle below is the same on every
+# Python: 3.10 refuses "1/1_0", and 3.12 reads "3 / 4"
+_RATIONAL_FORMAT = re.compile(r"""
+    \A\s*                                 # optional whitespace at the start,
+    (?P<sign>[-+]?)                       # an optional sign, then
+    (?=\d|\.\d)                           # lookahead for digit or .digit
+    (?P<num>\d*|\d+(_\d+)*)               # numerator (possibly empty)
+    (?:                                   # followed by
+       (?:/(?P<denom>\d+(_\d+)*))?        # an optional denominator
+    |                                     # or
+       (?:\.(?P<decimal>d*|\d+(_\d+)*))?  # an optional fractional part
+       (?:E(?P<exp>[-+]?\d+(_\d+)*))?     # and optional exponent
+    )
+    \s*\Z                                 # and optional whitespace to finish
+""", re.VERBOSE | re.IGNORECASE)
+
+
+def fraction_311(text):
+    """Fraction(text) as Python 3.11 builds it; raises where it raises."""
+    m = _RATIONAL_FORMAT.match(text)
+    if m is None:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    numerator = int(m.group("num") or "0")
+    denom = m.group("denom")
+    if denom:
+        denominator = int(denom)
+    else:
+        denominator = 1
+        decimal = m.group("decimal")
+        if decimal:
+            decimal = decimal.replace("_", "")
+            scale = 10 ** len(decimal)
+            numerator = numerator * scale + int(decimal)
+            denominator *= scale
+        exp = m.group("exp")
+        if exp:
+            exp = int(exp)
+            if exp >= 0:
+                numerator *= 10**exp
+            else:
+                denominator *= 10**-exp
+    if m.group("sign") == "-":
+        numerator = -numerator
+    return F(numerator, denominator)
+
+
+def value_or_none(read, text):
     try:
-        return F(text)
+        return read(text)
     except (ValueError, ZeroDivisionError):
         return None
+
+
+def fraction_or_none(text):
+    """What Python 3.11's Fraction(text) reads, or None where it raises; on
+    3.11 itself the copy must agree with Fraction(text)."""
+    want = value_or_none(fraction_311, text)
+    if sys.version_info[:2] == (3, 11):
+        assert value_or_none(F, text) == want
+    return want
 
 
 DIGITS = "0123456789"
@@ -293,8 +350,9 @@ rational_text = st.builds("{}{}{}".format, space, ratio | decimal | odd, space)
 
 
 class TestReadRational:
-    """bounds.read_rational reads what Fraction(text) reads, to the same value, as
-    long as that value passes the digit rule; every other text is an InvalidInput."""
+    """bounds.read_rational reads what Python 3.11's Fraction(text) reads, to the
+    same value, as long as that value passes the digit rule; every other text is
+    an InvalidInput."""
 
     @settings(max_examples=1500, deadline=None)
     @given(rational_text, st.sampled_from([640, 4300]))

@@ -13,6 +13,7 @@ from ramseybook.colouring import (
     EdgeColouring,
     from_pair_function,
     full_mask,
+    iter_vertices,
     mask_of,
     parse_colouring,
     product_colouring,
@@ -210,6 +211,21 @@ class TestNeighbourhood:
         assert [[c.neighbourhood(v, i) for v in range(n)] for i in range(r)] == reference_neighbourhoods(n, r, tri)
         parsed = parse_colouring(c.serialize())
         assert parsed == c and parsed.sha256() == c.sha256()
+
+
+class TestVertexSets:
+    def test_mask_round_trip(self):
+        assert vertex_list(mask_of([5, 0, 3])) == [0, 3, 5]
+
+    def test_negative_set_is_invalid_vertex(self):
+        # -1 has infinitely many bits set, so a loop over its members would never end
+        with pytest.raises(InvalidVertex):
+            next(iter_vertices(-1))
+
+    def test_negative_vertex_is_invalid_vertex(self):
+        # 1 << -1 is a bare ValueError, "negative shift count"
+        with pytest.raises(InvalidVertex):
+            mask_of([2, -1])
 
 
 class TestMonoPredicates:

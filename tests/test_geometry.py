@@ -46,6 +46,12 @@ from ramseybook.geometry import (
 )
 
 
+def inner_by_index(emb, colour, a, b):
+    """<s_colour(a), s_colour(b)> for the points of index a and b, from their trimmed sets."""
+    t = emb.trimmed[colour]
+    return emb.inner_from_codegree(colour, (t[a] & t[b]).bit_count())
+
+
 def triangle():
     return from_pair_function(3, 1, lambda u, v: 0)
 
@@ -92,7 +98,7 @@ def fraction_recounter(emb):
     inner products are computed once and shared by every (colour, lam).
     """
     n, r = emb.npoints, emb.r
-    inners = [[emb.inner_by_index(i, a, b) for i in range(r)] for a in range(n) for b in range(n)]
+    inners = [[inner_by_index(emb, i, a, b) for i in range(r)] for a in range(n) for b in range(n)]
 
     def count(colour, lam):
         return sum(
@@ -110,7 +116,7 @@ def attained_lams(emb):
     n, r = emb.npoints, emb.r
     lams = {(F(-1), i) for i in range(r)}
     lams |= {(v, i) for i in range(r) for a in range(n) for b in range(n)
-             if (v := emb.inner_by_index(i, a, b)) >= -1}
+             if (v := inner_by_index(emb, i, a, b)) >= -1}
     return lams
 
 
@@ -207,13 +213,13 @@ class TestEmbedding:
     # with X = V, each vertex is its own point index
     def test_pentagon_inner_product(self, c5):
         emb = build_embedding(c5, c5.vertices, [c5.vertices] * 2, [F(1, 10)] * 2)
-        assert emb.inner_by_index(0, 0, 1) == -4
+        assert inner_by_index(emb, 0, 0, 1) == -4
 
     def test_self_inner_product(self, c5):
         emb = build_embedding(c5, c5.vertices, [c5.vertices] * 2, [F(1, 10)] * 2)
         for i in range(2):
             for x in range(5):
-                assert emb.inner_by_index(i, x, x) == (1 - emb.densities[i]) / emb.alphas[i]
+                assert inner_by_index(emb, i, x, x) == (1 - emb.densities[i]) / emb.alphas[i]
 
     def test_codegree_equivalence_spot(self, c5):
         # codegree 1 pair in colour 0 has inner product exactly 1, and the
@@ -221,7 +227,7 @@ class TestEmbedding:
         emb = build_embedding(c5, c5.vertices, [c5.vertices] * 2, [F(1, 10)] * 2)
         t = emb.trimmed[0]
         assert (t[0] & t[2]).bit_count() == 1
-        assert emb.inner_by_index(0, 0, 2) == 1
+        assert inner_by_index(emb, 0, 0, 2) == 1
         lam = F(1)
         assert (F(2, 5) + lam * F(1, 10)) * F(2, 5) * 5 == 1
 
@@ -235,7 +241,7 @@ class TestEmbedding:
             for xa in range(emb.npoints):
                 for xb in range(xa, emb.npoints):
                     d = (t[xa] & t[xb]).bit_count()
-                    v = emb.inner_by_index(i, xa, xb)
+                    v = inner_by_index(emb, i, xa, xb)
                     for lam in (F(-1), F(0), v, v + F(1, 999), v - F(1, 999)):
                         assert (v >= lam) == (d >= (p + lam * a) * p * y)
 
@@ -428,7 +434,7 @@ def centred_gram_matrices(c):
     pts = range(emb.npoints)
     grams = []
     for i in range(c.r):
-        p, ys = emb.densities[i], list(iter_vertices(emb.y_masks[i]))
+        p, ys = emb.densities[i], range(c.n)  # Y_i = V
         vecs = [[(t >> y & 1) - p for y in ys] for t in emb.trimmed[i]]
         scale = emb.alphas[i] * p * emb.y_sizes[i]
         grams.append([[sum(u * v for u, v in zip(vecs[a], vecs[b])) / scale for b in pts] for a in pts])
@@ -446,7 +452,7 @@ class TestMoments:
             emb, grams = centred_gram_matrices(c)
             pts = range(emb.npoints)
             for i, gram in enumerate(grams):
-                assert all(emb.inner_by_index(i, a, b) == gram[a][b] for a in pts for b in pts)
+                assert all(inner_by_index(emb, i, a, b) == gram[a][b] for a in pts for b in pts)
 
     def test_even_power_nonnegative(self, colourings):
         # sum over ordered pairs of prod_i <.,.>^l_i is 1^T (Hadamard product
@@ -470,7 +476,7 @@ class TestWitness:
     def test_singleton_x(self, c5):
         emb = build_embedding(c5, mask_of([0]), [c5.vertices] * 2, [F(1, 10)] * 2)
         rep = find_lambda_witness(emb)
-        floor = min(emb.inner_by_index(i, 0, 0) for i in range(2))
+        floor = min(inner_by_index(emb, i, 0, 0) for i in range(2))
         assert rep.lam >= floor
         assert rep.q == 1
 
@@ -494,8 +500,8 @@ class TestWitness:
                 1
                 for a in range(n)
                 for b in range(n)
-                if all(emb.inner_by_index(i, a, b) >= -1 for i in range(2))
-                and emb.inner_by_index(colour, a, b) >= -1
+                if all(inner_by_index(emb, i, a, b) >= -1 for i in range(2))
+                and inner_by_index(emb, colour, a, b) >= -1
             )
             assert F(in_event, n * n) == 1 >= beta
         # the returned witness maximises lam over all accepted candidates
@@ -642,7 +648,7 @@ class TestBulkBuilders:
         codeg = {(i, a, b): (t[i][a] & t[i][b]).bit_count()
                  for i in range(r) for a in range(n) for b in range(n)}
         eligible = {(a, b) for a in range(n) for b in range(n)
-                    if all(emb.inner_by_index(i, a, b) >= -1 for i in range(r))}
+                    if all(inner_by_index(emb, i, a, b) >= -1 for i in range(r))}
         attained = {(i, codeg[i, a, b]) for i in range(r) for a, b in eligible}
         want = sorted(((emb.inner_from_codegree(i, d), i, d) for i, d in attained),
                       key=lambda c: (-c[0], c[1]))
@@ -742,7 +748,7 @@ class TestWitnessChoice:
         """
         n, r = emb.npoints, emb.r
         count = fraction_recounter(emb)
-        inner = [[[emb.inner_by_index(i, a, b) for b in range(n)] for a in range(n)] for i in range(r)]
+        inner = [[[inner_by_index(emb, i, a, b) for b in range(n)] for a in range(n)] for i in range(r)]
         first = None
         for lam, colour in sorted(attained_lams(emb), key=lambda t: (-t[0], t[1])):
             cnt = count(colour, lam)
@@ -925,7 +931,7 @@ class TestKeyStep:
         c, xset, ysets, alphas, emb = drawn
         n, r = emb.npoints, emb.r
         assert 2 * default_beta(r) * n <= 1  # the condition key_lemma_step's docstring proves it under
-        eligible = any(all(emb.inner_by_index(i, a, b) >= -1 for i in range(r))
+        eligible = any(all(inner_by_index(emb, i, a, b) >= -1 for i in range(r))
                        for a in range(n) for b in range(a + 1, n))
         assert key_lemma_step(c, xset, ysets, alphas).met_size_bound == eligible
 
@@ -964,7 +970,7 @@ class TestKeyStep:
         emb = build_embedding(c5, c5.vertices, [c5.vertices] * 2, alphas)
         for a in range(5):
             for b in range(a + 1, 5):
-                assert min(emb.inner_by_index(i, a, b) for i in range(2)) == -4
+                assert min(inner_by_index(emb, i, a, b) for i in range(2)) == -4
         res = key_lemma_step(c5, c5.vertices, [c5.vertices] * 2, alphas)
         assert res.x_prime == 0 and not res.met_size_bound
         assert res.lam == 6 and res.colour == 0 and res.pivot == 0
