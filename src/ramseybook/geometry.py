@@ -2,6 +2,12 @@
 products, the certified two-branch bound on the cosh-sqrt special function,
 and the lambda-witness search that drives every round of the book algorithm.
 
+A trimmed neighbourhood N'_i(x), the p_i |Y_i| lowest vertices of
+N_i(x) & Y_i, is cut from its mask by ``_lowest_bits``: it starts at the cut
+an even spread of the set bits predicts and moves one set bit at a time to
+the exact count, falling back to a bisection on the estimate's side when the
+estimate is off by more than the bisection depth.
+
 Inner products are never computed from materialised vectors; each one is an
 affine function of a codegree, so the whole witness search runs on integer
 codegrees.  A colour's diagonal threshold is reached exactly by the pairs with
@@ -104,9 +110,35 @@ def min_density(c: EdgeColouring, xset: int, yset: int, colour: int) -> Fraction
 
 
 def _lowest_bits(mask: int, count: int) -> int:
-    """The ``count`` lowest set bits of ``mask`` (all of them if it has fewer)."""
-    # binary search for the shortest prefix of bits holding ``count`` of them
-    lo, hi = 0, mask.bit_length()
+    """The ``count`` >= 0 lowest set bits of ``mask`` (all of them if it has fewer).
+
+    The answer is the shortest prefix of bits holding ``count`` of them.  The
+    cut starts where an even spread of the set bits puts it, width * count /
+    popcount, and moves one set bit at a time to the exact count: each step
+    clears the lowest set bit above the cut or the highest below it.  When
+    the estimate is off by more than the bisection depth (the width's bit
+    length), a binary search over the side of the cut that holds the answer
+    finishes instead, so a call costs O(log width) big-int operations at most.
+    """
+    pop = mask.bit_count()
+    if count >= pop:
+        return mask
+    width = mask.bit_length()
+    depth = width.bit_length()
+    cut = width * count // pop
+    low = mask & ((1 << cut) - 1)
+    short = count - low.bit_count()
+    if 0 < short <= depth:
+        high = mask ^ low
+        for _ in range(short):
+            high &= high - 1
+        return mask ^ high
+    if -depth <= short <= 0:
+        for _ in range(-short):
+            low ^= 1 << (low.bit_length() - 1)
+        return low
+    # binary search for the shortest prefix holding ``count`` set bits
+    lo, hi = (cut + 1, width) if short > 0 else (0, cut)
     while lo < hi:
         mid = (lo + hi) // 2
         if (mask & ((1 << mid) - 1)).bit_count() >= count:
@@ -582,8 +614,8 @@ def verify_key_step(c, xset, ysets, alphas, res: KeyStepResult, beta=None) -> Ke
         for i in range(r)
     )
 
-    bound = witness_bound_upper(res.lam, r, beta)
-    size_bound_ok = Fraction(res.x_prime.bit_count()) >= bound * xsize
+    # a threshold below -1 has no size bound, so it fails the check
+    size_bound_ok = res.lam >= -1 and res.x_prime.bit_count() >= witness_bound_upper(res.lam, r, beta) * xsize
     slack_ok = Fraction(res.x_prime.bit_count()) >= res.q * xsize - 1
 
     # the densities after the step need one non-empty Y'_i per colour, and X', Y'_i in range

@@ -97,7 +97,14 @@ def reference_product(c1, c2):
 
 
 def traced_peak(call):
-    """The tracemalloc peak, in bytes, of the allocations ``call()`` makes."""
+    """The tracemalloc peak, in bytes, of the allocations ``call()`` makes.
+
+    An untraced warm-up call comes first.  It leaves CPython's free lists
+    (of lists, tuples, dicts ...) holding what a call takes from them, so the
+    traced call allocates none of those objects anew; otherwise a peak counts
+    them or not by the state the code run before left, a few hundred bytes.
+    """
+    call()
     tracemalloc.start()
     try:
         call()

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
@@ -161,6 +162,37 @@ def reference_lowest_bits(mask, count):
         out |= b
         mask ^= b
     return out
+
+
+def bisect_lowest_bits(mask, count):
+    """The prefix bisection _lowest_bits falls back to, run over the whole width."""
+    lo, hi = 0, mask.bit_length()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mask & ((1 << mid) - 1)).bit_count() >= count:
+            hi = mid
+        else:
+            lo = mid + 1
+    return mask & ((1 << lo) - 1)
+
+
+def interval_union(intervals):
+    """The mask with bits [start, start + length) set for each (start, length)."""
+    mask = 0
+    for start, length in intervals:
+        mask |= ((1 << length) - 1) << start
+    return mask
+
+
+# masks whose set bits are far from evenly spread, where the estimated cut is
+# poor: unions of a few intervals, a lone low bit under a dense high block
+# (the cut falls short) and a dense low block under a lone high bit (it overshoots)
+uneven_masks = st.one_of(
+    st.lists(st.tuples(st.integers(0, 400), st.integers(0, 200)), min_size=1, max_size=4).map(interval_union),
+    st.builds(lambda low, gap, size: 1 << low | ((1 << size) - 1) << (low + gap),
+              st.integers(0, 20), st.integers(1, 300), st.integers(1, 300)),
+    st.builds(lambda size, gap: ((1 << size) - 1) | 1 << (size + gap), st.integers(1, 300), st.integers(0, 300)),
+)
 
 
 class TestMinDensity:
@@ -632,6 +664,26 @@ class TestBulkBuilders:
         count = data.draw(st.one_of(st.just(0), st.just(pop), st.integers(0, pop + 5)))
         assert _lowest_bits(mask, count) == reference_lowest_bits(mask, count)
 
+    @settings(max_examples=300, deadline=None)
+    @given(uneven_masks, st.data())
+    def test_lowest_bits_on_uneven_masks(self, mask, data):
+        # counts near 0, near the popcount and past it
+        pop = mask.bit_count()
+        count = data.draw(st.one_of(
+            st.integers(0, 3), st.integers(max(pop - 3, 0), pop), st.integers(pop, pop + 5), st.integers(0, pop + 5),
+        ))
+        assert _lowest_bits(mask, count) == reference_lowest_bits(mask, count)
+
+    def test_lowest_bits_far_estimate_bisects(self):
+        # the estimated cut holds 1 of 250 000 bits; stepping one bit at a time
+        # would take 250 000 full-width steps, the bounded fallback about 20
+        mask = 1 | ((1 << 10**6) - 1) << 10**6
+        start = time.perf_counter()
+        got = _lowest_bits(mask, 250_000)
+        elapsed = time.perf_counter() - start
+        assert got == bisect_lowest_bits(mask, 250_000)
+        assert elapsed < 0.5
+
     @staticmethod
     def check_tables(emb):
         """Compare _PairTables with a plain per-pair popcount; returns the
@@ -1069,7 +1121,9 @@ class TestKeyStep:
         {"x_prime": 1 << 45},
         {"y_primes": (1 << 45, 1)},
         {"y_primes": (0, 0)},
-    ], ids=["pivot-above-n", "negative-pivot", "x-prime-above-n", "y-prime-above-n", "empty-y-primes"])
+        {"lam": F(-2)},
+    ], ids=["pivot-above-n", "negative-pivot", "x-prime-above-n", "y-prime-above-n", "empty-y-primes",
+            "lam-below-minus-one"])
     def test_out_of_range_result_fails_checks(self, change):
         # a malformed result fails its checks instead of raising
         c, full, alphas, res = self._step()
@@ -1081,6 +1135,8 @@ class TestKeyStep:
             assert not chk.pivot_ok and not chk.y_sizes_ok
         elif "x_prime" in change:
             assert not chk.pivot_ok and not chk.boost_ok and not chk.all_colours_ok
+        elif "lam" in change:
+            assert not chk.size_bound_ok
         else:
             assert not chk.y_sizes_ok and not chk.boost_ok and not chk.all_colours_ok
 
