@@ -312,7 +312,6 @@ class KeyStepResult:
     y_primes: tuple[int, ...]
     lam: Fraction
     q: Fraction
-    bound: Fraction
     met_size_bound: bool
 
 
@@ -458,7 +457,7 @@ class _PairTables:
         probability q satisfies q >= beta e^(-C sqrt(lam+1)).
 
         The event holds the n diagonal pairs and each counted partner, so its
-        size is n + sum(counts); ``_Witness.meets`` decides the inequality.
+        size is n + sum(counts); ``_meets`` decides the inequality.
         A beta <= 0 is InvalidInput, as the trace reader rejects it.
         """
         r = self.emb.r
@@ -469,17 +468,25 @@ class _PairTables:
         for lam, colour, d in self.candidates():
             counts = self.partner_counts(colour, d)
             w = _Witness(lam, colour, d, counts, Fraction(self.n + sum(counts), total), r, beta)
-            if w.meets(w.q):
+            if _meets(w.q, beta, w.bound):
                 yield w
+
+
+def _meets(x: Fraction, beta: Fraction, bound) -> bool:
+    """Whether x >= 0 reaches ``bound()``, beta e^(-C sqrt(lam + 1)) rounded
+    up, deciding at the exact cap 2 beta first.  For beta > 0 the bound is
+    positive and never above the cap; for beta <= 0 it is at most 0.  So
+    every verdict is the bound's own, and ``bound()`` runs only for
+    0 < x < 2 beta."""
+    return x >= 2 * beta or (x > 0 and x >= bound())
 
 
 @dataclass(slots=True)
 class _Witness:
     """A candidate the scan accepted, with the partner counts of its event.
 
-    ``bound()`` evaluates witness_bound_upper on its first call only.
-    ``meets`` first compares against the cap 2 beta, an exact rational that
-    is never below that bound, since the scan takes only beta > 0.
+    ``bound()`` evaluates witness_bound_upper on its first call only, and
+    ``_meets`` calls it only where the cap 2 beta cannot decide.
     """
 
     lam: Fraction
@@ -496,11 +503,6 @@ class _Witness:
             # looked up at call time, so a wrapper installed on the module sees the call
             self.cached_bound = witness_bound_upper(self.lam, self.r, self.beta)
         return self.cached_bound
-
-    def meets(self, x: Fraction) -> bool:
-        """Whether x >= beta e^(-C sqrt(lam + 1)): at or above the cap at once,
-        else against the bound rounded up, which is positive when beta > 0."""
-        return x >= 2 * self.beta or (x > 0 and x >= self.bound())
 
     def report(self) -> WitnessReport:
         n = len(self.counts)
@@ -538,9 +540,12 @@ def key_lemma_step(c: EdgeColouring, xset: int, ysets, alphas, beta=None) -> Key
     and one partner meets the cap 2 beta |X|.  Above that, a witness's bound
     |X| can exceed its best pivot's partner count.
 
-    Pivot ties break to the smallest vertex label.  The size bound is decided
-    against the exact cap 2 beta |X| first (met at or above it, missed with
-    no partner at all), and against the interval bound only in between.
+    Pivot ties break to the smallest vertex label.  Both decisions, q
+    against the bound and the best pivot's partners against bound |X|, are
+    taken against the exact cap 2 beta first (met at or above it, missed at
+    zero), and the interval bound is evaluated only in between; the result
+    records no bound, so a step whose decisions the cap settles evaluates
+    none.
     """
     emb = build_embedding(c, xset, ysets, alphas)
     tables = _PairTables(emb)
@@ -548,7 +553,7 @@ def key_lemma_step(c: EdgeColouring, xset: int, ysets, alphas, beta=None) -> Key
     chosen = None
     for w in tables.witnesses(beta):
         best = max(w.counts)
-        met = w.meets(Fraction(best, n))
+        met = _meets(Fraction(best, n), w.beta, w.bound)
         if chosen is None or met:
             chosen = w, w.counts.index(best), met
         if met:
@@ -563,7 +568,6 @@ def key_lemma_step(c: EdgeColouring, xset: int, ysets, alphas, beta=None) -> Key
         y_primes=tuple(t[pivot_idx] for t in emb.trimmed),
         lam=w.lam,
         q=w.q,
-        bound=w.bound(),
         met_size_bound=met,
     )
 
@@ -592,7 +596,8 @@ def verify_key_step(c, xset, ysets, alphas, res: KeyStepResult, beta=None) -> Ke
     The pivot must lie in X and X' in X minus the pivot; each Y'_i must be
     the pivot's trimmed neighbourhood, of size exactly p_i |Y_i|.  Densities,
     trimmed sets and codegrees are all rebuilt from scratch; the exponential
-    size bound compares the exact |X'| against an upper-rounded right side.
+    size bound compares the exact |X'| with the exact cap 2 beta |X| first
+    and with an upper-rounded right side only where that cannot decide.
 
     It takes ``build_embedding``'s inputs under the same rules: the
     per-colour rule for the Y sets and alphas, and ``min_density``'s vertex
@@ -615,7 +620,8 @@ def verify_key_step(c, xset, ysets, alphas, res: KeyStepResult, beta=None) -> Ke
     )
 
     # a threshold below -1 has no size bound, so it fails the check
-    size_bound_ok = res.lam >= -1 and res.x_prime.bit_count() >= witness_bound_upper(res.lam, r, beta) * xsize
+    size = Fraction(res.x_prime.bit_count(), xsize)
+    size_bound_ok = res.lam >= -1 and _meets(size, beta, lambda: witness_bound_upper(res.lam, r, beta))
     slack_ok = Fraction(res.x_prime.bit_count()) >= res.q * xsize - 1
 
     # the densities after the step need one non-empty Y'_i per colour, and X', Y'_i in range

@@ -38,7 +38,7 @@ def test_every_wrapped_name_resolves_to_a_callable():
 # SHA-256 over the outputs of one tiny pass at seed 1, in job order, as ``Loop`` hashes them
 TINY_DIGESTS = {
     "book-large": "79e0dc5b464050708885dac1aef1c181d46385e4336cafcec6ca421842022f24",
-    "keystep-audit": "3296df390f64e6bd9241f47870edd0dfc5e3c1728228938c5eb64de9f3cecb0c",
+    "keystep-audit": "b35189c34a66b5a28860a059ef87e0ab0199ba97de21fd42c3712a5d379a18d2",
     "trace-audit": "ef6a8361ebe1b227bcd3721b23e05de913776335ac8c5d3ab41899d90aa6e61a",
     "certify": "9dc91272a3ede9db1f1f23af79ee69766d9ec2fdbc53e5384caf0f997b5e5041",
 }

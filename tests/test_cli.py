@@ -307,16 +307,21 @@ class TestRunAndVerify:
         assert code == 2
         assert out == "" and "digits" in err and "Traceback" not in err
 
-    def test_run_book_endpoint_too_large_to_hold(self, tmp_path, capsys):
-        # delta = 10^-4299 is within the digit limit, but the key step's exact
-        # bound then needs a shift past any int: an OverflowError, exit 1, used to end the run
+    @pytest.mark.parametrize("n, delta, result", [("30", "1e-4299", "book_found"),
+                                                   ("40", "1e-20", "reservoir_exhausted")])
+    def test_run_book_at_tiny_delta(self, tmp_path, capsys, n, delta, result):
+        # lam grows like t/delta, so the exact endpoint of the witness bound
+        # has about 1.44 C sqrt(lam + 1) bits: the key step used to evaluate
+        # it for a field nothing read, a MemoryError at 1e-20 under a memory
+        # cap and a ScaleError (exit 2) at 1e-4299; the cap decides every step here
         rcg, trace = tmp_path / "c.rcg", tmp_path / "t.jsonl"
-        invoke(capsys, "generate", "--n", "30", "--r", "2", "--seed", "1", "-o", str(rcg))
+        invoke(capsys, "generate", "--n", n, "--r", "2", "--seed", "1", "-o", str(rcg))
         code, out, err = invoke(capsys, "run-book", "-i", str(rcg), "--t", "2", "--lambda0", "10",
-                                "--delta", "1e-4299", "--trace", str(trace))
-        assert code == 2
-        assert out == "" and "Traceback" not in err and "too large" in err
-        assert not trace.exists()
+                                "--delta", delta, "--trace", str(trace))
+        assert code == 0
+        assert json.loads(out)["result"] == result
+        code, out, err = invoke(capsys, "verify-trace", "--trace", str(trace))
+        assert code == 0 and json.loads(out)["ok"]
 
     def test_run_book_non_ascii_colouring_is_usage_error(self, tmp_path, capsys):
         rcg = tmp_path / "c.rcg"

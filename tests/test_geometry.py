@@ -1140,6 +1140,13 @@ class TestKeyStep:
         else:
             assert not chk.y_sizes_ok and not chk.boost_ok and not chk.all_colours_ok
 
+    def test_huge_threshold_is_decided_at_the_cap(self):
+        # |X'| >= 2 beta |X| passes the size bound with no enclosure, whose
+        # exact endpoint at lam = 10^100 used to raise ScaleError; the boost fails
+        c, full, alphas, res = self._step()
+        chk = verify_key_step(c, full, [full] * 2, alphas, replace(res, lam=F(10**100)))
+        assert chk.size_bound_ok and not chk.boost_ok
+
     @pytest.mark.parametrize("ysets, alphas", [(1, 2), (3, 2), (2, 1), (2, 3)])
     def test_inputs_of_wrong_length_rejected(self, ysets, alphas):
         c, full, good_alphas, res = self._step()
@@ -1234,24 +1241,21 @@ class TestWitnessCap:
             set_precision(old)
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_key_step_evaluates_the_bound_once(self, seed, monkeypatch):
+    def test_key_step_and_its_check_evaluate_no_bound(self, seed, monkeypatch):
         # at default beta and n <= 60, q >= 1/n and every non-empty partner
-        # set already clear the cap, so only the returned witness needs the bound
+        # set already clear the cap, and an empty one misses it, so neither
+        # the step nor its check needs the interval bound
         calls = []
         real = geometry.witness_bound_upper
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(geometry, "witness_bound_upper", counting)
+        monkeypatch.setattr(geometry, "witness_bound_upper", lambda *a: calls.append(a) or real(*a))
         rng = random.Random(seed)
         n, r = rng.randint(2, 60), rng.choice([2, 3])
         c = random_colouring(n, r, seed)
-        alphas = [F(rng.randint(1, 8), rng.randint(1, 40)) for _ in range(r)]
-        res = key_lemma_step(c, c.vertices, [c.vertices] * r, alphas)
-        assert calls == [(res.lam, r, default_beta(r))]
-        assert res.bound == real(res.lam, r, default_beta(r))
+        full, alphas = [c.vertices] * r, [F(rng.randint(1, 8), rng.randint(1, 40)) for _ in range(r)]
+        res = key_lemma_step(c, c.vertices, full, alphas)
+        chk = verify_key_step(c, c.vertices, full, alphas, res)
+        assert chk.size_bound_ok == res.met_size_bound
+        assert calls == []
 
     def test_find_witness_evaluates_the_bound_once(self, monkeypatch):
         calls = []
