@@ -206,8 +206,8 @@ def _read_record(h: TraceHeader, s: int, d: dict) -> StepRecord:
         raise ParseError(f"pivot out of range [0, n = {h.n})")
     if any(not 0 <= size <= h.n for size in (rec.x_size, *rec.y_sizes, *rec.t_sizes)):
         raise ParseError(f"every size must lie in [0, n = {h.n}]")
-    if rec.densities is None and rec.x_size > 0:
-        raise ParseError("densities must be given while X is non-empty")
+    if (rec.densities is None) != (rec.x_size == 0):
+        raise ParseError("densities must be null exactly when X is empty")
     if any(not 0 <= p <= 1 for p in rec.densities or ()):
         raise ParseError("every density must lie in [0, 1]")
     return rec
@@ -218,7 +218,9 @@ def parse_trace(text: str) -> Trace:
     or would have written otherwise.
 
     Every line ends with a newline, the last one included, and no line is
-    empty; a ParseError names the line as the text numbers it.
+    empty; a ParseError names the line as the text numbers it.  A run ends at
+    its first step whose X is empty or one of whose spines has reached t, so
+    no line may follow that step.
     """
     *lines, tail = text.split("\n")
     if tail:
@@ -226,10 +228,12 @@ def parse_trace(text: str) -> Trace:
     if not lines:
         raise ParseError("empty trace")
     h = _parse_line(lines[0], 1, _read_header)
-    records = tuple(
-        _parse_line(ln, lineno, partial(_read_record, h, lineno - 2)) for lineno, ln in enumerate(lines[1:], start=2)
-    )
-    return Trace(h, records)
+    records: list[StepRecord] = []
+    for lineno, ln in enumerate(lines[1:], start=2):
+        if records and (records[-1].x_size == 0 or max(records[-1].t_sizes) >= h.t):
+            raise ParseError(f"step {lineno - 3} ended the run: X was empty or a spine reached t = {h.t}", line=lineno)
+        records.append(_parse_line(ln, lineno, partial(_read_record, h, lineno - 2)))
+    return Trace(h, tuple(records))
 
 
 def read_trace(path) -> Trace:
@@ -252,19 +256,23 @@ class EngineOutcome:
 def run(c: EdgeColouring, xset: int, ysets, params: EngineParams, on_state=None) -> EngineOutcome:
     """Run the book algorithm until X empties or some spine reaches size t.
 
-    ``on_state``, if given, is called after every round with
-    (s, x_mask, y_masks, t_masks) for independent state verification.
-    Raises DegenerateDensity (with the partial trace attached) if some
-    density hits zero mid-run, and InvalidInput on bad starting sets: the
-    starting densities apply ``min_density``'s checks to X and each Y_i.
+    Each round of ``while xset`` is one step s = len(records): the key step,
+    the colour or boost update, the step's record, then ``on_state``, if
+    given, with (s, x_mask, y_masks, t_masks) for independent state
+    verification.  After that the round's exits come in this order: a colour
+    step that brings its spine to t returns the (checked) book; else a zero
+    density raises DegenerateDensity, with the trace so far attached; else an
+    empty X leaves the loop, which returns reservoir_exhausted.  Bad starting
+    sets are InvalidInput: the starting densities apply ``min_density``'s
+    checks to X and each Y_i.
     """
     r = c.r
     ysets = list(ysets)
     if len(ysets) != r:
         raise InvalidInput(f"need one Y set per colour ({r})")
 
-    densities = [min_density(c, xset, ysets[i], i) for i in range(r)]
-    if any(p == 0 for p in densities):
+    densities = tuple(min_density(c, xset, ysets[i], i) for i in range(r))
+    if 0 in densities:
         raise InvalidInput("p_i(0) must be positive for every colour")
     p0 = min(densities)
     header = TraceHeader(
@@ -277,29 +285,12 @@ def run(c: EdgeColouring, xset: int, ysets, params: EngineParams, on_state=None)
         p0=p0,
         initial_x_size=xset.bit_count(),
         initial_y_sizes=tuple(y.bit_count() for y in ysets),
-        initial_densities=tuple(densities),
+        initial_densities=densities,
         colouring_sha256=c.sha256(),
     )
     records: list[StepRecord] = []
     t_masks = [0] * r
-    s = 0
-    while True:
-        done = [i for i in range(r) if t_masks[i].bit_count() >= params.t]
-        if done:
-            i = done[0]
-            pages = ysets[i]
-            if pages & t_masks[i] or not c.is_mono_book(t_masks[i], pages, i):
-                raise LemmaViolation("engine produced an invalid book")
-            return EngineOutcome(RESULT_BOOK, i, t_masks[i], pages, Trace(header, tuple(records)))
-        if xset == 0:
-            return EngineOutcome(RESULT_EXHAUSTED, None, None, None, Trace(header, tuple(records)))
-        if any(p == 0 for p in densities):
-            raise DegenerateDensity(
-                f"density hit zero after step {s - 1}",
-                colour=next(i for i, p in enumerate(densities) if p == 0),
-                trace=Trace(header, tuple(records)),
-            )
-
+    while xset:
         alphas = [(densities[i] - p0 + params.delta) / params.t for i in range(r)]
         ks = key_lemma_step(c, xset, ysets, alphas, header.beta)
 
@@ -321,28 +312,34 @@ def run(c: EdgeColouring, xset: int, ysets, params: EngineParams, on_state=None)
             ysets[ks.colour] = ks.y_primes[ks.colour]
             chosen = None
 
-        if xset:
-            densities = [min_density(c, xset, ysets[i], i) for i in range(r)]
-            dens_rec = tuple(densities)
-        else:
-            dens_rec = None
-        records.append(
-            StepRecord(
-                s=s,
-                kind=kind,
-                pivot=ks.pivot,
-                witness_colour=ks.colour,
-                chosen_colour=chosen,
-                lam=ks.lam,
-                x_size=xset.bit_count(),
-                y_sizes=tuple(y.bit_count() for y in ysets),
-                t_sizes=tuple(t.bit_count() for t in t_masks),
-                densities=dens_rec,
-            )
+        densities = tuple(min_density(c, xset, ysets[i], i) for i in range(r)) if xset else None
+        rec = StepRecord(
+            s=len(records),
+            kind=kind,
+            pivot=ks.pivot,
+            witness_colour=ks.colour,
+            chosen_colour=chosen,
+            lam=ks.lam,
+            x_size=xset.bit_count(),
+            y_sizes=tuple(y.bit_count() for y in ysets),
+            t_sizes=tuple(t.bit_count() for t in t_masks),
+            densities=densities,
         )
+        records.append(rec)
         if on_state is not None:
-            on_state(s, xset, tuple(ysets), tuple(t_masks))
-        s += 1
+            on_state(rec.s, xset, tuple(ysets), tuple(t_masks))
+        if chosen is not None and t_masks[chosen].bit_count() >= params.t:
+            pages = ysets[chosen]
+            if pages & t_masks[chosen] or not c.is_mono_book(t_masks[chosen], pages, chosen):
+                raise LemmaViolation("engine produced an invalid book")
+            return EngineOutcome(RESULT_BOOK, chosen, t_masks[chosen], pages, Trace(header, tuple(records)))
+        if xset and 0 in densities:
+            raise DegenerateDensity(
+                f"density hit zero after step {rec.s}",
+                colour=densities.index(0),
+                trace=Trace(header, tuple(records)),
+            )
+    return EngineOutcome(RESULT_EXHAUSTED, None, None, None, Trace(header, tuple(records)))
 
 
 def derive_boost_threshold(mu: Fraction, p: Fraction, r: int) -> tuple[Fraction, Fraction]:

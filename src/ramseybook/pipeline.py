@@ -51,8 +51,9 @@ def regularise(c: EdgeColouring, eps) -> RegularisationResult:
     move x into the spine of its largest other colour j and recurse into
     N_j(x).  The violating vertex is the smallest label, the violating colour
     the smallest such colour, and j maximises the degree (ties to smallest j).
-    Output always satisfies the three regularity invariants, which are
-    re-verified before returning.
+    Nothing is peeled once |W| <= r, nor at all when r = 1.  Output always
+    satisfies the three regularity invariants, which are re-verified before
+    returning.
     """
     eps = exact_rational(eps)
     if not 0 < eps < 1:
@@ -60,22 +61,13 @@ def regularise(c: EdgeColouring, eps) -> RegularisationResult:
     r = c.r
     cur = c.vertices
     s_sets = [0] * r
-    while True:
-        ncur = cur.bit_count()
-        if r == 1 or ncur <= r:
-            break
+    while r > 1 and (ncur := cur.bit_count()) > r:
         threshold = (Fraction(1, r) - eps) * ncur - 1
-        pick = None
-        for x in iter_vertices(cur):
-            for ell in range(r):
-                if (c._neigh[ell][x] & cur).bit_count() < threshold:
-                    pick = (x, ell)
-                    break
-            if pick:
-                break
-        if pick is None:
+        low = ((x, ell) for x in iter_vertices(cur) for ell in range(r)
+               if (c._neigh[ell][x] & cur).bit_count() < threshold)
+        x, ell = next(low, (None, None))
+        if x is None:
             break
-        x, ell = pick
         degs = [(c._neigh[j][x] & cur).bit_count() if j != ell else -1 for j in range(r)]
         j = degs.index(max(degs))
         if degs[j] < Fraction(1 + eps, r) * ncur:

@@ -152,6 +152,32 @@ class TestRun:
             assert out.trace.header.beta == F(1, 4)
             assert betas == [F(1, 4)] * len(out.trace.records) and betas
 
+    def test_book_check_comes_before_zero_density(self):
+        # step 1 brings spine 0 to t = 1 and leaves a zero density: the book is returned
+        out = run_full(random_colouring(16, 3, 34), EngineParams(t=1, lambda0=F(10), delta=F(1, 16)))
+        assert out.found and len(out.trace.records) == 2
+        assert out.trace.records[-1].densities == (0, F(5, 16), 1)
+
+    def test_zero_density_mid_run_raises_after_the_step_is_recorded(self, monkeypatch):
+        # no seeded run hits a zero density mid-run, so step 0 is forged: a boost
+        # whose Y'_0 = {v} leaves X' = {0} with no colour-0 neighbour
+        c = random_colouring(20, 2, 1)
+        v = next(u for u in range(1, 20) if c.colour(0, u) == 1)
+
+        def forged(*args):
+            ks = geometry.key_lemma_step(*args)
+            return replace(ks, colour=0, x_prime=mask_of([0]), y_primes=(mask_of([v]), ks.y_primes[1]),
+                           lam=F(100))
+
+        monkeypatch.setattr(book_engine, "key_lemma_step", forged)
+        states = []
+        with pytest.raises(DegenerateDensity, match="^density hit zero after step 0$") as info:
+            run_full(c, EngineParams(t=2, lambda0=F(10), delta=F(1, 16)), on_state=lambda *st: states.append(st))
+        assert info.value.colour == 0
+        assert [rec.kind for rec in info.value.trace.records] == ["boost"]
+        assert info.value.trace.records[0].densities[0] == 0
+        assert [st[0] for st in states] == [0]
+
     def test_determinism_byte_identical(self):
         c = random_colouring(40, 3, 77)
         params = EngineParams(t=2, lambda0=F(5), delta=F(1, 8))
@@ -326,6 +352,33 @@ class TestTraceIO:
             with pytest.raises(ParseError) as info:
                 parse_trace(text)
             assert info.value.line == line, text
+
+    @pytest.mark.parametrize(
+        "n, lam0, delta, line", [(40, F(10), F(1, 16), 3), (30, F(5), F(1, 8), 5)], ids=["n40", "n30"]
+    )
+    def test_densities_on_an_empty_x_are_parse_error(self, n, lam0, delta, line):
+        # the engine writes null densities exactly when X is empty, as on each run's last step here
+        lines = run_full(random_colouring(n, 2, 4), EngineParams(t=2, lambda0=lam0, delta=delta)).trace.to_lines()
+        assert len(lines) == line and '"x_size":0,' in lines[-1]
+        lines[-1] = lines[-1].replace('"densities":null', '"densities":["0/1","0/1"]')
+        with pytest.raises(ParseError, match="densities must be null exactly when X is empty") as info:
+            parse_trace("\n".join(lines) + "\n")
+        assert info.value.line == line
+
+    def test_no_step_after_the_run_ended(self):
+        # a run ends at its first step whose X is empty or one of whose spines has reached t
+        book = run_full(random_colouring(40, 2, 0), EngineParams(t=2, lambda0=F(10), delta=F(1, 16))).trace.to_lines()
+        exhausted = run_full(random_colouring(30, 2, 4), EngineParams(t=2, lambda0=F(5), delta=F(1, 8))).trace.to_lines()
+        assert '"t_sizes":[1,0]' in book[2] and '"x_size":0,' in exhausted[4]
+        cases = [
+            ([book[0].replace('"t":2,', '"t":1,'), *book[1:]], 4),               # spine 0 reaches t = 1 at step 1
+            ([*exhausted, exhausted[4].replace('"s":3,', '"s":4,')], 6),          # X is empty after step 3
+        ]
+        for lines, line in cases:
+            parse_trace("\n".join(lines[:line - 1]) + "\n")  # the run up to its end is a trace
+            with pytest.raises(ParseError, match="ended the run") as info:
+                parse_trace("\n".join(lines) + "\n")
+            assert info.value.line == line
 
     def test_non_ascii_file_is_parse_error(self, tmp_path):
         p = tmp_path / "t.jsonl"

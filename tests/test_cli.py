@@ -147,13 +147,11 @@ class TestRunAndVerify:
         invoke(capsys, "run-book", "-i", str(rcg), "--t", "2",
                "--lambda0", "10", "--delta", "1/16", "--trace", str(trace))
         lines = trace.read_text().splitlines()
-        # corrupt the last record's densities to zero
-        rec = json.loads(lines[-1])
-        if rec["densities"] is None:
-            rec["densities"] = ["0/1", "0/1"]
-        else:
-            rec["densities"] = ["0/1"] * len(rec["densities"])
-        lines[-1] = json.dumps(rec, separators=(",", ":"))
+        # zero the densities of the last step with a non-empty X, step 0
+        rec = json.loads(lines[-2])
+        assert rec["s"] == 0 and rec["x_size"] > 0  # step 1, the last, empties X
+        rec["densities"] = ["0/1"] * len(rec["densities"])
+        lines[-2] = json.dumps(rec, separators=(",", ":"))
         trace.write_text("\n".join(lines) + "\n")
         code, out, err = invoke(capsys, "verify-trace", "--trace", str(trace))
         assert code == 1
@@ -197,6 +195,7 @@ class TestRunAndVerify:
             (2, lambda s: s.replace('"densities":["3/4","2/5"]', '"densities":null')),
             (2, lambda s: s.replace('"densities":["3/4","2/5"]', '"densities":["3/4","5/4"]')),
             (2, lambda s: s.replace('"densities":["3/4","2/5"]', '"densities":["-3/4","2/5"]')),
+            (5, lambda s: s.replace('"densities":null', '"densities":["0/1","0/1"]')),
             (1, lambda h: h + "\r"),  # verify-trace does not map \r\n to \n
         ],
         ids=["array", "numeric-rational", "numeric-sizes", "non-ascii", "string-int", "bool-int",
@@ -205,7 +204,8 @@ class TestRunAndVerify:
              "unreduced-rational", "negative-beta", "zero-beta", "zero-p0", "p0-not-least",
              "density-above-one", "zero-density", "small-n", "zero-n", "initial-x-above-n",
              "zero-initial-y", "negative-pivot", "pivot-above-n", "x-size-above-n", "y-size-above-n",
-             "negative-t-size", "null-densities", "step-density-above-one", "negative-density", "crlf"],
+             "negative-t-size", "null-densities", "step-density-above-one", "negative-density",
+             "densities-on-empty-x", "crlf"],
     )
     def test_verify_malformed_trace_is_usage_error(self, tmp_path, capsys, line, spoil):
         rcg = tmp_path / "c.rcg"
@@ -447,11 +447,12 @@ def verify_trace_argv(tmp_path, capsys, spoil_densities):
     invoke(capsys, "generate", "--n", "30", "--r", "2", "--seed", "4", "-o", str(rcg))
     invoke(capsys, "run-book", "-i", str(rcg), "--t", "2", "--lambda0", "5", "--delta", "1/8",
            "--trace", str(trace))
-    if spoil_densities:  # every density of the last step set to 0
+    if spoil_densities:  # every density of step 2, the last step with a non-empty X, set to 0
         lines = trace.read_text().splitlines()
-        rec = json.loads(lines[-1])
+        rec = json.loads(lines[-2])
+        assert rec["s"] == 2 and rec["x_size"] > 0  # step 3, the last, empties X
         rec["densities"] = ["0/1", "0/1"]
-        lines[-1] = json.dumps(rec, separators=(",", ":"))
+        lines[-2] = json.dumps(rec, separators=(",", ":"))
         trace.write_text("\n".join(lines) + "\n")
     return ["verify-trace", "--trace", str(trace)]
 
@@ -497,10 +498,10 @@ class TestJsonKeyOrder:
         [
             (False, 0, ["trace", "monitors", *7 * MONITOR, "ok"],
              "dab33662a94a1ffe8d899dadfb7a2ccd8a2defcdbc554d50b3339bf95111a715"),
-            # structure, 4.1 and 4.2 fail: the structure violation first, then 4.1's two and 4.2's four
-            (True, 1, ["trace", "monitors", *MONITOR, "s", "problem", *MONITOR, *2 * VIOLATION,
+            # structure, 4.1 and 4.2 fail: structure's two violations first, then 4.1's two and 4.2's four
+            (True, 1, ["trace", "monitors", *MONITOR, *2 * ["s", "problem"], *MONITOR, *2 * VIOLATION,
                        *MONITOR, *4 * VIOLATION, *4 * MONITOR, "ok"],
-             "d8fbcd0e7695c053aafa3c063121d8624a22283b1b7f66fc55a0353ec40fc02a"),
+             "2a734d68b80d64ab15c54b3a57c9d478263893633b441266bca1da23d93b14b6"),
         ],
         ids=["engine-trace", "zeroed-densities"],
     )

@@ -5,7 +5,7 @@ import pytest
 
 from ramseybook.book_engine import derive_boost_threshold
 from ramseybook.bounds import thm_book_hypotheses
-from ramseybook.colouring import from_pair_function, random_colouring
+from ramseybook.colouring import from_pair_function, mask_of, random_colouring
 from ramseybook.errors import InvalidInput, ScaleError
 from ramseybook.pipeline import (
     BookPhaseReport,
@@ -21,6 +21,28 @@ from ramseybook.pipeline import (
 def star_heavy():
     """n=8, r=2: vertex 0 sees everything in colour 0; the rest is colour 1."""
     return from_pair_function(8, 2, lambda u, v: 0 if u == 0 else 1)
+
+
+def reference_peels(c, eps):
+    """``regularise``'s docstring rule as a plain loop over vertex sets and
+    ``colour``: peel the smallest violating vertex at its smallest violating
+    colour into the spine of its largest other colour, ties to the smallest."""
+    r, w = c.r, set(range(c.n))
+    spines = [[] for _ in range(r)]
+
+    def deg(x, i):
+        return sum(c.colour(x, y) == i for y in w if y != x)
+
+    while r > 1 and len(w) > r:
+        floor = (F(1, r) - eps) * len(w) - 1
+        low = [(x, ell) for x in sorted(w) for ell in range(r) if deg(x, ell) < floor]
+        if not low:
+            break
+        x, ell = low[0]
+        j = max((i for i in range(r) if i != ell), key=lambda i: (deg(x, i), -i))
+        spines[j].append(x)
+        w = {y for y in w if y != x and c.colour(x, y) == j}
+    return tuple(mask_of(s) for s in spines), mask_of(w)
 
 
 class TestRegularise:
@@ -74,6 +96,24 @@ class TestRegularise:
         bound = (F(11, 20)) ** res.total_spine * 50
         assert bound < 1 <= res.w.bit_count()
         verify_regularisation(c, res)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 20, 60])
+    def test_peels_in_the_documented_order(self, r, n):
+        c = random_colouring(n, r, n + r)
+        for eps in (F(1, 20), F(1, 5), F(1, 2)):
+            res = regularise(c, eps)
+            assert (res.s_sets, res.w) == reference_peels(c, eps), eps
+
+    @pytest.mark.parametrize(
+        "c, peels",
+        [(star_heavy(), 6), (from_pair_function(50, 2, lambda u, v: 0), 48)],
+        ids=["star-heavy", "one-colour-k50"],
+    )
+    def test_peels_in_the_documented_order_when_forced(self, c, peels):
+        res = regularise(c, F(1, 10))
+        assert res.total_spine == peels
+        assert (res.s_sets, res.w) == reference_peels(c, F(1, 10))
 
 
 class TestLemma53:
