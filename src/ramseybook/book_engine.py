@@ -290,8 +290,9 @@ def run(c: EdgeColouring, xset: int, ysets, params: EngineParams, on_state=None)
     )
     records: list[StepRecord] = []
     t_masks = [0] * r
+    shift = params.delta - p0
     while xset:
-        alphas = [(densities[i] - p0 + params.delta) / params.t for i in range(r)]
+        alphas = [(p + shift) / params.t for p in densities]
         ks = key_lemma_step(c, xset, ysets, alphas, header.beta)
 
         if ks.lam <= params.lambda0:

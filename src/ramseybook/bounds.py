@@ -56,6 +56,8 @@ def exact_rational(x) -> Fraction:
     Every rational input of the package goes through this one rule, so NaN,
     an infinity or a string is an InvalidInput, never a bare ValueError.
     """
+    if type(x) is Fraction:
+        return x  # immutable, so no copy is needed
     if isinstance(x, (int, Fraction)) or (isinstance(x, float) and math.isfinite(x)):
         return Fraction(x)
     raise InvalidInput(f"need a finite int/float/Fraction input, got {x!r}")

@@ -9,14 +9,19 @@ the exact count, falling back to a bisection on the estimate's side when the
 estimate is off by more than the bisection depth.
 
 Inner products are never computed from materialised vectors; each one is an
-affine function of a codegree, so the whole witness search runs on integer
+affine function of a codegree, one ratio of integers per colour
+(``Embedding.inner_form``), so the whole witness search runs on integer
 codegrees.  A colour's diagonal threshold is reached exactly by the pairs with
 equal trimmed sets, found by grouping the sets; only a threshold below a
 diagonal builds each row's largest codegree and the set of codegrees attained,
 O(n r) numbers from one r n^2 / 2 popcount pass.  A row's codegrees are
-computed, and its pair eligibility checked, when a scan first reaches that
-row, and only the thresholds a scan reaches become Fractions.  The witness
-recount tests each unordered pair once and each diagonal pair explicitly.
+computed, and its pair eligibility checked against an integer codegree floor,
+when a scan first reaches that row.  Both caps 2 beta are integer
+cross-products of a count and a total, so a Fraction is built only for a
+threshold a scan pulls, to merge the colours in lam order, and for the lam
+and q a step records.  The witness recount derives its own thresholds with
+Fractions and tests each unordered pair once and each diagonal pair
+explicitly.
 
 The key lemma's constants are beta = 3^(-4r) (``default_beta``) and
 C = 4 r^(3/2) (``c_interval``).  Every decay factor coef e^(-C x) comes from
@@ -154,6 +159,8 @@ class Embedding:
 
     The implicit unit-scaled vectors are never materialised; their pairwise
     inner products are (codeg - p_i^2 |Y_i|) / (alpha_i p_i |Y_i|), exact.
+    With m_i = p_i |Y_i| and alpha_i = a_i / b_i in lowest terms that is
+    (codeg |Y_i| - m_i^2) b_i / (a_i m_i |Y_i|), a ratio of integers.
     """
 
     points: tuple[int, ...]
@@ -170,17 +177,22 @@ class Embedding:
     def npoints(self) -> int:
         return len(self.points)
 
-    def trimmed_sizes(self) -> tuple[int, ...]:
-        return tuple(int(p * y) for p, y in zip(self.densities, self.y_sizes))
-
     @cached_property
-    def inner_coefficients(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Per colour, (p_i^2 |Y_i|, alpha_i p_i |Y_i|): an inner product is (codeg - first) / second."""
-        return tuple((p * p * y, a * p * y) for p, a, y in zip(self.densities, self.alphas, self.y_sizes))
+    def inner_form(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """Per colour, the integers (m_i, |Y_i|, m_i^2, b_i, a_i m_i |Y_i|): an
+        inner product is (codeg |Y_i| - m_i^2) b_i / (a_i m_i |Y_i|)."""
+        form = []
+        for p, alpha, y in zip(self.densities, self.alphas, self.y_sizes):
+            m = p.numerator * y // p.denominator
+            form.append((m, y, m * m, alpha.denominator, alpha.numerator * m * y))
+        return tuple(form)
+
+    def trimmed_sizes(self) -> tuple[int, ...]:
+        return tuple(f[0] for f in self.inner_form)
 
     def inner_from_codegree(self, colour: int, codeg: int) -> Fraction:
-        offset, scale = self.inner_coefficients[colour]
-        return (codeg - offset) / scale
+        _m, y, m2, b, scale = self.inner_form[colour]
+        return Fraction((codeg * y - m2) * b, scale)
 
 
 def _per_colour(r: int, ysets, alphas) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
@@ -319,8 +331,10 @@ class _PairTables:
     """Integer codegrees of the unordered pairs of X, kept in O(n r) memory.
 
     A pair is eligible when every coordinate inner product is >= -1, i.e.
-    codeg_i >= p_i |Y_i| (p_i - alpha_i) = ``dmin[i]`` for every colour; only
-    eligible pairs can contribute to any witness event.  Every trimmed set of
+    codeg_i >= p_i |Y_i| (p_i - alpha_i) for every colour; ``dmin[i]`` is the
+    least such integer, ceil((m_i^2 b_i - a_i m_i |Y_i|) / (|Y_i| b_i)) in
+    ``Embedding.inner_form``'s integers, floored at 0.  Only eligible pairs
+    can contribute to any witness event.  Every trimmed set of
     colour i has ``diag[i]`` elements, so ``diag[i]`` is the largest codegree
     and the pairs that reach it are those with equal colour-i sets: rows are
     grouped by set in O(n), with no codegree computed.  Only a threshold below
@@ -345,7 +359,7 @@ class _PairTables:
         self.n = emb.npoints
         self.diag = emb.trimmed_sizes()
         # minimal integer codegree for coordinate >= -1, floored at 0
-        self.dmin = [max(0, math.ceil(off - scale)) for off, scale in emb.inner_coefficients]
+        self.dmin = [max(0, -((scale - m2 * b) // (y * b))) for _m, y, m2, b, scale in emb.inner_form]
         self.row_max: list[list[int]] | None = None  # with ``values``, set by _build_maxima
         self.values: list[set[int]] | None = None
         self.checked: dict[int, list[list[int]]] = {}
@@ -410,7 +424,7 @@ class _PairTables:
         codegrees it reached into Fractions, and checks only the rows it read.
         """
         per_colour = [self._colour_candidates(i) for i in range(self.emb.r)]
-        return heapq.merge(*per_colour, key=lambda t: (-t[0], t[1]))
+        return heapq.merge(*per_colour, key=lambda t: (t[0], -t[1]), reverse=True)
 
     def _colour_candidates(self, colour: int):
         """The candidates of one colour, codegree (hence lam) descending.
@@ -467,18 +481,20 @@ class _PairTables:
         total = self.n * self.n
         for lam, colour, d in self.candidates():
             counts = self.partner_counts(colour, d)
-            w = _Witness(lam, colour, d, counts, Fraction(self.n + sum(counts), total), r, beta)
-            if _meets(w.q, beta, w.bound):
+            w = _Witness(lam, colour, d, counts, self.n + sum(counts), r, beta)
+            if _meets(w.size, total, beta, w.bound):
                 yield w
 
 
-def _meets(x: Fraction, beta: Fraction, bound) -> bool:
-    """Whether x >= 0 reaches ``bound()``, beta e^(-C sqrt(lam + 1)) rounded
-    up, deciding at the exact cap 2 beta first.  For beta > 0 the bound is
-    positive and never above the cap; for beta <= 0 it is at most 0.  So
-    every verdict is the bound's own, and ``bound()`` runs only for
-    0 < x < 2 beta."""
-    return x >= 2 * beta or (x > 0 and x >= bound())
+def _meets(count: int, total: int, beta: Fraction, bound) -> bool:
+    """Whether the ratio count / total (count >= 0, total > 0) reaches
+    ``bound()``, beta e^(-C sqrt(lam + 1)) rounded up, deciding at the exact
+    cap 2 beta first, as the integer cross-product count b >= 2 a total for
+    beta = a / b.  For beta > 0 the bound is positive and never above the
+    cap; for beta <= 0 it is at most 0.  So every verdict is the bound's own,
+    and the ratio becomes a Fraction and ``bound()`` runs only for
+    0 < count / total < 2 beta."""
+    return count * beta.denominator >= 2 * beta.numerator * total or (count > 0 and Fraction(count, total) >= bound())
 
 
 @dataclass(slots=True)
@@ -486,17 +502,23 @@ class _Witness:
     """A candidate the scan accepted, with the partner counts of its event.
 
     ``bound()`` evaluates witness_bound_upper on its first call only, and
-    ``_meets`` calls it only where the cap 2 beta cannot decide.
+    ``_meets`` calls it only where the cap 2 beta cannot decide.  ``q`` is
+    built from ``size`` when it is read, for a report or a step's record.
     """
 
     lam: Fraction
     colour: int
     d: int                   # the codegree threshold of lam in this colour
     counts: list[int]        # per point, its off-diagonal event partners
-    q: Fraction
+    size: int                # the event's ordered pairs, n + sum(counts)
     r: int
     beta: Fraction
     cached_bound: Fraction | None = None
+
+    @property
+    def q(self) -> Fraction:
+        n = len(self.counts)
+        return Fraction(self.size, n * n)
 
     def bound(self) -> Fraction:
         if self.cached_bound is None:
@@ -506,7 +528,7 @@ class _Witness:
 
     def report(self) -> WitnessReport:
         n = len(self.counts)
-        return WitnessReport(self.colour, self.lam, self.q, self.bound(), n + sum(self.counts), n * n)
+        return WitnessReport(self.colour, self.lam, self.q, self.bound(), self.size, n * n)
 
 
 def find_lambda_witness(emb: Embedding, beta=None) -> WitnessReport:
@@ -553,7 +575,7 @@ def key_lemma_step(c: EdgeColouring, xset: int, ysets, alphas, beta=None) -> Key
     chosen = None
     for w in tables.witnesses(beta):
         best = max(w.counts)
-        met = _meets(Fraction(best, n), w.beta, w.bound)
+        met = _meets(best, n, w.beta, w.bound)
         if chosen is None or met:
             chosen = w, w.counts.index(best), met
         if met:
@@ -620,8 +642,8 @@ def verify_key_step(c, xset, ysets, alphas, res: KeyStepResult, beta=None) -> Ke
     )
 
     # a threshold below -1 has no size bound, so it fails the check
-    size = Fraction(res.x_prime.bit_count(), xsize)
-    size_bound_ok = res.lam >= -1 and _meets(size, beta, lambda: witness_bound_upper(res.lam, r, beta))
+    size_bound_ok = res.lam >= -1 and _meets(res.x_prime.bit_count(), xsize, beta,
+                                             lambda: witness_bound_upper(res.lam, r, beta))
     slack_ok = Fraction(res.x_prime.bit_count()) >= res.q * xsize - 1
 
     # the densities after the step need one non-empty Y'_i per colour, and X', Y'_i in range
@@ -652,7 +674,9 @@ def verify_witness(c, xset, ysets, alphas, rep: WitnessReport, beta=None) -> Non
     once: every one of the n^2 ordered pairs is decided.
 
     Raises LemmaViolation if the recount disagrees with the report or the
-    witness inequality fails against a freshly rounded bound.
+    witness inequality fails: it is decided at the exact cap 2 beta first and
+    against a freshly rounded bound only below it (``_meets``).  A reported
+    lam below -1 has no bound and is InvalidInput.
     """
     emb = build_embedding(c, xset, ysets, alphas)
     r = emb.r
@@ -680,6 +704,8 @@ def verify_witness(c, xset, ysets, alphas, rep: WitnessReport, beta=None) -> Non
     q = Fraction(cnt, n * n)
     if q != rep.q:
         raise LemmaViolation("witness probability mismatch on recount")
-    bound = witness_bound_upper(rep.lam, r, beta)
-    if q < bound:
-        raise LemmaViolation(f"witness inequality fails on recount: q={float(q)} < bound={float(bound)}")
+    if rep.lam < -1:
+        raise InvalidInput("threshold below -1")
+    bound = lambda: witness_bound_upper(rep.lam, r, beta)
+    if not _meets(cnt, n * n, beta, bound):
+        raise LemmaViolation(f"witness inequality fails on recount: q={float(q)} < bound={float(bound())}")

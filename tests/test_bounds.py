@@ -18,6 +18,7 @@ from ramseybook.bounds import (
     certify_interval_ge,
     endpoint_fraction,
     es_upper,
+    exact_rational,
     interval_endpoints,
     iv_from_fraction,
     iv_ln,
@@ -75,6 +76,19 @@ class TestIvLn:
         huge, tiny = iv_from_fraction(F(10**25)), iv_from_fraction(F(-(10**25)))
         assert certify_interval_ge(huge, tiny)
         assert not certify_interval_ge(tiny, huge)
+
+
+class TestExactRational:
+    def test_plain_fraction_is_returned_as_is(self):
+        x = F(3, 7)
+        assert exact_rational(x) is x
+
+    def test_fraction_subclass_becomes_a_plain_fraction(self):
+        class Tagged(F):
+            pass
+
+        out = exact_rational(Tagged(3, 7))
+        assert type(out) is F and out == F(3, 7)
 
 
 class TestMultinomials:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import time
 import tracemalloc
@@ -6,7 +7,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import iv, mp
 
@@ -233,6 +234,20 @@ class TestMinDensity:
             assert min_density(c, sub, full, i) >= min_density(c, full, full, i)
 
 
+@st.composite
+def drawn_colours(draw):
+    """One colour of an embedding: (|Y|, m, alpha) with 1 <= m <= |Y| (m = |Y|
+    and m = 1 drawn often) and alpha > 0 small, near p, or with numerator
+    and denominator of up to 40 digits."""
+    y = draw(st.integers(1, 60))
+    m = draw(st.sampled_from([1, y]) | st.integers(1, y))
+    alpha = draw(
+        st.fractions(min_value=F(1, 10**6), max_value=4, max_denominator=10**6)
+        | st.builds(F, st.integers(1, 10**40), st.integers(1, 10**40))
+    )
+    return y, m, alpha
+
+
 class TestEmbedding:
     def test_pentagon_shape(self, c5):
         emb = build_embedding(c5, c5.vertices, [c5.vertices] * 2, [F(1, 10)] * 2)
@@ -309,6 +324,30 @@ class TestEmbedding:
     def test_alpha_must_be_positive(self, c5):
         with pytest.raises(InvalidInput):
             build_embedding(c5, c5.vertices, [c5.vertices] * 2, [F(0), F(1, 4)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(drawn_colours(), min_size=1, max_size=4))
+    @example([(7, 7, F(1, 3))])                    # m = |Y|, dmin = 5 > 0
+    @example([(5, 2, F(3)), (9, 9, F(9))])         # dmin floored at 0
+    @example([(60, 41, F(10**40 + 1, 3 * 10**39)), (13, 1, F(7, 10**45 + 3))])
+    def test_integer_form_is_the_fraction_formula(self, colours):
+        # an embedding drawn per colour as (|Y|, m = p |Y|, alpha); only the
+        # sizes and rationals matter here, so one point stands for X
+        emb = Embedding(
+            points=(0,),
+            y_sizes=tuple(y for y, _, _ in colours),
+            densities=tuple(F(m, y) for y, m, _ in colours),
+            alphas=tuple(alpha for _, _, alpha in colours),
+            trimmed=tuple(((1 << m) - 1,) for _, m, _ in colours),
+        )
+        tables = _PairTables(emb)
+        for i, (y, m, alpha) in enumerate(colours):
+            p = F(m, y)
+            offset, scale = p * p * y, alpha * p * y
+            assert emb.trimmed_sizes()[i] == int(p * y) == m
+            assert tables.dmin[i] == max(0, math.ceil(offset - scale))
+            for codeg in range(m + 1):
+                assert emb.inner_from_codegree(i, codeg) == (codeg - offset) / scale
 
 
 class TestSpecialFunction:
@@ -603,6 +642,44 @@ class TestWitnessRecount:
                 for delta in (-2, -1, 1, 2):
                     with pytest.raises(LemmaViolation, match="recount mismatch"):
                         verify_witness(c, xset, ysets, alphas, replace(rep, pair_count=cnt + delta), beta=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_embeddings())
+    def test_candidates_in_lam_then_colour_order(self, drawn):
+        # every codegree attained by the diagonal or an eligible pair, as
+        # lam = (codeg - p^2 |Y|) / (alpha p |Y|) written out, sorted by lam
+        # descending and then colour ascending
+        emb = drawn[4]
+        n, r, t = emb.npoints, emb.r, emb.trimmed
+        coef = [(p * p * y, a * p * y) for p, a, y in zip(emb.densities, emb.alphas, emb.y_sizes)]
+
+        def lam(i, d):
+            return (d - coef[i][0]) / coef[i][1]
+
+        attained = set()
+        for a in range(n):
+            for b in range(a, n):
+                codeg = [(t[i][a] & t[i][b]).bit_count() for i in range(r)]
+                if all(lam(i, d) >= -1 for i, d in enumerate(codeg)):
+                    attained |= {(lam(i, d), i, d) for i, d in enumerate(codeg)}
+        want = sorted(attained, key=lambda c: (-c[0], c[1]))
+        assert list(_PairTables(emb).candidates()) == want
+
+    def test_threshold_below_minus_one_refused(self):
+        # the recount matches, and a lam below -1 has no bound to test
+        c, alphas, emb, rep = self.witness()
+        cnt = fraction_recounter(emb)(rep.colour, F(-2))
+        low = replace(rep, lam=F(-2), q=F(cnt, rep.total_pairs), pair_count=cnt)
+        with pytest.raises(InvalidInput, match="below -1"):
+            verify_witness(c, c.vertices, [c.vertices] * 2, alphas, low)
+
+    def test_rejects_q_below_the_bound(self):
+        # a beta whose bound is about 2 q lifts both the cap and the bound over q
+        c, alphas, _, rep = self.witness()
+        beta = 2 * rep.q / witness_bound_upper(rep.lam, 2, F(1))
+        assert rep.q < 2 * beta
+        with pytest.raises(LemmaViolation, match="inequality fails"):
+            verify_witness(c, c.vertices, [c.vertices] * 2, alphas, rep, beta=beta)
 
     def witness(self):
         c = random_colouring(16, 2, 0)
@@ -1240,6 +1317,14 @@ class TestWitnessCap:
         finally:
             set_precision(old)
 
+    @staticmethod
+    def desk_case(seed):
+        """A colouring with n in [2, 60] and r in {2, 3}, Y_i = V and random alphas."""
+        rng = random.Random(seed)
+        n, r = rng.randint(2, 60), rng.choice([2, 3])
+        c = random_colouring(n, r, seed)
+        return c, [c.vertices] * r, [F(rng.randint(1, 8), rng.randint(1, 40)) for _ in range(r)]
+
     @pytest.mark.parametrize("seed", range(12))
     def test_key_step_and_its_check_evaluate_no_bound(self, seed, monkeypatch):
         # at default beta and n <= 60, q >= 1/n and every non-empty partner
@@ -1248,14 +1333,25 @@ class TestWitnessCap:
         calls = []
         real = geometry.witness_bound_upper
         monkeypatch.setattr(geometry, "witness_bound_upper", lambda *a: calls.append(a) or real(*a))
-        rng = random.Random(seed)
-        n, r = rng.randint(2, 60), rng.choice([2, 3])
-        c = random_colouring(n, r, seed)
-        full, alphas = [c.vertices] * r, [F(rng.randint(1, 8), rng.randint(1, 40)) for _ in range(r)]
+        c, full, alphas = self.desk_case(seed)
         res = key_lemma_step(c, c.vertices, full, alphas)
         chk = verify_key_step(c, c.vertices, full, alphas, res)
         assert chk.size_bound_ok == res.met_size_bound
         assert calls == []
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_found_witness_and_its_recount_evaluate_one_bound(self, seed, monkeypatch):
+        # the report records its bound, evaluated once; the recount's
+        # q >= 1/n clears the cap 2 beta at default beta and n <= 60, so
+        # verify_witness evaluates none
+        calls = []
+        real = geometry.witness_bound_upper
+        monkeypatch.setattr(geometry, "witness_bound_upper", lambda *a: calls.append(a) or real(*a))
+        c, full, alphas = self.desk_case(seed)
+        rep = find_lambda_witness(build_embedding(c, c.vertices, full, alphas))
+        assert calls == [(rep.lam, c.r, default_beta(c.r))]
+        verify_witness(c, c.vertices, full, alphas, rep)
+        assert len(calls) == 1
 
     def test_find_witness_evaluates_the_bound_once(self, monkeypatch):
         calls = []
