@@ -25,11 +25,13 @@ explicitly.
 
 The key lemma's constants are beta = 3^(-4r) (``default_beta``) and
 C = 4 r^(3/2) (``c_interval``).  Every decay factor coef e^(-C x) comes from
-one kernel, ``decay_enclosure``: the witness bound beta e^(-C sqrt(lam + 1))
-here, and both factors of Lemma 4.5 in ``monitors``.  The special-function
-bound and that kernel run on mpmath's raw interval endpoint pairs
-(``mpmath.libmp.mpi_*``) at ``iv.prec``, read at each call, in the order the
-``iv`` operators take, so their enclosures are those of ``iv``.
+one ``iv`` expression, ``decay_enclosure``: the witness bound beta
+e^(-C sqrt(lam + 1)) here, and both factors of Lemma 4.5 in ``monitors``.
+Each is evaluated only where an exact rational cap cannot decide.  The
+special-function bound, evaluated on every call, runs on mpmath's raw
+interval endpoint pairs (``mpmath.libmp.mpi_*``) at ``iv.prec``, read at each
+call, in the order the ``iv`` operators take, so its enclosures are those of
+``iv``.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .bounds import (
     certify_interval_ge,
     endpoint_fraction,
     exact_rational,
+    iv_from_fraction,
     iv_from_int,
     mpi_from_fraction,
     mpi_from_int,
@@ -79,11 +82,8 @@ def _c_enclosure(r: int, prec: int):
 
 
 def decay_enclosure(coef: Fraction, r: int, x):
-    """Enclosure of coef * e^(-C x), C = 4 r^(3/2), as a raw endpoint pair,
-    for the raw endpoint pair ``x`` enclosing x."""
-    prec = iv.prec
-    expo = mpi_mul(mpi_neg(c_interval(r)._mpi_, prec), x, prec)
-    return mpi_mul(mpi_from_fraction(coef), mpi_exp(expo, prec), prec)
+    """Enclosure of coef * e^(-C x), C = 4 r^(3/2), for the enclosure ``x`` of x."""
+    return iv_from_fraction(coef) * iv.exp(-c_interval(r) * x)
 
 
 def witness_bound_upper(lam: Fraction, r: int, beta: Fraction) -> Fraction:
@@ -95,7 +95,7 @@ def witness_bound_upper(lam: Fraction, r: int, beta: Fraction) -> Fraction:
     """
     if lam < -1:
         raise InvalidInput("threshold below -1")
-    return endpoint_fraction(decay_enclosure(beta, r, mpi_sqrt(mpi_from_fraction(lam + 1), iv.prec))[1])
+    return endpoint_fraction(decay_enclosure(beta, r, iv.sqrt(iv_from_fraction(lam + 1)))._mpi_[1])
 
 
 # ---------------------------------------------------------------------------
@@ -481,29 +481,30 @@ class _PairTables:
         total = self.n * self.n
         for lam, colour, d in self.candidates():
             counts = self.partner_counts(colour, d)
-            w = _Witness(lam, colour, d, counts, self.n + sum(counts), r, beta)
-            if _meets(w.size, total, beta, w.bound):
-                yield w
+            size = self.n + sum(counts)
+            if _meets(size, total, beta, lam, r):
+                yield _Witness(lam, colour, d, counts, size, r, beta)
 
 
-def _meets(count: int, total: int, beta: Fraction, bound) -> bool:
+def _meets(count: int, total: int, beta: Fraction, lam: Fraction, r: int) -> bool:
     """Whether the ratio count / total (count >= 0, total > 0) reaches
-    ``bound()``, beta e^(-C sqrt(lam + 1)) rounded up, deciding at the exact
-    cap 2 beta first, as the integer cross-product count b >= 2 a total for
-    beta = a / b.  For beta > 0 the bound is positive and never above the
-    cap; for beta <= 0 it is at most 0.  So every verdict is the bound's own,
-    and the ratio becomes a Fraction and ``bound()`` runs only for
-    0 < count / total < 2 beta."""
-    return count * beta.denominator >= 2 * beta.numerator * total or (count > 0 and Fraction(count, total) >= bound())
+    ``witness_bound_upper(lam, r, beta)``, beta e^(-C sqrt(lam + 1)) rounded
+    up, deciding at the exact cap 2 beta first, as the integer cross-product
+    count b >= 2 a total for beta = a / b.  For beta > 0 the bound is
+    positive and never above the cap; for beta <= 0 it is at most 0.  So
+    every verdict is the bound's own, and the ratio becomes a Fraction and
+    the bound is evaluated only for 0 < count / total < 2 beta."""
+    # witness_bound_upper is looked up at call time, so a wrapper installed on the module sees the call
+    return (count * beta.denominator >= 2 * beta.numerator * total
+            or (count > 0 and Fraction(count, total) >= witness_bound_upper(lam, r, beta)))
 
 
 @dataclass(slots=True)
 class _Witness:
     """A candidate the scan accepted, with the partner counts of its event.
 
-    ``bound()`` evaluates witness_bound_upper on its first call only, and
-    ``_meets`` calls it only where the cap 2 beta cannot decide.  ``q`` is
-    built from ``size`` when it is read, for a report or a step's record.
+    ``q`` is built from ``size`` when it is read, for a report or a step's
+    record.
     """
 
     lam: Fraction
@@ -513,22 +514,16 @@ class _Witness:
     size: int                # the event's ordered pairs, n + sum(counts)
     r: int
     beta: Fraction
-    cached_bound: Fraction | None = None
 
     @property
     def q(self) -> Fraction:
         n = len(self.counts)
         return Fraction(self.size, n * n)
 
-    def bound(self) -> Fraction:
-        if self.cached_bound is None:
-            # looked up at call time, so a wrapper installed on the module sees the call
-            self.cached_bound = witness_bound_upper(self.lam, self.r, self.beta)
-        return self.cached_bound
-
     def report(self) -> WitnessReport:
         n = len(self.counts)
-        return WitnessReport(self.colour, self.lam, self.q, self.bound(), self.size, n * n)
+        bound = witness_bound_upper(self.lam, self.r, self.beta)
+        return WitnessReport(self.colour, self.lam, self.q, bound, self.size, n * n)
 
 
 def find_lambda_witness(emb: Embedding, beta=None) -> WitnessReport:
@@ -575,7 +570,7 @@ def key_lemma_step(c: EdgeColouring, xset: int, ysets, alphas, beta=None) -> Key
     chosen = None
     for w in tables.witnesses(beta):
         best = max(w.counts)
-        met = _meets(best, n, w.beta, w.bound)
+        met = _meets(best, n, w.beta, w.lam, w.r)
         if chosen is None or met:
             chosen = w, w.counts.index(best), met
         if met:
@@ -642,8 +637,7 @@ def verify_key_step(c, xset, ysets, alphas, res: KeyStepResult, beta=None) -> Ke
     )
 
     # a threshold below -1 has no size bound, so it fails the check
-    size_bound_ok = res.lam >= -1 and _meets(res.x_prime.bit_count(), xsize, beta,
-                                             lambda: witness_bound_upper(res.lam, r, beta))
+    size_bound_ok = res.lam >= -1 and _meets(res.x_prime.bit_count(), xsize, beta, res.lam, r)
     slack_ok = Fraction(res.x_prime.bit_count()) >= res.q * xsize - 1
 
     # the densities after the step need one non-empty Y'_i per colour, and X', Y'_i in range
@@ -706,6 +700,6 @@ def verify_witness(c, xset, ysets, alphas, rep: WitnessReport, beta=None) -> Non
         raise LemmaViolation("witness probability mismatch on recount")
     if rep.lam < -1:
         raise InvalidInput("threshold below -1")
-    bound = lambda: witness_bound_upper(rep.lam, r, beta)
-    if not _meets(cnt, n * n, beta, bound):
-        raise LemmaViolation(f"witness inequality fails on recount: q={float(q)} < bound={float(bound())}")
+    if not _meets(cnt, n * n, beta, rep.lam, r):
+        bound = float(witness_bound_upper(rep.lam, r, beta))
+        raise LemmaViolation(f"witness inequality fails on recount: q={float(q)} < bound={bound}")

@@ -194,8 +194,9 @@ def check_lemma_45_46(trace: Trace) -> list[MonitorReport]:
     the cap is checked against the cap, exactly.  Only a state below the cap,
     or any state when beta > r, is checked against the interval right side;
     it is built when first needed and again after each later boost, its
-    decay factors from ``geometry.decay_enclosure`` and the root sum added
-    boost by boost, so that it is the same enclosure wherever it is built.
+    decay factors from ``geometry.decay_enclosure`` and the root sum taken
+    over the boosts so far in trace order, so that it is the same enclosure
+    wherever it is built.
     """
     h = trace.header
     rt = h.r * h.t
@@ -204,13 +205,10 @@ def check_lemma_45_46(trace: Trace) -> list[MonitorReport]:
         capped = 0 < h.beta <= h.r and h.lambda0 >= -1 and h.initial_x_size >= 0
         cap = h.beta / h.r * h.initial_x_size - rt
         eps = rhs = None
-        boosts = 0
-        root_sum = iv.mpf(0)
-        pending = []  # lambda + 1 of the boosts not yet in root_sum
+        lams = []  # lambda of the boosts so far
         for s, x_size, _ys, _ts, _dens, boost in _states(trace):
             if boost is not None:
-                boosts += 1
-                pending.append(boost.lam + 1)
+                lams.append(boost.lam)
                 capped = capped and boost.lam >= -1
                 rhs = None  # the right side moves only at a boost
             if capped and x_size >= cap:
@@ -218,12 +216,9 @@ def check_lemma_45_46(trace: Trace) -> list[MonitorReport]:
                 continue
             if rhs is None:
                 if eps is None:
-                    eps = iv.make_mpf(decay_enclosure(h.beta / h.r, h.r, iv.sqrt(iv_from_fraction(h.lambda0 + 1))._mpi_))
-                for lam1 in pending:
-                    root_sum += iv.sqrt(iv_from_fraction(lam1))
-                pending.clear()
-                decay = iv.make_mpf(decay_enclosure(1, h.r, root_sum._mpi_))
-                rhs = eps ** (rt + boosts) * decay * h.initial_x_size - rt
+                    eps = decay_enclosure(h.beta / h.r, h.r, iv.sqrt(iv_from_fraction(h.lambda0 + 1)))
+                root_sum = sum((iv.sqrt(iv_from_fraction(lam + 1)) for lam in lams), iv.mpf(0))
+                rhs = eps ** (rt + len(lams)) * decay_enclosure(1, h.r, root_sum) * h.initial_x_size - rt
             yield s, None, [(x_size, ">=", rhs)]
 
     def checks_46():

@@ -1,9 +1,11 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
 import sys
 import time
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -622,3 +624,27 @@ class TestUsageErrors:
         proc = fresh_python("-c", "from ramseybook import bounds; print(bounds.precision())",
                             RF_PRECISION_BITS=bits)
         assert proc.returncode == 0 and proc.stdout.strip() == "128"
+
+
+class TestConsoleScript:
+    """The ``ramseybook`` command that ``pyproject.toml`` declares."""
+
+    @staticmethod
+    def declared():
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            return tomllib.load(fh)["project"]["scripts"]["ramseybook"]
+
+    def test_declared_entry_point_is_callable(self):
+        assert self.declared() == "ramseybook.cli:entrypoint"
+        module, _, name = self.declared().partition(":")
+        assert callable(getattr(importlib.import_module(module), name))
+
+    @pytest.mark.parametrize("r, code", [("1", 2), ("2", 0)])
+    def test_entry_point_exits_with_mains_code(self, r, code):
+        # call the entry point as the installed script does, with sys.argv set
+        run = ("import importlib, sys; module, _, name = sys.argv.pop(1).partition(':'); "
+               "getattr(importlib.import_module(module), name)()")
+        proc = fresh_python("-c", run, self.declared(), "bounds", "thm51", "--r", r)
+        assert proc.returncode == code
+        if code == 0:
+            assert proc.stdout and proc.stdout == fresh_python("-m", "ramseybook", "bounds", "thm51", "--r", r).stdout

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import iv, mp
+from mpmath.libmp import mpi_exp, mpi_mul, mpi_neg
 
 from ramseybook import geometry
 from ramseybook.bounds import (
@@ -33,6 +34,7 @@ from ramseybook.geometry import (
     SpecialBranch,
     WitnessReport,
     _lowest_bits,
+    _meets,
     _PairTables,
     build_embedding,
     c_interval,
@@ -1252,6 +1254,33 @@ class TestWitnessCap:
         finally:
             set_precision(old)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        total=st.integers(1, 10**4),
+        share=st.fractions(min_value=0, max_value=1),
+        r=st.sampled_from([2, 3]),
+        beta=st.sampled_from([F(-1, 9), F(0), "default", F(1, 4), F(1), F(64)]),
+        lam=st.fractions(min_value=-1, max_value=400, max_denominator=10**6),
+        bits=st.sampled_from([16, 128]),
+    )
+    def test_meets_is_the_bound_comparison(self, total, share, r, beta, lam, bits):
+        # the cap rule gives the bound's own verdict, and evaluates the bound
+        # exactly where the cap 2 beta cannot decide
+        beta = default_beta(r) if beta == "default" else beta
+        count = math.floor(share * total)
+        real = geometry.witness_bound_upper
+        calls = []
+        old = precision()
+        try:
+            set_precision(bits)
+            want = F(count, total) >= real(lam, r, beta)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(geometry, "witness_bound_upper", lambda *a: calls.append(a) or real(*a))
+                assert _meets(count, total, beta, lam, r) == want
+        finally:
+            set_precision(old)
+        assert calls == ([(lam, r, beta)] if beta > 0 and 0 < F(count, total) < 2 * beta else [])
+
     def test_beta_itself_is_no_cap(self):
         # at 16 bits the rounding lifts the lam = -1 bound above beta
         old = precision()
@@ -1393,8 +1422,9 @@ class TestWitnessCap:
     @pytest.mark.parametrize("bits", [24, 53, 128])
     def test_decay_kernel_is_the_iv_operator_enclosure(self, bits):
         # the witness bound and both factors of Lemma 4.5 come from this one
-        # kernel, so it must give exactly the iv operators' coef e^(-C x),
-        # for x a square root (eps, the witness bound) or a sum of them
+        # kernel, so it must give exactly coef e^(-C x) composed from the raw
+        # endpoint-pair functions in the iv operators' order, for x a square
+        # root (eps, the witness bound) or a sum of them
         rng = random.Random(bits)
         old = precision()
         try:
@@ -1406,8 +1436,10 @@ class TestWitnessCap:
                 x = iv.mpf(0)
                 for _ in range(rng.randint(1, 4)):
                     x += iv.sqrt(iv_from_fraction(F(rng.randint(0, 6400), 64)))
-                want = iv_from_fraction(coef) * iv.exp(-c_interval(r) * x)
-                assert decay_enclosure(coef, r, x._mpi_) == want._mpi_
+                prec = iv.prec
+                expo = mpi_mul(mpi_neg(c_interval(r)._mpi_, prec), x._mpi_, prec)
+                want = mpi_mul(mpi_from_fraction(coef), mpi_exp(expo, prec), prec)
+                assert decay_enclosure(coef, r, x)._mpi_ == want
         finally:
             set_precision(old)
 

@@ -1,10 +1,15 @@
 """``tools/src_size.py``, the size measure cited for ``src/``, on a fixture
-whose counts can be read off by hand."""
+whose counts can be read off by hand, and a check that no ``src/`` module
+keeps an import it never uses."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+SRC = Path(__file__).resolve().parents[1] / "src" / "ramseybook"
 
 FIXTURE = '''"""A module docstring
 over two lines."""
@@ -41,3 +46,27 @@ def test_src_size_counts_the_fixture(tmp_path):
     # branches: the if, the elif and the conditional expression; a
     # comprehension's if is a filter, not an ast.If or ast.IfExp
     assert src_size.branches(path) == 3
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names bound by module-level imports that the module never reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+def test_unused_import_finder_on_a_fixture():
+    source = "from __future__ import annotations\nimport os.path\nfrom a import b, c as d\nos.sep\nd()\n"
+    assert _unused_imports(source) == ["b"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name)
+def test_src_modules_have_no_unused_imports(path):
+    # __init__.py is skipped: its imports are re-exports
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
