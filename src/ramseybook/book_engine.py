@@ -19,6 +19,7 @@ other key order or extra keys, no escapes the encoder does not write.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
@@ -30,7 +31,7 @@ from mpmath import iv
 from .bounds import (
     Report, check_digit_limit, exact_rational, interval_endpoints, iv_from_fraction, json_keys, read_rational
 )
-from .colouring import EdgeColouring, read_ascii
+from .colouring import EdgeColouring, check_size, read_ascii
 from .errors import DegenerateDensity, InvalidInput, LemmaViolation, ParseError
 from .geometry import c_interval, default_beta, key_lemma_step, min_density
 
@@ -174,8 +175,9 @@ def _parse_line(line: str, lineno: int, build):
 def _read_header(d: dict) -> TraceHeader:
     h = _decode(TraceHeader, d)
     EngineParams(h.t, h.lambda0, h.delta)  # its InvalidInput is a ParseError on the line
-    if h.n < 1 or h.r < 1:
-        raise ParseError("n and r must be >= 1")
+    check_size(h.n, h.r)  # the colouring's own rule, so r <= MAX_COLOURS
+    if not re.fullmatch("[0-9a-f]{64}", h.colouring_sha256):
+        raise ParseError("colouring_sha256 must be 64 lowercase hex digits")
     if len(h.initial_y_sizes) != h.r or len(h.initial_densities) != h.r:
         raise ParseError(f"every per-colour list must have r = {h.r} entries")
     if any(not 1 <= size <= h.n for size in (h.initial_x_size, *h.initial_y_sizes)):

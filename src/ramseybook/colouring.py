@@ -74,7 +74,9 @@ def pair_index(n: int, u: int, v: int) -> int:
     return u * n - (u * (u + 1)) // 2 + (v - u - 1)
 
 
-def _check_size(n: int, r: int) -> None:
+def check_size(n: int, r: int) -> None:
+    """The size rule of every colouring, read, built or named in a trace header:
+    n >= 1 vertices and r in [1, MAX_COLOURS] colours, else InvalidInput."""
     if n < 1:
         raise InvalidInput(f"need at least one vertex, got n={n}")
     if not 1 <= r <= MAX_COLOURS:
@@ -90,7 +92,7 @@ class EdgeColouring:
     __slots__ = ("n", "r", "_tri", "_neigh", "_sha256")
 
     def __init__(self, n: int, r: int, triangle):
-        _check_size(n, r)
+        check_size(n, r)
         try:
             tri = bytes(triangle)
         except ValueError:  # an int outside [0, 256)
@@ -256,7 +258,7 @@ def random_colouring(n: int, r: int, seed: int) -> EdgeColouring:
     value of ``random.Random(seed).randrange(r)``.  The seed must be at least
     0, since ``Random(-s)`` draws the same stream as ``Random(s)``.
     """
-    _check_size(n, r)
+    check_size(n, r)
     if seed < 0:
         raise InvalidInput(f"seed must be at least 0, got {seed}")
     # randrange(r) takes the top k bits of one 32-bit Mersenne Twister word

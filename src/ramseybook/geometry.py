@@ -466,24 +466,25 @@ class _PairTables:
         points = self.emb.points
         return mask_of(points[b] for b in chain(before, after))
 
-    def witnesses(self, beta):
-        """Yield a _Witness for every candidate, in scan order, whose event
-        probability q satisfies q >= beta e^(-C sqrt(lam+1)).
+    def witnesses(self, beta: Fraction):
+        """Yield (lam, colour, d, counts, size) for every candidate, in scan
+        order, whose event probability q = size / n^2 satisfies
+        q >= beta e^(-C sqrt(lam+1)): d is lam's codegree threshold in the
+        colour, and counts[a] the off-diagonal event partners of point a.
 
         The event holds the n diagonal pairs and each counted partner, so its
-        size is n + sum(counts); ``_meets`` decides the inequality.
-        A beta <= 0 is InvalidInput, as the trace reader rejects it.
+        size is n + sum(counts); ``_meets`` decides the inequality.  ``beta``
+        is exact already (``_beta``, resolved once by each caller); a
+        beta <= 0 is InvalidInput, as the trace reader rejects it.
         """
-        r = self.emb.r
-        beta = _beta(beta, r)
         if beta <= 0:
             raise InvalidInput(f"beta must be positive, got {beta}")
-        total = self.n * self.n
+        r, total = self.emb.r, self.n * self.n
         for lam, colour, d in self.candidates():
             counts = self.partner_counts(colour, d)
             size = self.n + sum(counts)
             if _meets(size, total, beta, lam, r):
-                yield _Witness(lam, colour, d, counts, size, r, beta)
+                yield lam, colour, d, counts, size
 
 
 def _meets(count: int, total: int, beta: Fraction, lam: Fraction, r: int) -> bool:
@@ -499,33 +500,6 @@ def _meets(count: int, total: int, beta: Fraction, lam: Fraction, r: int) -> boo
             or (count > 0 and Fraction(count, total) >= witness_bound_upper(lam, r, beta)))
 
 
-@dataclass(slots=True)
-class _Witness:
-    """A candidate the scan accepted, with the partner counts of its event.
-
-    ``q`` is built from ``size`` when it is read, for a report or a step's
-    record.
-    """
-
-    lam: Fraction
-    colour: int
-    d: int                   # the codegree threshold of lam in this colour
-    counts: list[int]        # per point, its off-diagonal event partners
-    size: int                # the event's ordered pairs, n + sum(counts)
-    r: int
-    beta: Fraction
-
-    @property
-    def q(self) -> Fraction:
-        n = len(self.counts)
-        return Fraction(self.size, n * n)
-
-    def report(self) -> WitnessReport:
-        n = len(self.counts)
-        bound = witness_bound_upper(self.lam, self.r, self.beta)
-        return WitnessReport(self.colour, self.lam, self.q, bound, self.size, n * n)
-
-
 def find_lambda_witness(emb: Embedding, beta=None) -> WitnessReport:
     """Largest threshold lam (ties: smallest colour) whose event probability q
     over all |X|^2 ordered pairs satisfies q >= beta e^(-C sqrt(lam+1)).
@@ -535,11 +509,15 @@ def find_lambda_witness(emb: Embedding, beta=None) -> WitnessReport:
     candidate is a colour's diagonal, decided from equal trimmed sets, so
     when it is accepted (always while 2 beta |X| <= 1: its q >= 1/|X|) the
     search costs O(|X| r) plus one bound evaluation, and the codegree
-    maxima are never built.  Failure to find any witness raises
+    maxima are never built.  beta is resolved once (``_beta``), for the
+    scan and the report's bound.  Failure to find any witness raises
     LemmaViolation (it is a theorem that one exists).
     """
-    for w in _PairTables(emb).witnesses(beta):
-        return w.report()
+    r, n = emb.r, emb.npoints
+    beta = _beta(beta, r)
+    for lam, colour, _d, _counts, size in _PairTables(emb).witnesses(beta):
+        bound = witness_bound_upper(lam, r, beta)
+        return WitnessReport(colour, lam, Fraction(size, n * n), bound, size, n * n)
     raise LemmaViolation("no lambda witness found; this should be impossible")
 
 
@@ -562,29 +540,31 @@ def key_lemma_step(c: EdgeColouring, xset: int, ysets, alphas, beta=None) -> Key
     taken against the exact cap 2 beta first (met at or above it, missed at
     zero), and the interval bound is evaluated only in between; the result
     records no bound, so a step whose decisions the cap settles evaluates
-    none.
+    none.  beta is resolved once (``_beta``), after the embedding is built,
+    for the scan and every pivot decision.
     """
     emb = build_embedding(c, xset, ysets, alphas)
+    r, n = emb.r, emb.npoints
+    beta = _beta(beta, r)
     tables = _PairTables(emb)
-    n = tables.n
     chosen = None
-    for w in tables.witnesses(beta):
-        best = max(w.counts)
-        met = _meets(best, n, w.beta, w.lam, w.r)
+    for lam, colour, d, counts, size in tables.witnesses(beta):
+        best = max(counts)
+        met = _meets(best, n, beta, lam, r)
         if chosen is None or met:
-            chosen = w, w.counts.index(best), met
+            chosen = lam, colour, d, counts.index(best), size, met
         if met:
             break
     if chosen is None:
         raise LemmaViolation("no lambda witness found; this should be impossible")
-    w, pivot_idx, met = chosen
+    lam, colour, d, pivot_idx, size, met = chosen
     return KeyStepResult(
         pivot=emb.points[pivot_idx],
-        colour=w.colour,
-        x_prime=tables.x_prime_mask(w.colour, w.d, pivot_idx),
+        colour=colour,
+        x_prime=tables.x_prime_mask(colour, d, pivot_idx),
         y_primes=tuple(t[pivot_idx] for t in emb.trimmed),
-        lam=w.lam,
-        q=w.q,
+        lam=lam,
+        q=Fraction(size, n * n),
         met_size_bound=met,
     )
 

@@ -1,3 +1,4 @@
+import gc
 import inspect
 import itertools
 import random
@@ -352,6 +353,28 @@ class TestTraceIO:
             with pytest.raises(ParseError) as info:
                 parse_trace(text)
             assert info.value.line == line, text
+
+    @pytest.mark.parametrize(
+        "spoil, match",
+        [
+            (dict(r=0), "colour count"),
+            # n = 2 with 65 colours is a header every other rule accepts
+            (dict(n=2, r=65, p0=F(1, 2), initial_x_size=2, initial_y_sizes=(2,) * 65,
+                  initial_densities=(F(1, 2),) * 65), "colour count"),
+            (dict(colouring_sha256=""), "colouring_sha256"),
+            (dict(colouring_sha256="x"), "colouring_sha256"),
+            (dict(colouring_sha256="Z" * 64), "colouring_sha256"),
+            (dict(colouring_sha256=random_colouring(30, 2, 1).sha256().upper()), "colouring_sha256"),
+        ],
+        ids=["r0", "r65", "empty-digest", "short-digest", "non-hex-digest", "upper-case-digest"],
+    )
+    def test_header_outside_the_writers_rules_is_parse_error(self, spoil, match):
+        # r obeys the colouring's own size rule, and the digest is as hexdigest() writes it
+        header = run_full(random_colouring(30, 2, 1), EngineParams(t=2, lambda0=F(10), delta=F(1, 16))).trace.header
+        parse_trace(Trace(header, ()).to_text())
+        with pytest.raises(ParseError, match=match) as info:
+            parse_trace(Trace(replace(header, **spoil), ()).to_text())
+        assert info.value.line == 1
 
     @pytest.mark.parametrize(
         "n, lam0, delta, line", [(40, F(10), F(1, 16), 3), (30, F(5), F(1, 8), 5)], ids=["n40", "n30"]
@@ -765,7 +788,8 @@ class TestLemma45Cap:
     def test_huge_t_is_decided_at_once(self):
         trace = _engine_trace(n=30, seed=8, t=4, lam0=F(1), delta=F(1, 4))
         trace = Trace(replace(trace.header, t=10**9), trace.records)
-        start = time.perf_counter()
+        gc.collect()
+        start = time.process_time()
         got = check_lemma_45_46(trace)[0].to_json()
-        assert time.perf_counter() - start < 0.1
+        assert time.process_time() - start < 0.1
         assert got["ok"] and got == reference_lemma_45(trace)

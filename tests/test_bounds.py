@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import json
 import math
 import random
@@ -404,15 +405,17 @@ class TestReadRational:
 
     @pytest.mark.parametrize("text", ["1e10000000", "-1e-10000000", "0.1e10000000", "1e99999999999999999999"])
     def test_long_exponent_refused_before_it_is_expanded(self, text):
-        start = time.perf_counter()
+        gc.collect()
+        start = time.process_time()
         with pytest.raises(InvalidInput, match="digits"):
             read_rational(text)
-        assert time.perf_counter() - start < 0.1
+        assert time.process_time() - start < 0.1
 
     def test_zero_with_a_long_exponent_is_zero(self):
-        start = time.perf_counter()
+        gc.collect()
+        start = time.process_time()
         assert read_rational("0e10000000") == 0
-        assert time.perf_counter() - start < 0.1
+        assert time.process_time() - start < 0.1
 
     def test_values_at_the_limit(self):
         limit = sys.get_int_max_str_digits()

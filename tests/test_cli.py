@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib
 import json
@@ -303,9 +304,10 @@ class TestRunAndVerify:
                          "--r", "2", "--size-x", "1", "--size-ys", "1,1"],
         }[command]
         argv[argv.index(option) + 1] = value
-        start = time.perf_counter()
+        gc.collect()
+        start = time.process_time()
         code, out, err = invoke(capsys, *argv)
-        assert time.perf_counter() - start < 0.1
+        assert time.process_time() - start < 0.1
         assert code == 2
         assert out == "" and "digits" in err and "Traceback" not in err
 
