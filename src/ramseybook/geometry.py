@@ -12,16 +12,16 @@ Inner products are never computed from materialised vectors; each one is an
 affine function of a codegree, one ratio of integers per colour
 (``Embedding.inner_form``), so the whole witness search runs on integer
 codegrees.  A colour's diagonal threshold is reached exactly by the pairs with
-equal trimmed sets, found by grouping the sets; only a threshold below a
-diagonal builds each row's largest codegree and the set of codegrees attained,
-O(n r) numbers from one r n^2 / 2 popcount pass.  A row's codegrees are
-computed, and its pair eligibility checked against an integer codegree floor,
-when a scan first reaches that row.  Both caps 2 beta are integer
-cross-products of a count and a total, so a Fraction is built only for a
-threshold a scan pulls, to merge the colours in lam order, and for the lam
-and q a step records.  The witness recount derives its own thresholds with
-Fractions and tests each unordered pair once and each diagonal pair
-explicitly.
+equal trimmed sets, so its partners come from the sets and each such pair's
+own r codegrees; only a colour's scan below its diagonal builds that colour's
+largest codegree per row and set of codegrees attained, O(n) numbers from one
+n^2 / 2 popcount pass.  A row's codegrees are computed, and its pair
+eligibility checked against an integer codegree floor, when such a scan first
+reaches that row.  Both caps 2 beta are integer cross-products of a count and
+a total, so a Fraction is built only for a threshold a scan pulls, to merge
+the colours in lam order, and for the lam and q a step records.  The witness
+recount derives its own thresholds with Fractions and tests each unordered
+pair once and each diagonal pair explicitly.
 
 The key lemma's constants are beta = 3^(-4r) (``default_beta``) and
 C = 4 r^(3/2) (``c_interval``).  Every decay factor coef e^(-C x) comes from
@@ -336,15 +336,18 @@ class _PairTables:
     ``Embedding.inner_form``'s integers, floored at 0.  Only eligible pairs
     can contribute to any witness event.  Every trimmed set of
     colour i has ``diag[i]`` elements, so ``diag[i]`` is the largest codegree
-    and the pairs that reach it are those with equal colour-i sets: rows are
-    grouped by set in O(n), with no codegree computed.  Only a threshold below
-    some colour's diagonal needs ``_build_maxima``, which keeps, per colour,
-    ``row_max[i][a]``, the largest raw codegree of the pairs (a, b > a), and
-    ``values[i]``, every raw codegree of such pairs; no row is stored.  The
-    first time a scan reaches row a (``_rows_reaching``), ``_check_row``
-    stores it in every colour with its ineligible pairs marked -1:
-    ``checked[a][i][j]`` is then the colour-i codegree of the pair
-    (a, a + 1 + j), and ``checked_max[a][i]`` the largest of them.
+    and the pairs that reach it are those with equal colour-i sets: a point's
+    partners there are the points with its set whose pair passes eligibility
+    on its own r codegrees (``_equal_partners``), and nothing is stored for
+    them.  Only colour i's scan below its diagonal needs
+    ``_build_maxima(i)``, which fills colour i's slots: ``row_max[i][a]``, the
+    largest raw codegree of the pairs (a, b > a), and ``values[i]``, every raw
+    codegree of such pairs; no row is stored, and a colour never scanned below
+    its diagonal keeps None.  The first time such a scan reaches row a
+    (``_rows_reaching``), ``_check_row`` stores it in every colour with its
+    ineligible pairs marked -1: ``checked[a][i][j]`` is then the colour-i
+    codegree of the pair (a, a + 1 + j), and ``checked_max[a][i]`` the
+    largest of them.
 
     The tables are a pure cache of the embedding: every entry is a function
     of the trimmed sets alone, so no call order changes what they hold.
@@ -360,23 +363,20 @@ class _PairTables:
         self.diag = emb.trimmed_sizes()
         # minimal integer codegree for coordinate >= -1, floored at 0
         self.dmin = [max(0, -((scale - m2 * b) // (y * b))) for _m, y, m2, b, scale in emb.inner_form]
-        self.row_max: list[list[int]] | None = None  # with ``values``, set by _build_maxima
-        self.values: list[set[int]] | None = None
+        self.row_max: list[list[int] | None] = [None] * emb.r  # with ``values``, set by _build_maxima
+        self.values: list[set[int] | None] = [None] * emb.r
         self.checked: dict[int, list[list[int]]] = {}
         self.checked_max: dict[int, list[int]] = {}
 
-    def _build_maxima(self) -> None:
-        """Per colour, every row's largest raw codegree and the set of raw codegrees: r n^2 / 2 popcounts."""
-        self.row_max, self.values = [], []
-        for t in self.emb.trimmed:
-            row_max_i = []
-            values_i = set()
-            for a, ta in enumerate(t):
-                row = {(ta & tb).bit_count() for tb in t[a + 1 :]}
-                row_max_i.append(max(row, default=-1))
-                values_i |= row
-            self.row_max.append(row_max_i)
-            self.values.append(values_i)
+    def _build_maxima(self, colour: int) -> None:
+        """One colour's largest raw codegree per row and set of raw codegrees: n^2 / 2 popcounts."""
+        t = self.emb.trimmed[colour]
+        row_max, values = [], set()
+        for a, ta in enumerate(t):
+            row = {(ta & tb).bit_count() for tb in t[a + 1 :]}
+            row_max.append(max(row, default=-1))
+            values |= row
+        self.row_max[colour], self.values[colour] = row_max, values
 
     def _check_row(self, a: int) -> None:
         """Set ``checked[a]``, row a in every colour with its ineligible pairs
@@ -393,22 +393,21 @@ class _PairTables:
         self.checked_max[a] = [max(codeg, default=-1) for codeg in row]
 
     def _rows_reaching(self, colour: int, d: int):
-        """The rows with an eligible codegree >= d in ``colour``, each checked first.
+        """The rows that may have a partner after them at codegree threshold d.
 
-        The rows to look at come from the trimmed sets alone: at
-        d = ``diag[colour]`` the rows whose set recurs later, below it the
-        rows whose raw maximum reaches d.  Each is yielded when its own
+        At d = ``diag[colour]`` they are the rows whose set recurs later,
+        found from the trimmed sets alone.  Below it they are the rows whose
+        raw maximum reaches d, each checked first and yielded when its own
         eligible maximum reaches d.
         """
         if d == self.diag[colour]:
             t = self.emb.trimmed[colour]
             last = {ta: a for a, ta in enumerate(t)}
-            rows = (a for a, ta in enumerate(t) if last[ta] != a)
-        else:
-            if self.row_max is None:
-                self._build_maxima()
-            rows = compress(range(self.n), map(d.__le__, self.row_max[colour]))
-        for a in rows:
+            yield from (a for a, ta in enumerate(t) if last[ta] != a)
+            return
+        if self.row_max[colour] is None:
+            self._build_maxima(colour)
+        for a in compress(range(self.n), map(d.__le__, self.row_max[colour])):
             if a not in self.checked:
                 self._check_row(a)
             if self.checked_max[a][colour] >= d:
@@ -435,16 +434,28 @@ class _PairTables:
         """
         checked, diag = self.checked, self.diag[colour]
         yield self.emb.inner_from_codegree(colour, diag), colour, diag
-        if self.values is None:
-            self._build_maxima()
+        if self.values[colour] is None:
+            self._build_maxima(colour)
         dmin = self.dmin[colour]
         for d in sorted((v for v in self.values[colour] if dmin <= v < diag), reverse=True):
             if any(d in checked[a][colour] for a in self._rows_reaching(colour, d)):
                 yield self.emb.inner_from_codegree(colour, d), colour, d
 
     def _partners_after(self, colour: int, d: int, a: int):
-        """The partners b > a of point a at codegree threshold d; row a must be checked."""
+        """The partners b > a of point a at codegree threshold d; below the
+        diagonal, row a must be checked."""
+        if d == self.diag[colour]:
+            return self._equal_partners(colour, a, a + 1)
         return compress(range(a + 1, self.n), map(d.__le__, self.checked[a][colour]))
+
+    def _equal_partners(self, colour: int, a: int, start: int):
+        """The points b >= start, b != a, whose colour-``colour`` set equals
+        a's and whose pair with a is eligible, decided from the pair's own r
+        codegrees: a's partners at the diagonal threshold."""
+        t = self.emb.trimmed
+        same = compress(range(start, self.n), map(t[colour][a].__eq__, t[colour][start:]))
+        return (b for b in same
+                if b != a and all((ti[a] & ti[b]).bit_count() >= dm for ti, dm in zip(t, self.dmin)))
 
     def partner_counts(self, colour: int, d: int) -> list[int]:
         """Per point, the off-diagonal event partners at codegree threshold d."""
@@ -457,13 +468,16 @@ class _PairTables:
         return counts
 
     def x_prime_mask(self, colour: int, d: int, pivot_idx: int) -> int:
+        points = self.emb.points
+        if d == self.diag[colour]:
+            return mask_of(points[b] for b in self._equal_partners(colour, pivot_idx, 0))
         checked = self.checked
-        # a row that cannot reach d has no partner after it; in the key step,
-        # partner_counts has already checked every row that reaches d
+        # below the diagonal a row that cannot reach d has no partner after
+        # it; in the key step, partner_counts has already checked every row
+        # that reaches d
         reached = [a for a in self._rows_reaching(colour, d) if a <= pivot_idx]
         before = [a for a in reached if a < pivot_idx and checked[a][colour][pivot_idx - a - 1] >= d]
         after = self._partners_after(colour, d, pivot_idx) if reached[-1:] == [pivot_idx] else ()
-        points = self.emb.points
         return mask_of(points[b] for b in chain(before, after))
 
     def witnesses(self, beta: Fraction):
@@ -506,12 +520,12 @@ def find_lambda_witness(emb: Embedding, beta=None) -> WitnessReport:
 
     Candidate thresholds are the inner-product values attained by the
     diagonal and by the pairs whose every coordinate is >= -1.  The top
-    candidate is a colour's diagonal, decided from equal trimmed sets, so
-    when it is accepted (always while 2 beta |X| <= 1: its q >= 1/|X|) the
-    search costs O(|X| r) plus one bound evaluation, and the codegree
-    maxima are never built.  beta is resolved once (``_beta``), for the
-    scan and the report's bound.  Failure to find any witness raises
-    LemmaViolation (it is a theorem that one exists).
+    candidate is a colour's diagonal, decided from equal trimmed sets and the
+    r codegrees of each pair of equal sets, so when it is accepted (always
+    while 2 beta |X| <= 1: its q >= 1/|X|) the search builds no codegree
+    maxima, checks no row and evaluates one bound.  beta is resolved once
+    (``_beta``), for the scan and the report's bound.  Failure to find any
+    witness raises LemmaViolation (it is a theorem that one exists).
     """
     r, n = emb.r, emb.npoints
     beta = _beta(beta, r)

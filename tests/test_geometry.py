@@ -14,6 +14,7 @@ from mpmath import iv, mp
 from mpmath.libmp import mpi_exp, mpi_mul, mpi_neg
 
 from ramseybook import geometry
+from ramseybook.book_engine import EngineParams, run
 from ramseybook.bounds import (
     interval_endpoints,
     iv_from_fraction,
@@ -926,9 +927,9 @@ SWAPPED_TWIN_CASES = [(12, 0), (12, 2), (15, 2)]  # (m, seed)
 
 
 class TestDiagonalRule:
-    """A colour's diagonal threshold, decided from equal trimmed sets before
-    any codegree maximum is built, against tables whose maxima were built
-    first and against the reference scan."""
+    """A colour's diagonal threshold, decided from equal trimmed sets with no
+    codegree maximum built and no row checked, against tables whose maxima
+    were built first and against the reference scan."""
 
     @staticmethod
     def refuse(*args):
@@ -940,34 +941,44 @@ class TestDiagonalRule:
 
         def eager_init(self, emb):
             init(self, emb)
-            self._build_maxima()
+            for colour in range(emb.r):
+                self._build_maxima(colour)
 
         mp.setattr(_PairTables, "__init__", eager_init)
 
     @staticmethod
-    def observe(c, alphas, emb):
-        """Candidates, then per candidate the partner counts and every point's
-        X' from a fresh table, then the witness and the key step."""
+    def reads(emb, i, d):
+        """The partner counts at threshold d of colour i from a fresh table,
+        and every point's X' from another."""
+        tables = _PairTables(emb)
+        return _PairTables(emb).partner_counts(i, d), [tables.x_prime_mask(i, d, a) for a in range(emb.npoints)]
+
+    def observe(self, c, alphas, emb):
+        """Candidates, then per candidate its reads(), then the witness and the key step."""
         cands = list(_PairTables(emb).candidates())
-        counts, masks = [], []
-        for _lam, i, d in cands:
-            counts.append(_PairTables(emb).partner_counts(i, d))
-            tables = _PairTables(emb)
-            masks.append([tables.x_prime_mask(i, d, a) for a in range(emb.npoints)])
         full = [c.vertices] * c.r
-        return cands, counts, masks, find_lambda_witness(emb), key_lemma_step(c, c.vertices, full, alphas)
+        reads = [self.reads(emb, i, d) for _lam, i, d in cands]
+        return cands, reads, find_lambda_witness(emb), key_lemma_step(c, c.vertices, full, alphas)
 
     def check(self, c, monkeypatch):
         """observe() agrees with tables whose maxima were built first, with
-        the per-pair popcount, and with the reference scan; returns the
+        the per-pair popcount, and with the reference scan, and each colour's
+        diagonal reads build no maximum and check no row; returns the
         embedding and the dmin thresholds."""
         alphas, emb = engine_embedding(c)
         got = self.observe(c, alphas, emb)
         with monkeypatch.context() as mp:
             self.build_maxima_first(mp)
             assert self.observe(c, alphas, emb) == got
+        diagonals = [(i, d, read) for (_lam, i, d), read in zip(*got[:2]) if d == emb.trimmed_sizes()[i]]
+        assert sorted(i for i, _d, _read in diagonals) == list(range(c.r))
+        with monkeypatch.context() as mp:
+            mp.setattr(_PairTables, "_build_maxima", self.refuse)
+            mp.setattr(_PairTables, "_check_row", self.refuse)
+            for i, d, read in diagonals:
+                assert self.reads(emb, i, d) == read
         TestBulkBuilders.check_tables(emb)
-        rep, res = got[3:]
+        rep, res = got[2:]
         first, step = TestWitnessChoice.reference(emb, default_beta(c.r))
         assert (rep.lam, rep.colour, rep.q, rep.pair_count) == first
         assert (res.lam, res.colour, res.q, res.q * emb.npoints**2,
@@ -990,6 +1001,7 @@ class TestDiagonalRule:
         alphas, emb = engine_embedding(c)
         full = [c.vertices] * 2
         monkeypatch.setattr(_PairTables, "_build_maxima", self.refuse)
+        monkeypatch.setattr(_PairTables, "_check_row", self.refuse)
         rep = find_lambda_witness(emb)
         assert rep.lam == emb.inner_from_codegree(rep.colour, emb.trimmed_sizes()[rep.colour])
         assert rep.pair_count == 76 > emb.npoints
@@ -1014,16 +1026,41 @@ class TestDiagonalRule:
         assert rep == want[0]
         assert rep.lam == emb.inner_from_codegree(rep.colour, emb.trimmed_sizes()[rep.colour])
 
+        builds = self.count_builds(monkeypatch)
+        assert key_lemma_step(c, c.vertices, full, alphas) == want[1]
+        assert len(builds) == len(set(builds))  # each colour at most once
+
+    @staticmethod
+    def count_builds(mp):
+        """The colours _build_maxima builds from now on, in order."""
         builds = []
         build = _PairTables._build_maxima
 
-        def counting(self):
-            builds.append(self)
-            build(self)
+        def counting(self, colour):
+            builds.append(colour)
+            build(self, colour)
 
-        monkeypatch.setattr(_PairTables, "_build_maxima", counting)
-        assert key_lemma_step(c, c.vertices, full, alphas) == want[1]
-        assert len(builds) == 1
+        mp.setattr(_PairTables, "_build_maxima", counting)
+        return builds
+
+    def test_step_below_one_diagonal_builds_that_colour_alone(self, monkeypatch):
+        # found by a search over random r = 3 colourings at engine alphas and
+        # pinned as observed: colour 2's diagonal has no eligible partner, and
+        # its next threshold is met before any other colour's scan goes below
+        # its diagonal
+        c = random_colouring(22, 3, 5)
+        alphas, emb = engine_embedding(c)
+        full = [c.vertices] * 3
+        with monkeypatch.context() as mp:
+            self.build_maxima_first(mp)
+            want = key_lemma_step(c, c.vertices, full, alphas)
+        builds = self.count_builds(monkeypatch)
+        res = key_lemma_step(c, c.vertices, full, alphas)
+        assert res == want
+        assert builds == [2]
+        assert (res.colour, res.lam, res.met_size_bound) == (2, F(560, 33), True)
+        assert res.lam < emb.inner_from_codegree(2, emb.trimmed_sizes()[2]) == F(304, 11)
+        assert verify_key_step(c, c.vertices, full, alphas, res).all_ok
 
 
 ORDER_CORPUS = [
@@ -1035,24 +1072,75 @@ ORDER_CORPUS = [
 
 class TestCallOrder:
     """The tables are a pure cache of the embedding: what they hold does not
-    depend on whether the rows are checked before or after the maxima are
-    built."""
+    depend on the order in which the colours' maxima are built, nor on
+    whether the rows are checked before or after them."""
 
     @staticmethod
-    def state(emb, maxima_first):
+    def state(emb, colours, rows_first):
         tables = _PairTables(emb)
-        if maxima_first:
-            tables._build_maxima()
-        for a in range(tables.n):
-            tables._check_row(a)
-        if not maxima_first:
-            tables._build_maxima()
+
+        def check_rows():
+            for a in range(tables.n):
+                tables._check_row(a)
+
+        if rows_first:
+            check_rows()
+        for colour in colours:
+            tables._build_maxima(colour)
+        if not rows_first:
+            check_rows()
         return tables.row_max, tables.values, tables.checked, tables.checked_max
 
     @pytest.mark.parametrize("make, args", ORDER_CORPUS, ids=lambda x: getattr(x, "__name__", str(x)))
     def test_state_is_independent_of_call_order(self, make, args):
         _alphas, emb = engine_embedding(make(*args))
-        assert self.state(emb, maxima_first=False) == self.state(emb, maxima_first=True)
+        colours = list(range(emb.r))
+        states = [self.state(emb, order, rows_first)
+                  for order in (colours, colours[::-1]) for rows_first in (True, False)]
+        assert states[1:] == states[:1] * 3
+
+
+# (n, r) -> (colours built, their popcounts, rows checked, their popcounts)
+# in one engine run on random_colouring(n, r, 1) from X = Y_i = V at t = 2,
+# lambda0 = 10, delta = 1/16, pinned as observed
+WORK_COUNTS = {
+    (20, 2): (5, 383, 4, 86),
+    (20, 3): (3, 0, 0, 0),
+    (30, 2): (4, 436, 5, 156),
+    (30, 3): (7, 872, 4, 162),
+    (40, 2): (4, 1560, 7, 396),
+    (40, 3): (6, 786, 20, 1341),
+    (50, 2): (4, 2450, 2, 102),
+    (50, 3): (4, 1225, 1, 48),
+}
+
+
+class TestWorkCounts:
+    """The pair-table work of whole engine runs, counted rather than timed,
+    so a change to it shows as a changed pin, with no timing noise: a
+    colour's maxima take n(n - 1)/2 popcounts, and checking row a takes
+    r (n - 1 - a)."""
+
+    @pytest.mark.parametrize("n, r", sorted(WORK_COUNTS))
+    def test_engine_work_is_pinned(self, n, r, monkeypatch):
+        counts = [0, 0, 0, 0]
+        build, check = _PairTables._build_maxima, _PairTables._check_row
+
+        def counting_build(self, colour):
+            counts[0] += 1
+            counts[1] += self.n * (self.n - 1) // 2
+            build(self, colour)
+
+        def counting_check(self, a):
+            counts[2] += 1
+            counts[3] += self.emb.r * (self.n - 1 - a)
+            check(self, a)
+
+        monkeypatch.setattr(_PairTables, "_build_maxima", counting_build)
+        monkeypatch.setattr(_PairTables, "_check_row", counting_check)
+        c = random_colouring(n, r, 1)
+        run(c, c.vertices, [c.vertices] * r, EngineParams(t=2, lambda0=F(10), delta=F(1, 16)))
+        assert tuple(counts) == WORK_COUNTS[n, r]
 
 
 class TestKeyStep:

@@ -1,6 +1,7 @@
 """``tools/src_size.py``, the size measure cited for ``src/``, on a fixture
-whose counts can be read off by hand, and a check that no ``src/`` module
-keeps an import it never uses."""
+whose counts can be read off by hand; checks that no ``src/`` module keeps an
+import it never uses and that no new ``src/`` definition goes uncalled; and
+``tools/check_digests.py`` on one workload."""
 
 import ast
 import importlib.util
@@ -70,3 +71,58 @@ def test_unused_import_finder_on_a_fixture():
 def test_src_modules_have_no_unused_imports(path):
     # __init__.py is skipped: its imports are re-exports
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _unnamed_definitions(sources: dict[str, str]) -> set[str]:
+    """The top-level functions and classes, as ``module.name``, whose name
+    no code in ``sources`` (module -> source) mentions outside the
+    definition's own body, as a name or as an attribute."""
+    definitions, mentioned_in = set(), {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            owner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+            if owner:
+                definitions.add((module, owner))
+            for sub in ast.walk(node):
+                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if name:
+                    mentioned_in.setdefault(name, set()).add((module, owner))
+    return {f"{module}.{name}" for module, name in definitions
+            if mentioned_in.get(name, set()) <= {(module, name)}}
+
+
+def test_unnamed_definition_finder_on_a_fixture():
+    sources = {
+        "a": "def f():\n    return g()\ndef g():\n    return 1\ndef h():\n    return h()\nclass K:\n    pass\n",
+        "b": "from . import a\na.K\n",
+    }
+    assert _unnamed_definitions(sources) == {"a.f", "a.h"}
+
+
+# the top-level definitions of src/ that only the tests and the bench call
+# (ROADMAP item 25); moving or wiring one takes it off this list
+UNCALLED_IN_SRC = {
+    "bounds.es_upper",
+    "geometry.check_special_bounds",
+    "geometry.find_lambda_witness",
+    "geometry.verify_key_step",
+    "geometry.verify_witness",
+    "pipeline.desk_ramsey_driver",
+}
+
+
+def test_src_definitions_uncalled_in_src_are_the_listed_ones():
+    # __init__.py is skipped: its imports are re-exports, not calls
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    assert _unnamed_definitions(sources) == UNCALLED_IN_SRC
+
+
+def test_check_digests_names_a_doctored_digest(monkeypatch, capsys):
+    check_digests = _load("check_digests")
+    assert check_digests.main(["keystep-audit"]) == 0
+    assert "all 1 seed-1 trace digests match: keystep-audit" in capsys.readouterr().out
+    monkeypatch.setitem(check_digests.PINNED, "keystep-audit", "0" * 64)
+    assert check_digests.main(["keystep-audit"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("MISMATCH keystep-audit: trace_sha256 888bb75b")
+    assert check_digests.main(["no-such-workload"]) == 2
