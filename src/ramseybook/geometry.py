@@ -17,9 +17,10 @@ own r codegrees; only a colour's scan below its diagonal builds that colour's
 largest codegree per row and set of codegrees attained, O(n) numbers from one
 n^2 / 2 popcount pass.  A row's codegrees are computed, and its pair
 eligibility checked against an integer codegree floor, when such a scan first
-reaches that row.  Both caps 2 beta are integer cross-products of a count and
-a total, so a Fraction is built only for a threshold a scan pulls, to merge
-the colours in lam order, and for the lam and q a step records.  The witness
+reaches that row.  The exact caps that decide a witness or size bound
+(``_meets``) are integer cross-products of a count and a total, so a
+Fraction is built only for a threshold a scan pulls, to merge the colours in
+lam order, and for the lam and q a step or report records.  The witness
 recount derives its own thresholds with Fractions and tests each unordered
 pair once and each diagonal pair explicitly.
 
@@ -90,8 +91,9 @@ def witness_bound_upper(lam: Fraction, r: int, beta: Fraction) -> Fraction:
     """Certified upper bound on beta * e^(-C sqrt(lam + 1)).
 
     For lam >= -1 and beta > 0 the value never exceeds 2 beta (the exponent
-    is <= 0, and the rounding adds a few ulps at most), so a rational
-    comparison against 2 beta decides most uses without calling this.
+    is <= 0, and the rounding adds a few ulps at most), nor, for lam >= 0,
+    beta / (4 isqrt(floor(lam) + 1)), so ``_meets``' rational comparisons
+    against those caps decide most uses without calling this.
     """
     if lam < -1:
         raise InvalidInput("threshold below -1")
@@ -306,12 +308,13 @@ def check_special_bounds(xs) -> SpecialBranch:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """A (colour, threshold) pair whose event probability beats the decay bound."""
+    """A (colour, threshold) pair whose event probability q = pair_count /
+    total_pairs reaches the decay bound beta e^(-C sqrt(lam+1)); the bound
+    itself is not recorded, and ``verify_witness`` decides it again."""
 
     colour: int
     lam: Fraction
     q: Fraction
-    bound: Fraction          # certified upper bound on beta e^(-C sqrt(lam+1))
     pair_count: int
     total_pairs: int
 
@@ -346,8 +349,8 @@ class _PairTables:
     its diagonal keeps None.  The first time such a scan reaches row a
     (``_rows_reaching``), ``_check_row`` stores it in every colour with its
     ineligible pairs marked -1: ``checked[a][i][j]`` is then the colour-i
-    codegree of the pair (a, a + 1 + j), and ``checked_max[a][i]`` the
-    largest of them.
+    codegree of the pair (a, a + 1 + j).  Every reader of a checked row
+    compares its entries with the threshold, so a -1 is never a partner.
 
     The tables are a pure cache of the embedding: every entry is a function
     of the trimmed sets alone, so no call order changes what they hold.
@@ -366,7 +369,6 @@ class _PairTables:
         self.row_max: list[list[int] | None] = [None] * emb.r  # with ``values``, set by _build_maxima
         self.values: list[set[int] | None] = [None] * emb.r
         self.checked: dict[int, list[list[int]]] = {}
-        self.checked_max: dict[int, list[int]] = {}
 
     def _build_maxima(self, colour: int) -> None:
         """One colour's largest raw codegree per row and set of raw codegrees: n^2 / 2 popcounts."""
@@ -380,7 +382,7 @@ class _PairTables:
 
     def _check_row(self, a: int) -> None:
         """Set ``checked[a]``, row a in every colour with its ineligible pairs
-        marked -1, and ``checked_max[a]``; nothing else is written."""
+        marked -1; nothing else is written."""
         row = [[(t[a] & tb).bit_count() for tb in t[a + 1 :]] for t in self.emb.trimmed]
         bad = set()
         for codeg, dmin in zip(row, self.dmin):
@@ -390,15 +392,15 @@ class _PairTables:
             for j in bad:
                 codeg[j] = -1
         self.checked[a] = row
-        self.checked_max[a] = [max(codeg, default=-1) for codeg in row]
 
     def _rows_reaching(self, colour: int, d: int):
         """The rows that may have a partner after them at codegree threshold d.
 
         At d = ``diag[colour]`` they are the rows whose set recurs later,
         found from the trimmed sets alone.  Below it they are the rows whose
-        raw maximum reaches d, each checked first and yielded when its own
-        eligible maximum reaches d.
+        raw maximum reaches d, each yielded once it is checked; such a row
+        may have no eligible pair at d, and its callers find that from its
+        entries.
         """
         if d == self.diag[colour]:
             t = self.emb.trimmed[colour]
@@ -410,8 +412,7 @@ class _PairTables:
         for a in compress(range(self.n), map(d.__le__, self.row_max[colour])):
             if a not in self.checked:
                 self._check_row(a)
-            if self.checked_max[a][colour] >= d:
-                yield a
+            yield a
 
     def candidates(self):
         """(lam, colour, codegree threshold) triples, lam descending, colour ascending.
@@ -504,13 +505,31 @@ class _PairTables:
 def _meets(count: int, total: int, beta: Fraction, lam: Fraction, r: int) -> bool:
     """Whether the ratio count / total (count >= 0, total > 0) reaches
     ``witness_bound_upper(lam, r, beta)``, beta e^(-C sqrt(lam + 1)) rounded
-    up, deciding at the exact cap 2 beta first, as the integer cross-product
-    count b >= 2 a total for beta = a / b.  For beta > 0 the bound is
-    positive and never above the cap; for beta <= 0 it is at most 0.  So
-    every verdict is the bound's own, and the ratio becomes a Fraction and
-    the bound is evaluated only for 0 < count / total < 2 beta."""
+    up, for lam >= -1.  Two exact caps decide first, each an integer
+    cross-product for beta = a / b: the ratio meets 2 beta when count b >=
+    2 a total, and beta / (4 s), s = isqrt(floor(lam) + 1), when 4 s count b
+    >= a total.  Only where neither does is the ratio made a Fraction and the
+    bound evaluated, and only for count > 0.
+
+    Every verdict is the bound's own.  For beta <= 0 the bound is at most 0,
+    and both caps are met.  For beta > 0 the bound is positive, so a zero
+    count misses it, and it is below both caps: below 2 beta as
+    ``witness_bound_upper`` says, and below beta / (4 s) as follows (s >= 1
+    needs lam >= 0; at s = 0 the second cap is never met).  With x = C
+    sqrt(lam + 1) >= 4 sqrt(lam + 1) >= 4 s, since C = 4 r^(3/2) >= 4, the
+    exact value is beta e^(-x), and x e^(-x) <= 4 e^(-4) < 0.08 for x >= 4,
+    so it is below 0.08 beta / x <= 0.02 beta / s.  At iv.prec >= 16 bits
+    each of the few interval operations rounds by at most 2^-15 relative, so
+    the rounded exponent is -y with y >= (1 - 2^-12) x > 3.99 s and the
+    product is raised by at most 2^-12 relative; y e^(-y) falls for y >= 1,
+    so e^(-y) < 0.08 / y still, and the rounded bound stays below 0.021 beta
+    / s, under the cap by a factor of ten.  The cap decides lam = 10^100 at once, where the bound's exact
+    Fraction would need more than 10^50 bits.
+    """
     # witness_bound_upper is looked up at call time, so a wrapper installed on the module sees the call
-    return (count * beta.denominator >= 2 * beta.numerator * total
+    a, b = beta.numerator, beta.denominator
+    return (count * b >= 2 * a * total
+            or 4 * math.isqrt(math.floor(lam) + 1) * count * b >= a * total
             or (count > 0 and Fraction(count, total) >= witness_bound_upper(lam, r, beta)))
 
 
@@ -523,15 +542,14 @@ def find_lambda_witness(emb: Embedding, beta=None) -> WitnessReport:
     candidate is a colour's diagonal, decided from equal trimmed sets and the
     r codegrees of each pair of equal sets, so when it is accepted (always
     while 2 beta |X| <= 1: its q >= 1/|X|) the search builds no codegree
-    maxima, checks no row and evaluates one bound.  beta is resolved once
-    (``_beta``), for the scan and the report's bound.  Failure to find any
-    witness raises LemmaViolation (it is a theorem that one exists).
+    maxima, checks no row and, as the caps decide, evaluates no bound.  The
+    report is the scan's first witness; it records no bound.  beta is
+    resolved once (``_beta``).  Failure to find any witness raises
+    LemmaViolation (it is a theorem that one exists).
     """
-    r, n = emb.r, emb.npoints
-    beta = _beta(beta, r)
-    for lam, colour, _d, _counts, size in _PairTables(emb).witnesses(beta):
-        bound = witness_bound_upper(lam, r, beta)
-        return WitnessReport(colour, lam, Fraction(size, n * n), bound, size, n * n)
+    n = emb.npoints
+    for lam, colour, _d, _counts, size in _PairTables(emb).witnesses(_beta(beta, emb.r)):
+        return WitnessReport(colour, lam, Fraction(size, n * n), size, n * n)
     raise LemmaViolation("no lambda witness found; this should be impossible")
 
 
@@ -551,10 +569,10 @@ def key_lemma_step(c: EdgeColouring, xset: int, ysets, alphas, beta=None) -> Key
 
     Pivot ties break to the smallest vertex label.  Both decisions, q
     against the bound and the best pivot's partners against bound |X|, are
-    taken against the exact cap 2 beta first (met at or above it, missed at
-    zero), and the interval bound is evaluated only in between; the result
-    records no bound, so a step whose decisions the cap settles evaluates
-    none.  beta is resolved once (``_beta``), after the embedding is built,
+    taken against ``_meets``' exact caps first (met at or above either,
+    missed at zero), and the interval bound is evaluated only in between;
+    the result records no bound, so a step whose decisions the caps settle
+    evaluates none.  beta is resolved once (``_beta``), after the embedding is built,
     for the scan and every pivot decision.
     """
     emb = build_embedding(c, xset, ysets, alphas)
@@ -607,8 +625,8 @@ def verify_key_step(c, xset, ysets, alphas, res: KeyStepResult, beta=None) -> Ke
     The pivot must lie in X and X' in X minus the pivot; each Y'_i must be
     the pivot's trimmed neighbourhood, of size exactly p_i |Y_i|.  Densities,
     trimmed sets and codegrees are all rebuilt from scratch; the exponential
-    size bound compares the exact |X'| with the exact cap 2 beta |X| first
-    and with an upper-rounded right side only where that cannot decide.
+    size bound compares the exact |X'| with ``_meets``' exact caps times |X|
+    first and with an upper-rounded right side only where they cannot decide.
 
     It takes ``build_embedding``'s inputs under the same rules: the
     per-colour rule for the Y sets and alphas, and ``min_density``'s vertex
@@ -662,8 +680,8 @@ def verify_witness(c, xset, ysets, alphas, rep: WitnessReport, beta=None) -> Non
     once: every one of the n^2 ordered pairs is decided.
 
     Raises LemmaViolation if the recount disagrees with the report or the
-    witness inequality fails: it is decided at the exact cap 2 beta first and
-    against a freshly rounded bound only below it (``_meets``).  A reported
+    witness inequality fails: it is decided at the exact caps first and
+    against a freshly rounded bound only below them (``_meets``).  A reported
     lam below -1 has no bound and is InvalidInput.
     """
     emb = build_embedding(c, xset, ysets, alphas)

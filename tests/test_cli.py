@@ -7,15 +7,18 @@ import subprocess
 import sys
 import time
 import tomllib
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import ramseybook
+from ramseybook import book_engine, geometry
 from ramseybook import bounds as bounds_mod
 from ramseybook.book_engine import read_trace
 from ramseybook.cli import EXIT_USAGE, main
-from ramseybook.colouring import EdgeColouring, pentagon_colouring
+from ramseybook.colouring import EdgeColouring, mask_of, pentagon_colouring, random_colouring
 
 
 def invoke(capsys, *argv):
@@ -142,6 +145,30 @@ class TestRunAndVerify:
             "--mu", "4", "--p", "1/4", "--trace", str(trace),
         )
         assert code == 0
+
+    def test_run_book_degenerate_density(self, tmp_path, capsys, monkeypatch):
+        # no seeded run degenerates mid-run, so step 0 is forged as in
+        # test_book_engine: a boost whose Y'_0 = {v} leaves X' = {0} with no
+        # colour-0 neighbour
+        c = random_colouring(20, 2, 1)
+        v = next(u for u in range(1, 20) if c.colour(0, u) == 1)
+
+        def forged(*args, **kwargs):
+            ks = geometry.key_lemma_step(*args, **kwargs)
+            return replace(ks, colour=0, x_prime=mask_of([0]), y_primes=(mask_of([v]), ks.y_primes[1]),
+                           lam=Fraction(100))
+
+        monkeypatch.setattr(book_engine, "key_lemma_step", forged)
+        rcg, trace = tmp_path / "c.rcg", tmp_path / "t.jsonl"
+        rcg.write_text(c.serialize())
+        code, out, _ = invoke(
+            capsys, "run-book", "-i", str(rcg), "--t", "2",
+            "--lambda0", "10", "--delta", "1/16", "--trace", str(trace),
+        )
+        assert code == 0
+        assert json.loads(out) == {"n": 20, "r": 2, "t": 2, "result": "degenerate_density",
+                                   "colour": 0, "steps": 1, "trace": str(trace)}
+        assert [rec.kind for rec in read_trace(str(trace)).records] == ["boost"]
 
     def test_verify_corrupted_trace(self, tmp_path, capsys):
         rcg = tmp_path / "c.rcg"
@@ -538,6 +565,14 @@ class TestOracleCmd:
         code, out, _ = invoke(capsys, "oracle", "book", "-i", str(rcg), "--t", "1")
         assert code == 0
         assert json.loads(out)["m_max"] == 2
+
+    def test_book_without_a_spine(self, tmp_path, capsys):
+        # the pentagon has no monochromatic triangle to serve as a spine
+        rcg = tmp_path / "c5.rcg"
+        invoke(capsys, "generate", "--kind", "pentagon", "-o", str(rcg))
+        code, out, _ = invoke(capsys, "oracle", "book", "-i", str(rcg), "--t", "3")
+        assert code == 0
+        assert json.loads(out) == {"result": "NoSpine", "t": 3}
 
 
 class TestUsageErrors:

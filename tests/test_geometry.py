@@ -641,7 +641,7 @@ class TestWitnessRecount:
             for v in {lam, lam + eps, max(lam - eps, F(-1))}:
                 cnt = count(colour, v)
                 # beta = 0 makes the bound 0, so only the recount is checked
-                rep = WitnessReport(colour, v, F(cnt, total), F(0), cnt, total)
+                rep = WitnessReport(colour, v, F(cnt, total), cnt, total)
                 verify_witness(c, xset, ysets, alphas, rep, beta=0)
                 for delta in (-2, -1, 1, 2):
                     with pytest.raises(LemmaViolation, match="recount mismatch"):
@@ -775,7 +775,7 @@ class TestBulkBuilders:
         candidates and partner counts are read from one fresh table and the X'
         masks from a second one, each through its own row checks; then every
         row of the first table is checked and read directly.  ``row_max``
-        holds the raw row maxima and ``checked_max`` the eligible ones.
+        holds the raw row maxima.
         """
         n, r = emb.npoints, emb.r
         t = emb.trimmed
@@ -803,7 +803,6 @@ class TestBulkBuilders:
             for a in range(n):
                 row = [codeg[i, a, b] if (a, b) in eligible else -1 for b in range(a + 1, n)]
                 assert tables.checked[a][i] == row
-                assert tables.checked_max[a][i] == max(row, default=-1)
                 assert tables.row_max[i][a] == max((codeg[i, a, b] for b in range(a + 1, n)), default=-1)
             assert tables.values[i] == {codeg[i, a, b] for a in range(n) for b in range(a + 1, n)}
         return n * (n - 1) - len(eligible - {(a, a) for a in range(n)})
@@ -1089,7 +1088,7 @@ class TestCallOrder:
             tables._build_maxima(colour)
         if not rows_first:
             check_rows()
-        return tables.row_max, tables.values, tables.checked, tables.checked_max
+        return tables.row_max, tables.values, tables.checked
 
     @pytest.mark.parametrize("make, args", ORDER_CORPUS, ids=lambda x: getattr(x, "__name__", str(x)))
     def test_state_is_independent_of_call_order(self, make, args):
@@ -1322,8 +1321,9 @@ class TestKeyStep:
 
 
 class TestWitnessCap:
-    """The exact cap 2 beta that decides most witness and size-bound tests
-    before the interval bound is evaluated."""
+    """The exact caps, 2 beta and beta / (4 isqrt(floor(lam) + 1)), that
+    decide most witness and size-bound tests before the interval bound is
+    evaluated."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1338,7 +1338,11 @@ class TestWitnessCap:
         old = precision()
         try:
             set_precision(bits)
-            assert witness_bound_upper(lam, r, beta) <= 2 * beta
+            bound = witness_bound_upper(lam, r, beta)
+            assert bound <= 2 * beta
+            if lam >= 0:
+                # _meets' second cap, with the margin its docstring derives
+                assert bound < F(21, 1000) * beta / math.isqrt(math.floor(lam) + 1)
         finally:
             set_precision(old)
 
@@ -1353,7 +1357,8 @@ class TestWitnessCap:
     )
     def test_meets_is_the_bound_comparison(self, total, share, r, beta, lam, bits):
         # the cap rule gives the bound's own verdict, and evaluates the bound
-        # exactly where the cap 2 beta cannot decide
+        # exactly where neither cap decides: the ratio is positive and below
+        # both 2 beta and beta / (4 isqrt(floor(lam) + 1))
         beta = default_beta(r) if beta == "default" else beta
         count = math.floor(share * total)
         real = geometry.witness_bound_upper
@@ -1367,7 +1372,9 @@ class TestWitnessCap:
                 assert _meets(count, total, beta, lam, r) == want
         finally:
             set_precision(old)
-        assert calls == ([(lam, r, beta)] if beta > 0 and 0 < F(count, total) < 2 * beta else [])
+        q = F(count, total)
+        undecided = 0 < q < 2 * beta and 4 * math.isqrt(math.floor(lam) + 1) * q < beta
+        assert calls == ([(lam, r, beta)] if undecided else [])
 
     def test_beta_itself_is_no_cap(self):
         # at 16 bits the rounding lifts the lam = -1 bound above beta
@@ -1458,25 +1465,44 @@ class TestWitnessCap:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_found_witness_and_its_recount_evaluate_one_bound(self, seed, monkeypatch):
-        # the report records its bound, evaluated once; the recount's
-        # q >= 1/n clears the cap 2 beta at default beta and n <= 60, so
-        # verify_witness evaluates none
+        # the report records no bound, and q >= 1/n clears the cap 2 beta at
+        # default beta and n <= 60, so neither the scan nor verify_witness
+        # evaluates one
         calls = []
         real = geometry.witness_bound_upper
         monkeypatch.setattr(geometry, "witness_bound_upper", lambda *a: calls.append(a) or real(*a))
         c, full, alphas = self.desk_case(seed)
         rep = find_lambda_witness(build_embedding(c, c.vertices, full, alphas))
-        assert calls == [(rep.lam, c.r, default_beta(c.r))]
         verify_witness(c, c.vertices, full, alphas, rep)
-        assert len(calls) == 1
+        assert calls == []
 
-    def test_find_witness_evaluates_the_bound_once(self, monkeypatch):
+    def test_find_witness_evaluates_no_bound(self, monkeypatch):
         calls = []
         real = geometry.witness_bound_upper
         monkeypatch.setattr(geometry, "witness_bound_upper", lambda *a: calls.append(a) or real(*a))
         c = random_colouring(40, 2, 3)
-        rep = find_lambda_witness(build_embedding(c, c.vertices, [c.vertices] * 2, [F(1, 4)] * 2))
-        assert calls == [(rep.lam, 2, default_beta(2))]
+        find_lambda_witness(build_embedding(c, c.vertices, [c.vertices] * 2, [F(1, 4)] * 2))
+        assert calls == []
+
+    def test_huge_lam_is_decided_by_the_cap(self, monkeypatch):
+        # at beta = 1 no ratio reaches 2 beta, so only the second cap keeps
+        # the bound, whose exact Fraction would need over 10^50 bits, away
+        calls = []
+        real = geometry.witness_bound_upper
+        monkeypatch.setattr(geometry, "witness_bound_upper", lambda *a: calls.append(a) or real(*a))
+        c = random_colouring(40, 2, 0)
+        full = [c.vertices] * 2
+        gc.collect()
+        start = time.process_time()
+        res = key_lemma_step(c, c.vertices, full, [F(1, 4)] * 2)
+        assert verify_key_step(c, c.vertices, full, [F(1, 4)] * 2, replace(res, lam=F(10**100)),
+                               beta=F(1)).size_bound_ok
+        alphas = [F(1, 10**101)] * 2
+        rep = find_lambda_witness(build_embedding(c, c.vertices, full, alphas), beta=F(1))
+        assert rep.lam >= 10**100
+        verify_witness(c, c.vertices, full, alphas, rep, beta=F(1))
+        assert time.process_time() - start < 1
+        assert calls == []
 
     def test_candidates_are_converted_when_pulled(self, monkeypatch):
         c = random_colouring(40, 3, 7)
@@ -1562,13 +1588,12 @@ class TestRationalInputs:
         ids=["None", "0.25", "1", "F(1,4)"],
     )
     def test_beta_is_resolved_once_whatever_its_spelling(self, beta, exact):
-        # the report's bound is evaluated at the resolved beta: an unresolved
-        # float would fail there (witness_bound_upper(F(3), 2, 0.25) raises)
+        # the scan decides at the resolved beta: an unresolved float would
+        # fail there (the caps need its numerator and denominator)
         c = random_colouring(40, 2, 3)
         full, alphas = [c.vertices] * 2, [F(1, 4)] * 2
         rep = find_lambda_witness(build_embedding(c, c.vertices, full, alphas), beta)
         assert rep == find_lambda_witness(build_embedding(c, c.vertices, full, alphas), exact)
-        assert rep.bound == witness_bound_upper(rep.lam, 2, exact)
         res = key_lemma_step(c, c.vertices, full, alphas, beta)
         assert res == key_lemma_step(c, c.vertices, full, alphas, exact)
 

@@ -5,7 +5,7 @@ import pytest
 
 from ramseybook.book_engine import derive_boost_threshold
 from ramseybook.bounds import thm_book_hypotheses
-from ramseybook.colouring import from_pair_function, mask_of, random_colouring
+from ramseybook.colouring import from_pair_function, mask_of, random_colouring, vertex_list
 from ramseybook.errors import InvalidInput, ScaleError
 from ramseybook.pipeline import (
     BookPhaseReport,
@@ -263,6 +263,43 @@ class TestDriver:
         assert out.report["regularisation"]["s_sizes"] == [2, 3]
         assert out.report["escape_bound"]["pass"] is True
         assert out.report["escape_bound"]["reduced_pass"] is True
+
+    BOOK_CONFIG = DriverConfig(eps=F(1, 5), t=1, escape_sum=10**6)
+
+    def test_book_clique_branch(self):
+        # the engine returns a book of spine 17 and 4 pages, whose colour-0
+        # K3 completes the spine to a K4
+        c = random_colouring(20, 2, 0)
+        out = desk_ramsey_driver(c, 4, self.BOOK_CONFIG)
+        assert isinstance(out, CliqueFound)
+        assert out.report == {
+            "k": 4, "n": 20, "r": 2, "regularisation": {"s_sizes": [1, 0], "w_size": 16},
+            "branch": "book_clique",
+            "book_phase": {"outcome": "book_found", "steps": 2, "colour": 0, "spine": [17],
+                           "pages_size": 4, "book_valid": True, "page_clique": 3},
+        }
+        assert out.colour == 0 and vertex_list(out.vertices) == [2, 7, 8, 17]
+        assert c.is_mono_clique(out.vertices, out.colour)
+
+    def test_book_branch_when_the_pages_hold_too_small_a_clique(self):
+        # the same book, but k = 5 needs a K4 in its pages
+        out = desk_ramsey_driver(random_colouring(20, 2, 0), 5, self.BOOK_CONFIG)
+        assert isinstance(out, BookPhaseReport)
+        assert out.report == {
+            "k": 5, "n": 20, "r": 2, "regularisation": {"s_sizes": [1, 0], "w_size": 16},
+            "branch": "book",
+            "book_phase": {"outcome": "book_found", "steps": 2, "colour": 0, "spine": [17],
+                           "pages_size": 4, "book_valid": True, "page_clique": 3},
+        }
+
+    def test_book_branch_when_the_reservoir_runs_out(self):
+        out = desk_ramsey_driver(random_colouring(21, 2, 2), 4, self.BOOK_CONFIG)
+        assert isinstance(out, BookPhaseReport)
+        assert out.report == {
+            "k": 4, "n": 21, "r": 2, "regularisation": {"s_sizes": [3, 1], "w_size": 6},
+            "branch": "book",
+            "book_phase": {"outcome": "reservoir_exhausted", "steps": 1},
+        }
 
     def test_degenerate_branch(self):
         # with the escape disabled the engine runs on the two-vertex core W,

@@ -27,7 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SEED = 1
 PINNED = {
     "book-large": "7d37f80b1f395a986b821e6ac215f781ade2b95eb5058e40d12b59ddc68217c6",
-    "keystep-audit": "888bb75b3beb472496de9921586644d04864441ab6ed43685125edc1846a28d7",
+    "keystep-audit": "a6a3810bb25af79e8e720289d37a2fa7b50993d5b54814a71322df7e37221ed6",
     "trace-audit": "ec5439604574516790706709973ca8248d687ba535453885e4a84ada4f5bbe8a",
     "certify": "a1de26161bf6eec8bdd03efbc321e2dbc9957664e0a26568a402f807aca0e579",
 }
