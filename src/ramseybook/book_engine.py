@@ -26,10 +26,9 @@ from functools import cache, partial
 from pathlib import Path
 from typing import ClassVar, get_args, get_origin, get_type_hints
 
-from mpmath import iv
-
 from .bounds import (
-    Report, check_digit_limit, exact_rational, interval_endpoints, iv_from_fraction, json_keys, read_rational
+    Report, check_digit_limit, exact_rational, interval_endpoints, iv_from_fraction, json_keys, load_mpmath,
+    read_rational,
 )
 from .colouring import EdgeColouring, check_size, read_ascii
 from .errors import DegenerateDensity, InvalidInput, LemmaViolation, ParseError
@@ -357,6 +356,6 @@ def derive_boost_threshold(mu: Fraction, p: Fraction, r: int) -> tuple[Fraction,
     if mu <= 0 or not 0 < p <= 1:
         raise InvalidInput("need mu > 0 and p in (0, 1]")
     delta = p / mu**2
-    log_inv_delta = -iv.log(iv_from_fraction(delta))
+    log_inv_delta = -load_mpmath().iv.log(iv_from_fraction(delta))
     lam0 = (iv_from_fraction(mu) * log_inv_delta / (8 * c_interval(r))) ** 2
     return delta, interval_endpoints(lam0)[1]

@@ -7,6 +7,10 @@ Every interval comparison is directed: a reported "pass" means the inequality
 holds for the true real values, no matter how the enclosures were rounded.
 Every report is a ``Report``, whose JSON is its fields in order, by one rule;
 the engine writes its trace lines with the same encoder.
+
+This module is the only one that imports mpmath, in ``load_mpmath`` at the
+package's first interval use, so a run that exact caps decide never loads it.
+RF_PRECISION_BITS is read once at package import and applied at that load.
 """
 
 from __future__ import annotations
@@ -20,24 +24,45 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 
-from mpmath import iv, mp
-from mpmath.libmp import from_int, mpi_div, round_ceiling, round_floor, to_str
-
 from .errors import InvalidInput, NonFiniteEndpoint, PrecisionExhausted, ScaleError
 
 PRECISION_ENV = "RF_PRECISION_BITS"
 DEFAULT_PRECISION_BITS = 128
 
+_mpmath = None  # the mpmath module, once load_mpmath has run
+_bits = DEFAULT_PRECISION_BITS  # the working precision until then
+
+
+def load_mpmath():
+    """mpmath, at the package's working precision.
+
+    Importing mpmath costs about 4 MiB of memory and a fifth of the
+    package's start-up, and a run whose every decision is an exact cap builds
+    no interval, so the package imports it here, at its first interval use.  That first call applies the
+    precision set so far to ``mp`` and ``iv``, whoever imported mpmath
+    before it.  Each function that builds or reads an enclosure takes the
+    names it needs from here once per call.
+    """
+    global _mpmath
+    if _mpmath is None:
+        import mpmath
+
+        mpmath.mp.prec = mpmath.iv.prec = _bits
+        _mpmath = mpmath
+    return _mpmath
+
 
 def set_precision(bits: int) -> None:
+    global _bits
     if bits < 16:
         raise InvalidInput("precision below 16 bits is not supported")
-    mp.prec = bits
-    iv.prec = bits
+    _bits = bits
+    if _mpmath is not None:
+        _mpmath.mp.prec = _mpmath.iv.prec = bits
 
 
 def precision() -> int:
-    return mp.prec
+    return _bits if _mpmath is None else _mpmath.mp.prec
 
 
 # the text of a rejected RF_PRECISION_BITS, read once at import; it leaves
@@ -113,20 +138,23 @@ def read_rational(text) -> Fraction:
 
 def mpi_from_int(n: int):
     """The endpoint pair of ``iv.mpf(n)``: n rounded down and up at ``iv.prec``."""
-    return from_int(n, iv.prec, round_floor), from_int(n, iv.prec, round_ceiling)
+    mpmath = load_mpmath()
+    lib, prec = mpmath.libmp, mpmath.iv.prec
+    return lib.from_int(n, prec, lib.round_floor), lib.from_int(n, prec, lib.round_ceiling)
 
 
 def mpi_from_fraction(q: Fraction):
     """The endpoint pair of ``iv.mpf(q.numerator) / iv.mpf(q.denominator)``."""
-    return mpi_div(mpi_from_int(q.numerator), mpi_from_int(q.denominator), iv.prec)
+    mpmath = load_mpmath()
+    return mpmath.libmp.mpi_div(mpi_from_int(q.numerator), mpi_from_int(q.denominator), mpmath.iv.prec)
 
 
 def iv_from_int(x: int):
-    return iv.make_mpf(mpi_from_int(x))
+    return load_mpmath().iv.make_mpf(mpi_from_int(x))
 
 
 def iv_from_fraction(q: Fraction):
-    return iv.make_mpf(mpi_from_fraction(q))
+    return load_mpmath().iv.make_mpf(mpi_from_fraction(q))
 
 
 def endpoint_fraction(raw) -> Fraction:
@@ -136,7 +164,7 @@ def endpoint_fraction(raw) -> Fraction:
     """
     sign, man, exp, _bc = raw
     if not man and exp:  # mpmath tags +inf, -inf and nan with a zero mantissa
-        raise NonFiniteEndpoint(f"interval endpoint {to_str(raw, 5)} is not finite")
+        raise NonFiniteEndpoint(f"interval endpoint {load_mpmath().libmp.to_str(raw, 5)} is not finite")
     man, exp = -int(man) if sign else int(man), int(exp)
     try:
         return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
@@ -174,6 +202,7 @@ def iv_ln(q):
     q = Fraction(q)
     if q <= 0:
         raise InvalidInput(f"ln needs a positive argument, got {q}")
+    iv = load_mpmath().iv
     log = iv.log(iv_from_int(q.numerator))
     return log if q.denominator == 1 else log - iv.log(iv_from_int(q.denominator))
 
@@ -188,7 +217,7 @@ def iv_mid(x) -> float:
     try:
         return float((lo + hi) / 2)
     except OverflowError:
-        raise ScaleError(f"report value {to_str(x._mpi_[1], 5)} is beyond float range") from None
+        raise ScaleError(f"report value {load_mpmath().libmp.to_str(x._mpi_[1], 5)} is beyond float range") from None
 
 
 def iv_log10(log) -> float | None:
@@ -358,7 +387,7 @@ def thm_book_hypotheses(p, mu, t: int, m: int, r: int, size_x, size_ys) -> ThmBo
     x_need = iv_ln(mu**2 / p) * iv_from_fraction(mu * r * t)
     links.append(_log_link("X", "|X| >= (mu^2/p)^(mu r t)", iv_ln(size_x) if size_x else None, x_need))
     y_need = (
-        iv_from_fraction(Fraction(2**13 * r**3) / mu**2) - iv.log(iv_from_fraction(p))
+        iv_from_fraction(Fraction(2**13 * r**3) / mu**2) - load_mpmath().iv.log(iv_from_fraction(p))
     ) * t + iv_ln(m)
     for i, sy in enumerate(size_ys):
         links.append(
@@ -468,6 +497,7 @@ def thm51_chain(r: int, k: int | None = None) -> Thm51Report:
     )
 
     # (v) p = 1/r - 2 eps >= e^(-3 eps r)/r, i.e. ln(1 - 2 eps r) + 3 eps r >= 0
+    iv = load_mpmath().iv
     margin = iv.log(iv_from_fraction(1 - 2 * eps * r)) + iv_from_fraction(3 * eps * r)
     links.append(
         InequalityLink(

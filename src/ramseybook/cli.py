@@ -3,9 +3,11 @@ bounds | oracle.
 
 Machine-readable JSON goes to stdout, human summaries to stderr.  Exit codes:
 0 success, 1 verification failure, 2 usage error, 3 undecided at the working
-precision.  RF_PRECISION_BITS, read once when the package is imported,
+precision.  RF_PRECISION_BITS, read once when the package is imported and
+applied when the package loads mpmath at its first interval enclosure,
 overrides the working precision (default 128 bits); a bad value is a usage
-error.
+error.  At desk scale, generate, regularise, oracle and run-book given
+--lambda0 and --delta build no interval, so they never load mpmath.
 """
 
 from __future__ import annotations

@@ -45,15 +45,13 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, compress
 
-from mpmath import iv
-from mpmath.libmp import mpi_add, mpi_cos, mpi_div, mpi_exp, mpi_mul, mpi_neg, mpi_sqrt
-
 from .bounds import (
     certify_interval_ge,
     endpoint_fraction,
     exact_rational,
     iv_from_fraction,
     iv_from_int,
+    load_mpmath,
     mpi_from_fraction,
     mpi_from_int,
 )
@@ -74,17 +72,17 @@ def _beta(beta, r: int) -> Fraction:
 
 def c_interval(r: int):
     """Enclosure of the decay coefficient C = 4 r^(3/2) at the working precision."""
-    return _c_enclosure(r, iv.prec)
+    return _c_enclosure(r, load_mpmath().iv.prec)
 
 
 @cache
 def _c_enclosure(r: int, prec: int):
-    return 4 * iv.sqrt(iv_from_int(r**3))
+    return 4 * load_mpmath().iv.sqrt(iv_from_int(r**3))
 
 
 def decay_enclosure(coef: Fraction, r: int, x):
     """Enclosure of coef * e^(-C x), C = 4 r^(3/2), for the enclosure ``x`` of x."""
-    return iv_from_fraction(coef) * iv.exp(-c_interval(r) * x)
+    return iv_from_fraction(coef) * load_mpmath().iv.exp(-c_interval(r) * x)
 
 
 def witness_bound_upper(lam: Fraction, r: int, beta: Fraction) -> Fraction:
@@ -97,7 +95,8 @@ def witness_bound_upper(lam: Fraction, r: int, beta: Fraction) -> Fraction:
     """
     if lam < -1:
         raise InvalidInput("threshold below -1")
-    return endpoint_fraction(decay_enclosure(beta, r, iv.sqrt(iv_from_fraction(lam + 1)))._mpi_[1])
+    root = load_mpmath().iv.sqrt(iv_from_fraction(lam + 1))
+    return endpoint_fraction(decay_enclosure(beta, r, root)._mpi_[1])
 
 
 # ---------------------------------------------------------------------------
@@ -269,31 +268,33 @@ def check_special_bounds(xs) -> SpecialBranch:
     r = len(qs)
     if r < 1:
         raise InvalidInput("need at least one coordinate")
+    mpmath = load_mpmath()
+    iv, lib = mpmath.iv, mpmath.libmp
     prec = iv.prec
     zero, one, two = mpi_from_int(0), mpi_from_int(1), mpi_from_int(2)
     encl = [mpi_from_fraction(q) for q in qs]
     factors = []
     for q, x in zip(qs, encl):
         if q >= 0:  # cosh u = (e + 1/e)/2 with e = exp u
-            e = mpi_exp(mpi_sqrt(x, prec), prec)
-            cosh = mpi_div(mpi_add(e, mpi_div(one, e, prec), prec), two, prec)
+            e = lib.mpi_exp(lib.mpi_sqrt(x, prec), prec)
+            cosh = lib.mpi_div(lib.mpi_add(e, lib.mpi_div(one, e, prec), prec), two, prec)
         else:
-            cosh = mpi_cos(mpi_sqrt(mpi_neg(x), prec), prec)
-        factors.append(mpi_add(two, cosh, prec))
+            cosh = lib.mpi_cos(lib.mpi_sqrt(lib.mpi_neg(x), prec), prec)
+        factors.append(lib.mpi_add(two, cosh, prec))
     f = zero
     for j, x in enumerate(encl):
         prod = one
         for i, factor in enumerate(factors):
             if i != j:
-                prod = mpi_mul(prod, factor, prec)
-        f = mpi_add(f, mpi_mul(x, prod, prec), prec)
+                prod = lib.mpi_mul(prod, factor, prec)
+        f = lib.mpi_add(f, lib.mpi_mul(x, prod, prec), prec)
     f = iv.make_mpf(f)
 
     if all(q >= -3 * r for q in qs):
         root_sum = zero
         for q in qs:
-            root_sum = mpi_add(root_sum, mpi_sqrt(mpi_from_fraction(q + 3 * r), prec), prec)
-        bound = mpi_mul(mpi_from_int(3**r * r), mpi_exp(root_sum, prec), prec)
+            root_sum = lib.mpi_add(root_sum, lib.mpi_sqrt(mpi_from_fraction(q + 3 * r), prec), prec)
+        bound = lib.mpi_mul(mpi_from_int(3**r * r), lib.mpi_exp(root_sum, prec), prec)
         if not certify_interval_ge(iv.make_mpf(bound), f):
             raise LemmaViolation(f"f{tuple(map(float, qs))} exceeded the positive-quadrant bound")
         return SpecialBranch.UPPER_BOUND_HOLDS

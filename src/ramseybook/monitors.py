@@ -28,9 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from mpmath import iv
-from mpmath.libmp import to_str
-
 from .book_engine import KIND_BOOST, KIND_COLOUR, Trace
 from .geometry import decay_enclosure
 from .bounds import (
@@ -39,6 +36,7 @@ from .bounds import (
     interval_endpoints,
     iv_from_fraction,
     iv_from_int,
+    load_mpmath,
 )
 
 
@@ -113,7 +111,7 @@ def _shown(side, endpoint: int) -> str:
     try:
         return str(float(interval_endpoints(side)[endpoint]))
     except OverflowError:
-        return to_str(side._mpi_[endpoint], 17)
+        return load_mpmath().libmp.to_str(side._mpi_[endpoint], 17)
 
 
 def check_lemma_41(trace: Trace) -> MonitorReport:
@@ -150,7 +148,7 @@ def check_lemma_43(trace: Trace) -> MonitorReport:
     h = trace.header
 
     def checks():
-        bound = 4 * (-iv.log(iv_from_fraction(h.delta))) * h.t / iv_from_fraction(h.lambda0)
+        bound = 4 * (-load_mpmath().iv.log(iv_from_fraction(h.delta))) * h.t / iv_from_fraction(h.lambda0)
         colours = [rec.witness_colour for rec in _boosts(trace)]
         for i in range(h.r):
             yield len(trace.records), i, [(colours.count(i), "<=", bound)]
@@ -215,6 +213,7 @@ def check_lemma_45_46(trace: Trace) -> list[MonitorReport]:
                 yield s, None, [(x_size, ">=", cap)]
                 continue
             if rhs is None:
+                iv = load_mpmath().iv
                 if eps is None:
                     eps = decay_enclosure(h.beta / h.r, h.r, iv.sqrt(iv_from_fraction(h.lambda0 + 1)))
                 root_sum = sum((iv.sqrt(iv_from_fraction(lam + 1)) for lam in lams), iv.mpf(0))
@@ -222,6 +221,7 @@ def check_lemma_45_46(trace: Trace) -> list[MonitorReport]:
             yield s, None, [(x_size, ">=", rhs)]
 
     def checks_46():
+        iv = load_mpmath().iv
         bound = 7 * h.r * (-iv.log(iv_from_fraction(h.delta))) * h.t / iv.sqrt(iv_from_fraction(h.lambda0))
         total = sum((iv.sqrt(iv_from_fraction(rec.lam)) for rec in _boosts(trace)), iv.mpf(0))
         yield len(trace.records), None, [(total, "<=", bound)]

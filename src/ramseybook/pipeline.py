@@ -8,10 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from mpmath import iv
-
 from .book_engine import EngineParams, run
-from .bounds import Report, certify_interval_ge, exact_rational, iv_from_fraction, iv_ln, iv_log10
+from .bounds import Report, certify_interval_ge, exact_rational, iv_from_fraction, iv_ln, iv_log10, load_mpmath
 from .colouring import EdgeColouring, iter_vertices, mask_of, vertex_list
 from .errors import (
     DegenerateDensity,
@@ -142,7 +140,7 @@ def lemma53_check(r: int, k: int, eps, ss) -> Lemma53Report:
     )
     passes = certify_interval_ge(rhs, lhs)
     reduced = certify_interval_ge(
-        s * iv.log(iv_from_fraction(1 + eps)), iv_from_fraction((eps**3) * k / 2)
+        s * load_mpmath().iv.log(iv_from_fraction(1 + eps)), iv_from_fraction((eps**3) * k / 2)
     )
     return Lemma53Report(passes, reduced, iv_log10(lhs), iv_log10(rhs))
 

@@ -2,7 +2,14 @@ import itertools
 
 import pytest
 
+from ramseybook.bounds import load_mpmath
 from ramseybook.colouring import pentagon_colouring, iter_vertices
+
+# Several tests use mpmath itself as the oracle, at the package's working
+# precision.  The package applies that precision when it loads mpmath, at its
+# first interval use, so load it here, before any test runs: a test run alone
+# must not meet mpmath at its own default of 53 bits.
+load_mpmath()
 
 
 @pytest.fixture

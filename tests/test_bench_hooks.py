@@ -6,7 +6,7 @@ The tracer replaces names in ``ramseybook`` with timing wrappers
 outputs (traces and report texts) of its first pass; a change that alters any
 output changes the digest, so the tiny passes' digests are pinned here.  The
 import itself must load no numpy, whose memory every workload's peak RSS would
-carry."""
+carry, and no mpmath, which desk-scale runs never use."""
 
 import hashlib
 import importlib.util
@@ -54,15 +54,63 @@ def test_tiny_pass_outputs_unchanged(workload):
     assert h.hexdigest() == TINY_DIGESTS[workload]
 
 
-def test_import_loads_no_numpy():
-    # importing numpy alone raises ru_maxrss by 8-13.5 MiB, and every
-    # workload's peak_rss_mb includes the import
+def _loaded_after(body: str, package: str) -> str:
+    """The printed sorted list of ``package``'s modules loaded after ``import ramseybook``
+    and ``body``, in a fresh interpreter."""
     probe = (
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "import ramseybook\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+        f"{body}\n"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe, str(SRC)],
                           capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_import_loads_no_numpy():
+    # importing numpy alone raises ru_maxrss by 8-13.5 MiB, and every
+    # workload's peak_rss_mb includes the import
+    assert _loaded_after("", "numpy") == "[]"
+
+
+def test_import_loads_no_mpmath():
+    # mpmath adds about 4 MiB to ru_maxrss; the package loads it at its first
+    # interval enclosure (bounds.load_mpmath)
+    assert _loaded_after("", "mpmath") == "[]"
+
+
+# book-large's and keystep-audit's paths, and the CLI's generate and run-book, at desk scale:
+# every decision there is an exact cap, so none of them builds an interval
+DESK_SCALE = """
+import os, tempfile
+from fractions import Fraction as F
+from ramseybook import book_engine, cli, colouring, geometry, monitors
+from ramseybook.errors import DegenerateDensity
+
+params = book_engine.EngineParams(t=2, lambda0=F(10), delta=F(1, 16))
+for seed, (n, r) in enumerate([(40, 2), (50, 3), (20, 2), (24, 3)]):
+    c = colouring.random_colouring(n, r, seed)
+    full = c.vertices
+    try:
+        trace = book_engine.run(c, full, [full] * r, params).trace
+    except DegenerateDensity as e:
+        trace = e.trace
+    trace.to_text()
+    assert all(rep.ok for rep in monitors.run_all_monitors(trace))
+    densities = [geometry.min_density(c, full, full, i) for i in range(r)]
+    alphas = [(p - min(densities) + F(1, 4)) / 2 for p in densities]  # keystep-audit's alphas
+    ks = geometry.key_lemma_step(c, full, [full] * r, alphas)
+    assert geometry.verify_key_step(c, full, [full] * r, alphas, ks).all_ok
+    report = geometry.find_lambda_witness(geometry.build_embedding(c, full, [full] * r, alphas))
+    geometry.verify_witness(c, full, [full] * r, alphas, report)
+with tempfile.TemporaryDirectory() as tmp:
+    rcg, trace = os.path.join(tmp, "c.rcg"), os.path.join(tmp, "t.jsonl")
+    assert cli.main(["generate", "--n", "30", "--r", "2", "--seed", "1", "-o", rcg]) == 0
+    assert cli.main(["run-book", "-i", rcg, "--t", "2", "--lambda0", "10", "--delta", "1/16", "--trace", trace]) == 0
+"""
+
+
+def test_desk_scale_paths_load_no_mpmath():
+    assert _loaded_after(DESK_SCALE, "mpmath") == "[]"

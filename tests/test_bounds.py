@@ -2,18 +2,22 @@ import contextlib
 import gc
 import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 from decimal import Decimal
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
+from ramseybook import bounds
 from ramseybook.bounds import (
     appendix_check,
     certify_interval_ge,
@@ -263,6 +267,60 @@ class TestEndpoints:
         # the shift used to escape as a bare OverflowError
         with pytest.raises(ScaleError, match="too large"):
             endpoint_fraction(raw)
+
+
+class TestPrecisionAtLoad:
+    """``bounds.load_mpmath`` imports mpmath at the package's first interval
+    use and applies the package precision then, whoever imported mpmath
+    first.  Each case runs in a fresh interpreter, since this one has loaded
+    it already."""
+
+    @staticmethod
+    def probe(body: str, prelude: str = "", **env) -> list[str]:
+        """The words printed by ``prelude``, an import of ``bounds``, then ``body``, in a fresh interpreter."""
+        src = str(Path(bounds.__file__).parents[1])
+        env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = (
+            f"{prelude}\n"
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "from ramseybook import bounds\n"
+            "def mantissa_bits(enc): return max(bc for _sign, _man, _exp, bc in enc._mpi_)\n"
+            f"{body}\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        return proc.stdout.split()
+
+    def test_precision_env_applies_at_the_load(self):
+        body = (
+            "print(bounds.precision(), 'mpmath' in sys.modules)\n"
+            "enc = bounds.iv_from_fraction(Fraction(1, 3))\n"
+            "print(bounds.precision(), mantissa_bits(enc))"
+        )
+        assert self.probe(body, RF_PRECISION_BITS="40") == ["40", "False", "40", "40"]
+
+    def test_mpmath_imported_first_still_gets_the_package_precision(self):
+        # mpmath's own default is 53 bits; the package's first enclosure applies 128
+        body = (
+            "print(mpmath.iv.prec, bounds.precision())\n"
+            "enc = bounds.iv_from_fraction(Fraction(1, 3))\n"
+            "print(mpmath.iv.prec, mpmath.mp.prec, mantissa_bits(enc))"
+        )
+        words = self.probe(body, prelude="import mpmath", RF_PRECISION_BITS="128")
+        assert words == ["53", "128", "128", "128", "128"]
+
+    def test_set_precision_before_the_load_takes_effect_at_it(self):
+        body = (
+            "bounds.set_precision(64)\n"
+            "print(bounds.precision(), 'mpmath' in sys.modules)\n"
+            "enc = bounds.iv_from_fraction(Fraction(1, 3))\n"
+            "import mpmath\n"
+            "print(bounds.precision(), mpmath.iv.prec, mantissa_bits(enc))\n"
+            "bounds.set_precision(40)\n"
+            "print(bounds.precision(), mpmath.mp.prec, mpmath.iv.prec)"
+        )
+        assert self.probe(body) == ["64", "False", "64", "64", "64", "40", "40", "40"]
 
 
 @contextlib.contextmanager

@@ -1464,7 +1464,7 @@ class TestWitnessCap:
         assert calls == []
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_found_witness_and_its_recount_evaluate_one_bound(self, seed, monkeypatch):
+    def test_found_witness_and_its_recount_evaluate_no_bound(self, seed, monkeypatch):
         # the report records no bound, and q >= 1/n clears the cap 2 beta at
         # default beta and n <= 60, so neither the scan nor verify_witness
         # evaluates one
