@@ -157,14 +157,20 @@ def iv_from_fraction(q: Fraction):
     return load_mpmath().iv.make_mpf(mpi_from_fraction(q))
 
 
+def _finite(raw):
+    """One raw interval endpoint, returned as it is once it is known to be
+    finite; an infinite or NaN one is NonFiniteEndpoint."""
+    if not raw[1] and raw[2]:  # mpmath tags +inf, -inf and nan with a zero mantissa
+        raise NonFiniteEndpoint(f"interval endpoint {load_mpmath().libmp.to_str(raw, 5)} is not finite")
+    return raw
+
+
 def endpoint_fraction(raw) -> Fraction:
     """The exact rational value of one raw interval endpoint.
 
     An endpoint too large to hold as an int is a ScaleError (an InvalidInput).
     """
-    sign, man, exp, _bc = raw
-    if not man and exp:  # mpmath tags +inf, -inf and nan with a zero mantissa
-        raise NonFiniteEndpoint(f"interval endpoint {load_mpmath().libmp.to_str(raw, 5)} is not finite")
+    sign, man, exp, _bc = _finite(raw)
     man, exp = -int(man) if sign else int(man), int(exp)
     try:
         return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
@@ -185,14 +191,18 @@ def interval_endpoints(x) -> tuple[Fraction, Fraction]:
 def certify_interval_ge(a, b) -> bool:
     """Decide ``a >= b`` rigorously for two interval values.
 
-    An infinite or NaN endpoint on either side leaves the comparison
-    undecided (NonFiniteEndpoint), never decided from a stand-in value.
+    The binary endpoints are compared exactly as they are (``libmp.mpf_ge``,
+    ``mpf_lt``), so no endpoint is expanded into an integer, however large
+    its exponent.  An infinite or NaN endpoint on either side leaves the
+    comparison undecided (NonFiniteEndpoint), never decided from a stand-in
+    value.
     """
-    a_lo, a_hi = interval_endpoints(a)
-    b_lo, b_hi = interval_endpoints(b)
-    if a_lo >= b_hi:
+    a_lo, a_hi = map(_finite, a._mpi_)
+    b_lo, b_hi = map(_finite, b._mpi_)
+    lib = load_mpmath().libmp
+    if lib.mpf_ge(a_lo, b_hi):
         return True
-    if a_hi < b_lo:
+    if lib.mpf_lt(a_hi, b_lo):
         return False
     raise PrecisionExhausted(f"cannot order overlapping intervals at {precision()} bits")
 

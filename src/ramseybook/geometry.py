@@ -17,12 +17,14 @@ own r codegrees; only a colour's scan below its diagonal builds that colour's
 largest codegree per row and set of codegrees attained, O(n) numbers from one
 n^2 / 2 popcount pass.  A row's codegrees are computed, and its pair
 eligibility checked against an integer codegree floor, when such a scan first
-reaches that row.  The exact caps that decide a witness or size bound
-(``_meets``) are integer cross-products of a count and a total, so a
-Fraction is built only for a threshold a scan pulls, to merge the colours in
-lam order, and for the lam and q a step or report records.  The witness
-recount derives its own thresholds with Fractions and tests each unordered
-pair once and each diagonal pair explicitly.
+reaches that row.  The key step's X' is read from the pivot's own codegrees,
+one colour at a time, witness colour first, and from no table.  The exact cap
+that decides a witness or size bound (``_meets``) is an integer
+cross-product of a count and a total, so a Fraction is built only for a
+threshold a scan pulls, to merge the colours in lam order, and for the lam
+and q a step or report records.  The witness recount derives its own
+thresholds with Fractions and tests each unordered pair once and each
+diagonal pair explicitly.
 
 The key lemma's constants are beta = 3^(-4r) (``default_beta``) and
 C = 4 r^(3/2) (``c_interval``).  Every decay factor coef e^(-C x) comes from
@@ -42,8 +44,8 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from functools import cache, cached_property
-from itertools import chain, compress
+from functools import cached_property
+from itertools import compress
 
 from .bounds import (
     certify_interval_ge,
@@ -72,11 +74,6 @@ def _beta(beta, r: int) -> Fraction:
 
 def c_interval(r: int):
     """Enclosure of the decay coefficient C = 4 r^(3/2) at the working precision."""
-    return _c_enclosure(r, load_mpmath().iv.prec)
-
-
-@cache
-def _c_enclosure(r: int, prec: int):
     return 4 * load_mpmath().iv.sqrt(iv_from_int(r**3))
 
 
@@ -88,10 +85,9 @@ def decay_enclosure(coef: Fraction, r: int, x):
 def witness_bound_upper(lam: Fraction, r: int, beta: Fraction) -> Fraction:
     """Certified upper bound on beta * e^(-C sqrt(lam + 1)).
 
-    For lam >= -1 and beta > 0 the value never exceeds 2 beta (the exponent
-    is <= 0, and the rounding adds a few ulps at most), nor, for lam >= 0,
-    beta / (4 isqrt(floor(lam) + 1)), so ``_meets``' rational comparisons
-    against those caps decide most uses without calling this.
+    For lam >= -1 and beta > 0 the value never exceeds ``_meets``' exact
+    cap, so its rational comparison against the cap decides most uses
+    without calling this.
     """
     if lam < -1:
         raise InvalidInput("threshold below -1")
@@ -338,19 +334,18 @@ class _PairTables:
     codeg_i >= p_i |Y_i| (p_i - alpha_i) for every colour; ``dmin[i]`` is the
     least such integer, ceil((m_i^2 b_i - a_i m_i |Y_i|) / (|Y_i| b_i)) in
     ``Embedding.inner_form``'s integers, floored at 0.  Only eligible pairs
-    can contribute to any witness event.  Every trimmed set of
-    colour i has ``diag[i]`` elements, so ``diag[i]`` is the largest codegree
-    and the pairs that reach it are those with equal colour-i sets: a point's
-    partners there are the points with its set whose pair passes eligibility
-    on its own r codegrees (``_equal_partners``), and nothing is stored for
-    them.  Only colour i's scan below its diagonal needs
-    ``_build_maxima(i)``, which fills colour i's slots: ``row_max[i][a]``, the
-    largest raw codegree of the pairs (a, b > a), and ``values[i]``, every raw
-    codegree of such pairs; no row is stored, and a colour never scanned below
-    its diagonal keeps None.  The first time such a scan reaches row a
-    (``_rows_reaching``), ``_check_row`` stores it in every colour with its
-    ineligible pairs marked -1: ``checked[a][i][j]`` is then the colour-i
-    codegree of the pair (a, a + 1 + j).  Every reader of a checked row
+    can contribute to any witness event.  Every trimmed set of colour i has
+    ``diag[i]`` elements, so ``diag[i]`` is the largest codegree and the pairs
+    that reach it are those with equal colour-i sets: a point's partners there
+    are the points with its set whose pair passes eligibility on its own r
+    codegrees, and nothing is stored for them.  Only colour i's scan below its
+    diagonal needs ``_build_maxima(i)``, which fills colour i's slots:
+    ``row_max[i][a]``, the largest raw codegree of the pairs (a, b > a), and
+    ``values[i]``, every raw codegree of such pairs; no row is stored, and a
+    colour never scanned below its diagonal keeps None.  The first time such
+    a scan reaches row a (``_rows_reaching``), ``_check_row`` stores it in
+    every colour with its ineligible pairs marked -1: ``checked[a][i][j]`` is
+    then the colour-i codegree of the pair (a, a + 1 + j).  Every reader of a checked row
     compares its entries with the threshold, so a -1 is never a partner.
 
     The tables are a pure cache of the embedding: every entry is a function
@@ -445,19 +440,14 @@ class _PairTables:
 
     def _partners_after(self, colour: int, d: int, a: int):
         """The partners b > a of point a at codegree threshold d; below the
-        diagonal, row a must be checked."""
-        if d == self.diag[colour]:
-            return self._equal_partners(colour, a, a + 1)
-        return compress(range(a + 1, self.n), map(d.__le__, self.checked[a][colour]))
-
-    def _equal_partners(self, colour: int, a: int, start: int):
-        """The points b >= start, b != a, whose colour-``colour`` set equals
-        a's and whose pair with a is eligible, decided from the pair's own r
-        codegrees: a's partners at the diagonal threshold."""
+        diagonal, row a must be checked.  At the diagonal they are the points
+        whose colour-``colour`` set equals a's and whose pair with a is
+        eligible, decided from the pair's own r codegrees."""
+        if d != self.diag[colour]:
+            return compress(range(a + 1, self.n), map(d.__le__, self.checked[a][colour]))
         t = self.emb.trimmed
-        same = compress(range(start, self.n), map(t[colour][a].__eq__, t[colour][start:]))
-        return (b for b in same
-                if b != a and all((ti[a] & ti[b]).bit_count() >= dm for ti, dm in zip(t, self.dmin)))
+        same = compress(range(a + 1, self.n), map(t[colour][a].__eq__, t[colour][a + 1 :]))
+        return (b for b in same if all((ti[a] & ti[b]).bit_count() >= dm for ti, dm in zip(t, self.dmin)))
 
     def partner_counts(self, colour: int, d: int) -> list[int]:
         """Per point, the off-diagonal event partners at codegree threshold d."""
@@ -470,17 +460,19 @@ class _PairTables:
         return counts
 
     def x_prime_mask(self, colour: int, d: int, pivot_idx: int) -> int:
-        points = self.emb.points
-        if d == self.diag[colour]:
-            return mask_of(points[b] for b in self._equal_partners(colour, pivot_idx, 0))
-        checked = self.checked
-        # below the diagonal a row that cannot reach d has no partner after
-        # it; in the key step, partner_counts has already checked every row
-        # that reaches d
-        reached = [a for a in self._rows_reaching(colour, d) if a <= pivot_idx]
-        before = [a for a in reached if a < pivot_idx and checked[a][colour][pivot_idx - a - 1] >= d]
-        after = self._partners_after(colour, d, pivot_idx) if reached[-1:] == [pivot_idx] else ()
-        return mask_of(points[b] for b in chain(before, after))
+        """X'(pivot): the points b != pivot whose colour-``colour`` codegree
+        with the pivot is at least d and whose colour-i codegree is at least
+        ``dmin[i]`` in every other colour.  Every candidate d is at least
+        ``dmin[colour]``, so that is the event at d.  The pivot's own
+        codegrees are filtered one colour at a time, the witness colour
+        first, as ``verify_witness`` does; no table is read."""
+        need = list(zip(self.dmin, self.emb.trimmed))
+        need.insert(0, (d, need.pop(colour)[1]))
+        row = [b for b in range(self.n) if b != pivot_idx]
+        for dm, ti in need:
+            tp = ti[pivot_idx]
+            row = [b for b in row if (tp & ti[b]).bit_count() >= dm]
+        return mask_of(self.emb.points[b] for b in row)
 
     def witnesses(self, beta: Fraction):
         """Yield (lam, colour, d, counts, size) for every candidate, in scan
@@ -506,31 +498,29 @@ class _PairTables:
 def _meets(count: int, total: int, beta: Fraction, lam: Fraction, r: int) -> bool:
     """Whether the ratio count / total (count >= 0, total > 0) reaches
     ``witness_bound_upper(lam, r, beta)``, beta e^(-C sqrt(lam + 1)) rounded
-    up, for lam >= -1.  Two exact caps decide first, each an integer
-    cross-product for beta = a / b: the ratio meets 2 beta when count b >=
-    2 a total, and beta / (4 s), s = isqrt(floor(lam) + 1), when 4 s count b
-    >= a total.  Only where neither does is the ratio made a Fraction and the
-    bound evaluated, and only for count > 0.
+    up, for lam >= -1.  One exact cap decides first: 2 beta / max(8 s, 1),
+    s = isqrt(floor(lam) + 1), which is 2 beta for lam < 0 and beta / (4 s)
+    for lam >= 0; for beta = a / b the ratio meets it when max(8 s, 1) count
+    b >= 2 a total.  Only below it is the ratio made a Fraction and the bound
+    evaluated, and only for count > 0.
 
     Every verdict is the bound's own.  For beta <= 0 the bound is at most 0,
-    and both caps are met.  For beta > 0 the bound is positive, so a zero
-    count misses it, and it is below both caps: below 2 beta as
-    ``witness_bound_upper`` says, and below beta / (4 s) as follows (s >= 1
-    needs lam >= 0; at s = 0 the second cap is never met).  With x = C
-    sqrt(lam + 1) >= 4 sqrt(lam + 1) >= 4 s, since C = 4 r^(3/2) >= 4, the
-    exact value is beta e^(-x), and x e^(-x) <= 4 e^(-4) < 0.08 for x >= 4,
-    so it is below 0.08 beta / x <= 0.02 beta / s.  At iv.prec >= 16 bits
-    each of the few interval operations rounds by at most 2^-15 relative, so
-    the rounded exponent is -y with y >= (1 - 2^-12) x > 3.99 s and the
-    product is raised by at most 2^-12 relative; y e^(-y) falls for y >= 1,
-    so e^(-y) < 0.08 / y still, and the rounded bound stays below 0.021 beta
-    / s, under the cap by a factor of ten.  The cap decides lam = 10^100 at once, where the bound's exact
-    Fraction would need more than 10^50 bits.
+    and the cap is met.  For beta > 0 the bound is positive, so a zero count
+    misses it, and it is at most the cap.  At s = 0 the exponent is <= 0 and
+    the rounding adds a few ulps, so the bound is at most 2 beta.  At s >= 1,
+    x = C sqrt(lam + 1) >= 4 s since C = 4 r^(3/2) >= 4, and x e^(-x) <=
+    4 e^(-4) < 0.08 for x >= 4, so the exact value beta e^(-x) is below
+    0.08 beta / x <= 0.02 beta / s.  At iv.prec >= 16 bits each of the few
+    interval operations rounds by at most 2^-15 relative, so the rounded
+    exponent is -y with y >= (1 - 2^-12) x > 3.99 s and the product is raised
+    by at most 2^-12 relative; y e^(-y) falls for y >= 1, so the rounded
+    bound stays below 0.021 beta / s, under the cap by a factor of ten.  The
+    cap decides lam = 10^100 at once, where the bound's exact Fraction would
+    need more than 10^50 bits.
     """
     # witness_bound_upper is looked up at call time, so a wrapper installed on the module sees the call
     a, b = beta.numerator, beta.denominator
-    return (count * b >= 2 * a * total
-            or 4 * math.isqrt(math.floor(lam) + 1) * count * b >= a * total
+    return (max(8 * math.isqrt(math.floor(lam) + 1), 1) * count * b >= 2 * a * total
             or (count > 0 and Fraction(count, total) >= witness_bound_upper(lam, r, beta)))
 
 
@@ -543,7 +533,7 @@ def find_lambda_witness(emb: Embedding, beta=None) -> WitnessReport:
     candidate is a colour's diagonal, decided from equal trimmed sets and the
     r codegrees of each pair of equal sets, so when it is accepted (always
     while 2 beta |X| <= 1: its q >= 1/|X|) the search builds no codegree
-    maxima, checks no row and, as the caps decide, evaluates no bound.  The
+    maxima, checks no row and, as the cap decides, evaluates no bound.  The
     report is the scan's first witness; it records no bound.  beta is
     resolved once (``_beta``).  Failure to find any witness raises
     LemmaViolation (it is a theorem that one exists).
@@ -565,16 +555,16 @@ def key_lemma_step(c: EdgeColouring, xset: int, ysets, alphas, beta=None) -> Key
     3280 at r = 2, 265720 at r = 3) that happens exactly when no off-diagonal
     pair is eligible, e.g. |X| = 1: an eligible pair is in the event of each
     colour's lowest candidate, whose q > 1/|X| >= 2 beta makes it a witness,
-    and one partner meets the cap 2 beta |X|.  Above that, a witness's bound
-    |X| can exceed its best pivot's partner count.
+    and one partner meets the cap, at most 2 beta, times |X|.  Above that, a
+    witness's bound |X| can exceed its best pivot's partner count.
 
     Pivot ties break to the smallest vertex label.  Both decisions, q
     against the bound and the best pivot's partners against bound |X|, are
-    taken against ``_meets``' exact caps first (met at or above either,
-    missed at zero), and the interval bound is evaluated only in between;
-    the result records no bound, so a step whose decisions the caps settle
-    evaluates none.  beta is resolved once (``_beta``), after the embedding is built,
-    for the scan and every pivot decision.
+    taken against ``_meets``' exact cap first (met at or above it, missed at
+    zero), and the interval bound is evaluated only in between; the result
+    records no bound, so a step whose decisions the cap settles evaluates
+    none.  beta is resolved once (``_beta``), after the embedding is
+    built, for the scan and every pivot decision.
     """
     emb = build_embedding(c, xset, ysets, alphas)
     r, n = emb.r, emb.npoints
@@ -626,8 +616,8 @@ def verify_key_step(c, xset, ysets, alphas, res: KeyStepResult, beta=None) -> Ke
     The pivot must lie in X and X' in X minus the pivot; each Y'_i must be
     the pivot's trimmed neighbourhood, of size exactly p_i |Y_i|.  Densities,
     trimmed sets and codegrees are all rebuilt from scratch; the exponential
-    size bound compares the exact |X'| with ``_meets``' exact caps times |X|
-    first and with an upper-rounded right side only where they cannot decide.
+    size bound compares the exact |X'| with ``_meets``' exact cap times |X|
+    first and with an upper-rounded right side only where it cannot decide.
 
     It takes ``build_embedding``'s inputs under the same rules: the
     per-colour rule for the Y sets and alphas, and ``min_density``'s vertex
@@ -681,8 +671,8 @@ def verify_witness(c, xset, ysets, alphas, rep: WitnessReport, beta=None) -> Non
     once: every one of the n^2 ordered pairs is decided.
 
     Raises LemmaViolation if the recount disagrees with the report or the
-    witness inequality fails: it is decided at the exact caps first and
-    against a freshly rounded bound only below them (``_meets``).  A reported
+    witness inequality fails: it is decided at the exact cap first and
+    against a freshly rounded bound only below it (``_meets``).  A reported
     lam below -1 has no bound and is InvalidInput.
     """
     emb = build_embedding(c, xset, ysets, alphas)

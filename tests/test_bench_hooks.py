@@ -81,7 +81,7 @@ def test_import_loads_no_mpmath():
     assert _loaded_after("", "mpmath") == "[]"
 
 
-# book-large's and keystep-audit's paths, and the CLI's generate and run-book, at desk scale:
+# book-large's and keystep-audit's paths, and the CLI's generate, run-book and verify-trace, at desk scale:
 # every decision there is an exact cap, so none of them builds an interval
 DESK_SCALE = """
 import os, tempfile
@@ -109,6 +109,7 @@ with tempfile.TemporaryDirectory() as tmp:
     rcg, trace = os.path.join(tmp, "c.rcg"), os.path.join(tmp, "t.jsonl")
     assert cli.main(["generate", "--n", "30", "--r", "2", "--seed", "1", "-o", rcg]) == 0
     assert cli.main(["run-book", "-i", rcg, "--t", "2", "--lambda0", "10", "--delta", "1/16", "--trace", trace]) == 0
+    assert cli.main(["verify-trace", "--trace", trace]) == 0
 """
 
 

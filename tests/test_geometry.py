@@ -407,6 +407,12 @@ class TestSpecialBounds:
         with pytest.raises(InvalidInput, match="finite"):
             check_special_bounds([F(0), x])
 
+    @pytest.mark.parametrize("exponent", [30, 40, 300])
+    def test_huge_coordinate_is_decided(self, exponent):
+        # the target's endpoints have binary exponents of order 10^(exponent / 2):
+        # as Fractions they ran out of memory at 10^30 and were a ScaleError at 10^40
+        assert check_special_bounds([10**exponent]) is SpecialBranch.UPPER_BOUND_HOLDS
+
     def test_random_grid(self):
         rng = random.Random(13)
         for _ in range(300):
@@ -861,6 +867,44 @@ class TestBulkBuilders:
         finally:
             tracemalloc.stop()
         assert held < 200 * 1024, f"{held} bytes held by {tables.n} points, witness at lam = {lam}"
+
+
+def refuse_table(*_args):
+    raise AssertionError("X' read a pair table")
+
+
+class TestXPrime:
+    """``x_prime_mask`` reads X' from the pivot's own codegrees alone: no
+    table is built, checked or scanned for it."""
+
+    @staticmethod
+    def check_reads_no_table(emb):
+        """Every candidate of one table, and every pivot, against the
+        per-pair reference, on a fresh table whose builders are refused."""
+        n, r, t = emb.npoints, emb.r, emb.trimmed
+        codeg = {(i, a, b): (t[i][a] & t[i][b]).bit_count()
+                 for i in range(r) for a in range(n) for b in range(n)}
+        eligible = {(a, b) for a in range(n) for b in range(n)
+                    if a != b and all(inner_by_index(emb, i, a, b) >= -1 for i in range(r))}
+        fresh = _PairTables(emb)
+        for name in ("_build_maxima", "_check_row", "_rows_reaching"):
+            setattr(fresh, name, refuse_table)
+        for _lam, i, d in _PairTables(emb).candidates():
+            for a in range(n):
+                want = mask_of(emb.points[b] for b in range(n) if (a, b) in eligible and codeg[i, a, b] >= d)
+                assert fresh.x_prime_mask(i, d, a) == want
+        assert fresh.checked == {} and fresh.row_max == fresh.values == [None] * r
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_embeddings())
+    def test_matches_per_pair_reference(self, drawn):
+        self.check_reads_no_table(drawn[4])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_with_ineligible_pairs(self, seed):
+        # small alphas make dmin > 0, so some pairs fail a colour
+        c = random_colouring(30, 3, seed)
+        self.check_reads_no_table(build_embedding(c, c.vertices, [c.vertices] * 3, [F(1, 40)] * 3))
 
 
 class TestWitnessChoice:
@@ -1528,7 +1572,6 @@ class TestWitnessCap:
                 lo, hi = interval_endpoints(c_interval(3))
                 assert lo * lo <= 16 * 27 <= hi * hi  # encloses C = 4 * 3^(3/2)
                 widths[bits] = hi - lo
-                assert c_interval(3) is c_interval(3)  # built once per precision
         finally:
             set_precision(old)
         assert widths[24] > widths[128] > 0
